@@ -1,16 +1,22 @@
 """Command-line pipeline orchestration.
 
-Each stage reads and writes CSV/JSON files in the output directory, so the
-full run is exactly the composition of the individual subcommands:
-
     generate -> simulate (or ingest) -> label -> split -> pca -> efs -> train
 
-Every stage also records its parameters in <out>/config.json; the final
+Each stage is one function: it takes its inputs as objects (Dataset,
+Normalizer, PcaModel, EfsReport), returns its outputs and writes only the
+files it owns. `run` chains the stages in memory, so it writes each output
+file once and reads none of them back. Each subcommand runs one stage on
+the files in the output directory: it loads the stage's inputs, calls the
+same stage function and writes its outputs, so chaining the subcommands
+reproduces `run` byte for byte.
+
+Every stage records its parameters in <out>/config.json; the final
 summary.json embeds that echo so a run is fully reproducible from its
 outputs. Plot data is emitted as CSV for external tools; nothing is
 rendered here.
 
-Exit codes: 0 success, 1 usage error, 2 pipeline error.
+Exit codes: 0 success, 1 usage error (bad option values included, checked
+before any stage runs), 2 pipeline error.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from .dataset import (
     ClassLabel,
     Dataset,
     FeatureId,
+    N_FEATURES,
     builtin_material_library,
     builtin_system_constants,
     constants_to_json,
@@ -58,6 +66,7 @@ DEFAULT_GRID_RESOLUTION = 50
 GRID_MARGIN = 0.05  # fractional margin added around the training range
 
 _EFS_METRIC_FLAGS = {"train": efs_mod.METRIC_TRAIN, "cv5": efs_mod.METRIC_CV5}
+_BY_NAME = {f.column_name: f for f in FeatureId}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,176 +79,171 @@ def _float_cell(v: float) -> str:
     return repr(float(v))
 
 
-def _update_config_echo(out: Path, section: str, values: dict, created: list[Path]) -> None:
-    path = out / "config.json"
-    echo = json.loads(path.read_text()) if path.exists() else {}
-    echo[section] = values
-    if path not in created:
-        created.append(path)
-    path.write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
+class _Out:
+    """The output directory: the files written to it so far, which a failed
+    command removes again, and the config echo that becomes config.json."""
 
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.created: list[Path] = []
+        self.echo: dict = {}
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]], created: list[Path]) -> None:
-    created.append(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    def _new(self, name: str) -> Path:
+        path = self.path / name
+        self.created.append(path)
+        return path
+
+    def load(self, name: str) -> Dataset:
+        return read_dataset(self.path / name)
+
+    def dataset(self, name: str, dataset: Dataset) -> None:
+        write_dataset(dataset, self._new(name))
+
+    def csv(self, name: str, header: list[str], rows: list[list[str]]) -> None:
+        with open(self._new(name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def json(self, name: str, data: dict) -> None:
+        self._new(name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # pipeline stages
 
-def stage_generate(out: Path, seed: int, n_per_material: int, created: list[Path]) -> None:
-    cfg = SamplerConfig(seed=seed, n_per_material=n_per_material)
-    dataset = generate_dataset(builtin_material_library(), cfg)
-    created.append(out / "dataset.csv")
-    write_dataset(dataset, out / "dataset.csv")
-    _update_config_echo(
-        out, "generate", {"seed": seed, "n_per_material": n_per_material}, created
-    )
+def stage_generate(out: _Out, cfg: SamplerConfig) -> Dataset:
+    out.echo["generate"] = {"seed": cfg.seed, "n_per_material": cfg.n_per_material}
+    return generate_dataset(builtin_material_library(), cfg)
 
 
-def stage_simulate(out: Path, cfg: SurrogateConfig, created: list[Path]) -> None:
-    dataset = read_dataset(out / "dataset.csv")
-    simulated = simulate_dataset(dataset, cfg)
-    created.append(out / "dataset.csv")
-    write_dataset(simulated, out / "dataset.csv")
-    _update_config_echo(
-        out,
-        "surrogate",
-        {
-            "config": config_to_json(cfg),
-            "system_constants": constants_to_json(builtin_system_constants()),
-        },
-        created,
-    )
+def stage_simulate(out: _Out, dataset: Dataset, cfg: SurrogateConfig) -> Dataset:
+    out.echo["surrogate"] = {
+        "config": config_to_json(cfg),
+        "system_constants": constants_to_json(builtin_system_constants()),
+    }
+    return simulate_dataset(dataset, cfg)
 
 
-def stage_ingest(out: Path, loads_path: str, created: list[Path]) -> None:
-    dataset = read_dataset(out / "dataset.csv")
-    loaded = ingest_external_loads(dataset, loads_path)
-    created.append(out / "dataset.csv")
-    write_dataset(loaded, out / "dataset.csv")
-    _update_config_echo(out, "ingest", {"loads_path": str(loads_path)}, created)
+def stage_ingest(out: _Out, dataset: Dataset, loads_path: str) -> Dataset:
+    out.echo["ingest"] = {"loads_path": str(loads_path)}
+    return ingest_external_loads(dataset, loads_path)
 
 
-def stage_label(out: Path, thresholds: Thresholds, created: list[Path]) -> None:
-    dataset = read_dataset(out / "dataset.csv")
+def stage_label(out: _Out, dataset: Dataset, thresholds: Thresholds) -> Dataset:
+    out.echo["thresholds"] = {"low_max": thresholds.low_max, "high_min": thresholds.high_min}
     labeled = label_dataset(dataset, thresholds)
-    created.append(out / "dataset.csv")
-    write_dataset(labeled, out / "dataset.csv")
-    _update_config_echo(
-        out,
-        "thresholds",
-        {"low_max": thresholds.low_max, "high_min": thresholds.high_min},
-        created,
-    )
+    out.dataset("dataset.csv", labeled)
+    return labeled
 
 
-def stage_split(out: Path, cfg: SplitConfig, created: list[Path]) -> None:
-    dataset = read_dataset(out / "dataset.csv")
+def stage_split(out: _Out, dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
+    out.echo["split"] = {
+        "train_fraction": cfg.train_fraction,
+        "seed": cfg.seed,
+        "stratified": cfg.stratified,
+    }
     train, test = split(dataset, cfg)
-    created.append(out / "train.csv")
-    write_dataset(train, out / "train.csv")
-    created.append(out / "test.csv")
-    write_dataset(test, out / "test.csv")
-    _update_config_echo(
-        out,
-        "split",
-        {
-            "train_fraction": cfg.train_fraction,
-            "seed": cfg.seed,
-            "stratified": cfg.stratified,
-        },
-        created,
-    )
+    out.dataset("train.csv", train)
+    out.dataset("test.csv", test)
+    return train, test
 
 
-def stage_pca(out: Path, created: list[Path]) -> None:
-    train = read_dataset(out / "train.csv")
+def _normalize(train: Dataset) -> tuple[Normalizer, Dataset]:
     norm = fit_normalizer(train)
-    train_n = apply_normalizer(norm, train)
-    model = pca_mod.fit_pca(train_n)
+    return norm, apply_normalizer(norm, train)
 
-    _write_csv(
-        out / "scree.csv",
+
+def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
+    model = pca_mod.fit_pca(train_n)
+    out.csv(
+        "scree.csv",
         ["pc", "ratio", "cumulative"],
         [
             [str(i + 1), _float_cell(model.explained_variance_ratio[i]),
              _float_cell(model.cumulative_ratio[i])]
             for i in range(model.p)
         ],
-        created,
     )
-    _write_csv(
-        out / "loadings.csv",
+    out.csv(
+        "loadings.csv",
         ["feature"] + [f"pc{j + 1}" for j in range(model.p)],
         [
             [name] + [_float_cell(v) for v in row]
             for name, row in pca_mod.loading_report(model)
         ],
-        created,
     )
-    labels = train.labels()
+    labels = train_n.labels()
     for i, j in ((1, 2), (1, 3), (2, 3)):
         scores = pca_mod.project(model, train_n, [i, j])
-        _write_csv(
-            out / f"scores_{i}_{j}.csv",
+        out.csv(
+            f"scores_{i}_{j}.csv",
             [f"pc{i}", f"pc{j}", "label"],
             [
                 [_float_cell(s[0]), _float_cell(s[1]), lbl.csv_value]
                 for s, lbl in zip(scores, labels)
             ],
-            created,
         )
+    return model
 
 
-def stage_efs(out: Path, metric: str, cv_seed: int, created: list[Path]) -> None:
-    train = read_dataset(out / "train.csv")
+def stage_efs(out: _Out, train: Dataset, metric: str, cv_seed: int) -> efs_mod.EfsReport:
+    out.echo["efs"] = {"metric": metric, "cv_seed": cv_seed}
     report = efs_mod.run_efs(train, metric=metric, cv_seed=cv_seed)
-    _write_csv(
-        out / "efs_accuracy.csv",
+    out.csv(
+        "efs_accuracy.csv",
         ["subset", "size", "metric", "flag"],
         [
             [r.subset_names(), str(r.size), _float_cell(r.metric_value),
              str(int(r.fit_failed))]
             for r in report.all_results
         ],
-        created,
     )
-    _update_config_echo(out, "efs", {"metric": metric, "cv_seed": cv_seed}, created)
+    return report
 
 
-def _read_top4_from_loadings(path: Path) -> list[FeatureId]:
-    by_name = {f.column_name: f for f in FeatureId}
-    pc1: dict[FeatureId, float] = {}
+def _read_pca(path: Path, n_fit: int) -> pca_mod.PcaModel:
+    """The model that `pca` wrote to scree.csv and loadings.csv. Those keep
+    only the variance ratios and |loadings|, so the eigenvalues come back as
+    the ratios and the loadings unsigned; ranking and the summary need no more."""
+    with open(path / "scree.csv", newline="") as fh:
+        scree = np.array([[float(r["ratio"]), float(r["cumulative"])]
+                          for r in csv.DictReader(fh)]).reshape(-1, 2)
+    loadings = np.zeros((N_FEATURES, len(scree)))
+    with open(path / "loadings.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            loadings[_BY_NAME[row["feature"]]] = [
+                float(row[f"pc{j + 1}"]) for j in range(len(scree))
+            ]
+    return pca_mod.PcaModel(scree[:, 0], scree[:, 0], scree[:, 1], loadings, n_fit)
+
+
+def _read_efs(path: Path, metric: str) -> efs_mod.EfsReport:
+    """The report that `efs` wrote to efs_accuracy.csv."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            pc1[by_name[row["feature"]]] = float(row["pc1"])
-    ranked = sorted(pc1, key=lambda f: (-pc1[f], int(f)))
-    return ranked[:4]
-
-
-def _read_best4_from_efs(path: Path) -> list[FeatureId]:
-    by_name = {f.column_name: f for f in FeatureId}
-    best: tuple[float, list[FeatureId]] | None = None
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            if int(row["size"]) != 4:
-                continue
-            metric = float(row["metric"])
-            if best is None or metric > best[0]:
-                best = (metric, [by_name[n] for n in row["subset"].split("+")])
-    if best is None:
-        raise ValueError(f"no size-4 subsets in {path}")
-    return best[1]
+        results = [
+            efs_mod.SubsetResult(
+                subset=tuple(_BY_NAME[n] for n in row["subset"].split("+")),
+                size=int(row["size"]),
+                metric_value=float(row["metric"]),
+                metric_kind=metric,
+                fit_failed=bool(int(row["flag"])),
+            )
+            for row in csv.DictReader(fh)
+        ]
+    return efs_mod.build_report(results, metric)
 
 
 def _class_counts(labels: list) -> dict[str, int]:
     return {lbl.csv_value: sum(1 for y in labels if y == lbl) for lbl in ClassLabel}
+
+
+def _subset_entry(result: efs_mod.SubsetResult) -> dict:
+    return {
+        "subset": [f.column_name for f in result.subset],
+        "metric": result.metric_value,
+        "fit_failed": result.fit_failed,
+    }
 
 
 def _fit_on_features(
@@ -256,13 +260,12 @@ def _fit_on_features(
 
 
 def _emit_decision_grids(
-    out: Path,
+    out: _Out,
     features: list[FeatureId],
     train: Dataset,
     train_n: Dataset,
     norm: Normalizer,
     resolution: int,
-    created: list[Path],
 ) -> None:
     """Six pairwise decision-region grids over the selected features, in raw
     feature units (the model works in normalized space)."""
@@ -286,11 +289,10 @@ def _emit_decision_grids(
         grid_raw = lda_mod.decision_grid(
             _denormalized_twin(model, norm, f1, f2), tuple(bounds), resolution
         )
-        _write_csv(
-            out / f"decision_grid_{f1.column_name}_{f2.column_name}.csv",
+        out.csv(
+            f"decision_grid_{f1.column_name}_{f2.column_name}.csv",
             ["x", "y", "label"],
             [[_float_cell(x), _float_cell(y), lbl.csv_value] for x, y, lbl in grid_raw],
-            created,
         )
 
 
@@ -318,56 +320,48 @@ def _denormalized_twin(
     )
 
 
-def stage_train(out: Path, grid_resolution: int, created: list[Path]) -> None:
-    dataset = read_dataset(out / "dataset.csv")
-    train = read_dataset(out / "train.csv")
-    test = read_dataset(out / "test.csv")
-    norm = fit_normalizer(train)
-    train_n = apply_normalizer(norm, train)
+def stage_train(
+    out: _Out,
+    train: Dataset,
+    test: Dataset,
+    norm: Normalizer,
+    train_n: Dataset,
+    pca_model: pca_mod.PcaModel,
+    report: efs_mod.EfsReport,
+    grid_resolution: int,
+) -> None:
+    out.echo["train"] = {"grid_resolution": grid_resolution}
     test_n = apply_normalizer(norm, test)
-
-    pca_features = _read_top4_from_loadings(out / "loadings.csv")
-    efs_features = _read_best4_from_efs(out / "efs_accuracy.csv")
+    if 4 not in report.best_per_size:
+        raise ValueError("the EFS report has no size-4 subsets")
+    pca_features = pca_mod.top_features(pca_model, 4)
+    efs_features = list(report.best_per_size[4].subset)
     pca_train_acc, pca_test_acc = _fit_on_features(pca_features, train_n, test_n)
     efs_train_acc, efs_test_acc = _fit_on_features(efs_features, train_n, test_n)
+    _emit_decision_grids(out, pca_features, train, train_n, norm, grid_resolution)
 
-    _emit_decision_grids(out, pca_features, train, train_n, norm, grid_resolution, created)
-    _update_config_echo(out, "train", {"grid_resolution": grid_resolution}, created)
-
-    scree = []
-    with open(out / "scree.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            scree.append((float(row["ratio"]), float(row["cumulative"])))
-    efs_best: dict[str, dict] = {}
-    overall: dict | None = None
-    with open(out / "efs_accuracy.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            entry = {
-                "subset": row["subset"].split("+"),
-                "metric": float(row["metric"]),
-                "fit_failed": bool(int(row["flag"])),
-            }
-            size = row["size"]
-            if size not in efs_best or entry["metric"] > efs_best[size]["metric"]:
-                efs_best[size] = entry
-            if overall is None or entry["metric"] > overall["metric"]:
-                overall = entry
-
-    echo = json.loads((out / "config.json").read_text())
+    # train and test partition the labelled dataset, so its counts are their sums
+    train_counts = _class_counts(train.labels())
+    test_counts = _class_counts(test.labels())
     summary = {
-        "config": echo,
+        "config": out.echo,
         "counts": {
-            "total": len(dataset),
-            "per_class": _class_counts(dataset.labels()),
-            "train": {"total": len(train), "per_class": _class_counts(train.labels())},
-            "test": {"total": len(test), "per_class": _class_counts(test.labels())},
+            "total": len(train) + len(test),
+            "per_class": {k: train_counts[k] + test_counts[k] for k in train_counts},
+            "train": {"total": len(train), "per_class": train_counts},
+            "test": {"total": len(test), "per_class": test_counts},
         },
         "pca": {
-            "explained_variance_ratio": [r for r, _ in scree],
-            "cumulative_ratio": [c for _, c in scree],
+            "explained_variance_ratio": [float(r) for r in pca_model.explained_variance_ratio],
+            "cumulative_ratio": [float(c) for c in pca_model.cumulative_ratio],
             "top_features": [f.column_name for f in pca_features],
         },
-        "efs": {"best_per_size": efs_best, "overall_best": overall},
+        "efs": {
+            "best_per_size": {
+                str(size): _subset_entry(r) for size, r in report.best_per_size.items()
+            },
+            "overall_best": _subset_entry(report.overall_best),
+        },
         "lda": {
             "pca_selected": {
                 "features": [f.column_name for f in pca_features],
@@ -381,166 +375,156 @@ def stage_train(out: Path, grid_resolution: int, created: list[Path]) -> None:
             },
         },
     }
-    created.append(out / "summary.json")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    out.json("summary.json", summary)
 
 
 # ---------------------------------------------------------------------------
 # command wiring
 
-def _surrogate_from_args(args: argparse.Namespace) -> SurrogateConfig:
-    if args.surrogate_config:
-        return load_config(args.surrogate_config)
-    return SurrogateConfig()
+def _configs(args: argparse.Namespace) -> argparse.Namespace:
+    """Every config object that the command's options describe, built before
+    any stage runs; a bad value raises ValueError (or OSError for a JSON file)."""
+    given = vars(args)
+    cfg = argparse.Namespace()
+    if "n_per_material" in given:
+        cfg.sampler = SamplerConfig(seed=args.seed, n_per_material=args.n_per_material)
+    if "surrogate_config" in given:
+        cfg.surrogate = (load_config(args.surrogate_config) if args.surrogate_config
+                         else SurrogateConfig())
+    if "low_max" in given:
+        cfg.thresholds = Thresholds(low_max=args.low_max, high_min=args.high_min)
+    if "train_frac" in given:
+        cfg.split = SplitConfig(train_fraction=args.train_frac, seed=args.split_seed,
+                                stratified=not args.no_stratify)
+    if "efs_metric" in given:
+        cfg.metric = _EFS_METRIC_FLAGS[args.efs_metric]
+    if given.get("grid_resolution", 2) < 2:
+        raise ValueError(f"--grid-resolution must be >= 2, got {args.grid_resolution}")
+    return cfg
 
 
-def _run_stages(stages: list[tuple[str, callable]], out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
-    for name, fn in stages:
-        try:
-            fn(created)
-        except Exception as exc:
-            for path in created:
-                path.unlink(missing_ok=True)
-            print(f"error in stage {name}: {exc}", file=sys.stderr)
-            return 2
-    return 0
+def _pipeline(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> Iterator[str]:
+    """`run`: every stage in memory. Yields each stage's name before running it;
+    each dataset is dropped once the next stage has replaced it."""
+    yield "generate"
+    dataset = stage_generate(out, cfg.sampler)
+    if args.ingest_loads:
+        yield "ingest"
+        dataset = stage_ingest(out, dataset, args.ingest_loads)
+    else:
+        yield "simulate"
+        dataset = stage_simulate(out, dataset, cfg.surrogate)
+    yield "label"
+    dataset = stage_label(out, dataset, cfg.thresholds)
+    yield "split"
+    train, test = stage_split(out, dataset, cfg.split)
+    del dataset
+    yield "pca"
+    norm, train_n = _normalize(train)
+    pca_model = stage_pca(out, train_n)
+    yield "efs"
+    report = stage_efs(out, train, cfg.metric, args.cv_seed)
+    yield "train"
+    stage_train(out, train, test, norm, train_n, pca_model, report, args.grid_resolution)
 
 
-def cmd_run_all(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    surrogate_cfg = _surrogate_from_args(args)
-    thresholds = Thresholds(low_max=args.low_max, high_min=args.high_min)
-    split_cfg = SplitConfig(
-        train_fraction=args.train_frac,
-        seed=args.split_seed,
-        stratified=not args.no_stratify,
-    )
-    metric = _EFS_METRIC_FLAGS[args.efs_metric]
-    load_stage = (
-        ("ingest", lambda c: stage_ingest(out, args.ingest_loads, c))
-        if args.ingest_loads
-        else ("simulate", lambda c: stage_simulate(out, surrogate_cfg, c))
-    )
-    stages = [
-        ("generate", lambda c: stage_generate(out, args.seed, args.n_per_material, c)),
-        load_stage,
-        ("label", lambda c: stage_label(out, thresholds, c)),
-        ("split", lambda c: stage_split(out, split_cfg, c)),
-        ("pca", lambda c: stage_pca(out, c)),
-        ("efs", lambda c: stage_efs(out, metric, args.cv_seed, c)),
-        ("train", lambda c: stage_train(out, args.grid_resolution, c)),
-    ]
-    return _run_stages(stages, out)
+def _train_from_files(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> None:
+    train, test = out.load("train.csv"), out.load("test.csv")
+    norm, train_n = _normalize(train)
+    pca_model = _read_pca(out.path, len(train))
+    report = _read_efs(out.path / "efs_accuracy.csv", out.echo["efs"]["metric"])
+    stage_train(out, train, test, norm, train_n, pca_model, report, args.grid_resolution)
+
+
+def _subcommand(name: str, action):
+    """Steps of a one-stage subcommand: continue the config echo in --out, then act."""
+    def steps(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> Iterator[str]:
+        yield name
+        path = out.path / "config.json"
+        out.echo = json.loads(path.read_text()) if path.exists() else {}
+        action(args, cfg, out)
+    return steps
+
+
+# each subcommand's options (argparse keywords by flag); `run` takes them all
+# and makes --ingest-loads optional
+_OPTIONS = {
+    "generate": {"--seed": dict(type=int, default=42, help="sampler seed"),
+                 "--n-per-material": dict(type=int, default=100)},
+    "simulate": {"--surrogate-config": dict(
+        default=None, metavar="JSON", help="JSON file overriding surrogate constants")},
+    "ingest": {"--ingest-loads": dict(required=True, metavar="CSV")},
+    "label": {"--low-max": dict(type=float, default=75.0),
+              "--high-min": dict(type=float, default=90.0)},
+    "split": {"--train-frac": dict(type=float, default=0.35),
+              "--split-seed": dict(type=int, default=42),
+              "--no-stratify": dict(action="store_true")},
+    "efs": {"--efs-metric": dict(choices=sorted(_EFS_METRIC_FLAGS), default="train"),
+            "--cv-seed": dict(type=int, default=42)},
+    "train": {"--grid-resolution": dict(type=int, default=DEFAULT_GRID_RESOLUTION)},
+}
+_RUN_INGEST = dict(default=None, metavar="CSV",
+                   help="attach externally computed loads instead of simulating")
+
+# name, help, and the action that loads the stage's inputs from --out, runs
+# the stage and writes what `run` keeps in memory
+_SUBCOMMANDS = (
+    ("generate", "sample the material library",
+     lambda a, c, o: o.dataset("dataset.csv", stage_generate(o, c.sampler))),
+    ("simulate", "attach surrogate loads",
+     lambda a, c, o: o.dataset("dataset.csv", stage_simulate(
+         o, o.load("dataset.csv"), c.surrogate))),
+    ("ingest", "attach externally computed loads",
+     lambda a, c, o: o.dataset("dataset.csv", stage_ingest(
+         o, o.load("dataset.csv"), a.ingest_loads))),
+    ("label", "label loads into classes",
+     lambda a, c, o: stage_label(o, o.load("dataset.csv"), c.thresholds)),
+    ("split", "train/test split",
+     lambda a, c, o: stage_split(o, o.load("dataset.csv"), c.split)),
+    ("pca", "scree, loadings, and PC scores",
+     lambda a, c, o: stage_pca(o, _normalize(o.load("train.csv"))[1])),
+    ("efs", "exhaustive feature-subset sweep",
+     lambda a, c, o: stage_efs(o, o.load("train.csv"), c.metric, a.cv_seed)),
+    ("train", "fit final models, grids, and summary", _train_from_files),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="envload", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
-        p.add_argument("--out", default="out", help="output directory")
-
-    def add_generate_args(p):
-        p.add_argument("--seed", type=int, default=42, help="sampler seed")
-        p.add_argument("--n-per-material", type=int, default=100)
-
-    def add_surrogate_args(p):
-        p.add_argument("--surrogate-config", default=None, metavar="JSON",
-                       help="JSON file overriding surrogate constants")
-
-    def add_threshold_args(p):
-        p.add_argument("--low-max", type=float, default=75.0)
-        p.add_argument("--high-min", type=float, default=90.0)
-
-    def add_split_args(p):
-        p.add_argument("--train-frac", type=float, default=0.35)
-        p.add_argument("--split-seed", type=int, default=42)
-        p.add_argument("--no-stratify", action="store_true")
-
-    def add_efs_args(p):
-        p.add_argument("--efs-metric", choices=sorted(_EFS_METRIC_FLAGS),
-                       default="train")
-        p.add_argument("--cv-seed", type=int, default=42)
-
-    def add_train_args(p):
-        p.add_argument("--grid-resolution", type=int, default=DEFAULT_GRID_RESOLUTION)
-
     run = sub.add_parser("run", help="full pipeline")
-    for add in (add_generate_args, add_surrogate_args, add_threshold_args,
-                add_split_args, add_efs_args, add_train_args, add_out):
-        add(run)
-    run.add_argument("--ingest-loads", default=None, metavar="CSV",
-                     help="attach externally computed loads instead of simulating")
-    run.set_defaults(func=cmd_run_all)
-
-    p = sub.add_parser("generate", help="sample the material library")
-    add_generate_args(p)
-    add_out(p)
-    p.set_defaults(func=lambda a: _run_stages(
-        [("generate", lambda c: stage_generate(Path(a.out), a.seed, a.n_per_material, c))],
-        Path(a.out)))
-
-    p = sub.add_parser("simulate", help="attach surrogate loads")
-    add_surrogate_args(p)
-    add_out(p)
-    p.set_defaults(func=lambda a: _run_stages(
-        [("simulate", lambda c: stage_simulate(Path(a.out), _surrogate_from_args(a), c))],
-        Path(a.out)))
-
-    p = sub.add_parser("ingest", help="attach externally computed loads")
-    p.add_argument("--ingest-loads", required=True, metavar="CSV")
-    add_out(p)
-    p.set_defaults(func=lambda a: _run_stages(
-        [("ingest", lambda c: stage_ingest(Path(a.out), a.ingest_loads, c))],
-        Path(a.out)))
-
-    p = sub.add_parser("label", help="label loads into classes")
-    add_threshold_args(p)
-    add_out(p)
-    p.set_defaults(func=lambda a: _run_stages(
-        [("label", lambda c: stage_label(
-            Path(a.out), Thresholds(low_max=a.low_max, high_min=a.high_min), c))],
-        Path(a.out)))
-
-    p = sub.add_parser("split", help="train/test split")
-    add_split_args(p)
-    add_out(p)
-    p.set_defaults(func=lambda a: _run_stages(
-        [("split", lambda c: stage_split(
-            Path(a.out),
-            SplitConfig(train_fraction=a.train_frac, seed=a.split_seed,
-                        stratified=not a.no_stratify), c))],
-        Path(a.out)))
-
-    p = sub.add_parser("pca", help="scree, loadings, and PC scores")
-    add_out(p)
-    p.set_defaults(func=lambda a: _run_stages(
-        [("pca", lambda c: stage_pca(Path(a.out), c))], Path(a.out)))
-
-    p = sub.add_parser("efs", help="exhaustive feature-subset sweep")
-    add_efs_args(p)
-    add_out(p)
-    p.set_defaults(func=lambda a: _run_stages(
-        [("efs", lambda c: stage_efs(
-            Path(a.out), _EFS_METRIC_FLAGS[a.efs_metric], a.cv_seed, c))],
-        Path(a.out)))
-
-    p = sub.add_parser("train", help="fit final models, grids, and summary")
-    add_train_args(p)
-    add_out(p)
-    p.set_defaults(func=lambda a: _run_stages(
-        [("train", lambda c: stage_train(Path(a.out), a.grid_resolution, c))],
-        Path(a.out)))
-
+    run.set_defaults(steps=_pipeline)
+    for name, help_text, action in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(steps=_subcommand(name, action))
+        for flag, kwargs in _OPTIONS.get(name, {}).items():
+            p.add_argument(flag, **kwargs)
+            run.add_argument(flag, **(_RUN_INGEST if flag == "--ingest-loads" else kwargs))
+    for p in sub.choices.values():
+        p.add_argument("--out", default="out", help="output directory")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = _configs(args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+    out = _Out(Path(args.out))
+    out.path.mkdir(parents=True, exist_ok=True)
+    stage = args.command
+    try:
+        for stage in args.steps(args, cfg, out):
+            pass
+        out.json("config.json", out.echo)
+    except Exception as exc:
+        for path in out.created:
+            path.unlink(missing_ok=True)
+        print(f"error in stage {stage}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -134,24 +135,32 @@ def run_efs(
     else:
         outcomes = [task(cols) for cols in subsets]
 
-    results = tuple(
-        SubsetResult(
-            subset=tuple(FeatureId(i) for i in cols),
-            size=len(cols),
-            metric_value=value,
-            metric_kind=metric,
-            fit_failed=failed,
-        )
-        for cols, (value, failed) in zip(subsets, outcomes)
+    return build_report(
+        [
+            SubsetResult(
+                subset=tuple(FeatureId(i) for i in cols),
+                size=len(cols),
+                metric_value=value,
+                metric_kind=metric,
+                fit_failed=failed,
+            )
+            for cols, (value, failed) in zip(subsets, outcomes)
+        ],
+        metric,
     )
 
+
+def build_report(results: Sequence[SubsetResult], metric: str) -> EfsReport:
+    """Report over results in enumeration order: the best subset of each size
+    and overall, where a tie goes to the subset enumerated first."""
     best_per_size: dict[int, SubsetResult] = {}
     overall_best: SubsetResult | None = None
-    for result in results:  # enumeration order implements the tie-breaking
+    for result in results:
         current = best_per_size.get(result.size)
         if current is None or result.metric_value > current.metric_value:
             best_per_size[result.size] = result
         if overall_best is None or result.metric_value > overall_best.metric_value:
             overall_best = result
-    assert overall_best is not None
-    return EfsReport(results, best_per_size, overall_best, metric)
+    if overall_best is None:
+        raise ValueError("no subset results to report")
+    return EfsReport(tuple(results), best_per_size, overall_best, metric)

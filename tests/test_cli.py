@@ -1,14 +1,18 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from envload import cli
 from envload.cli import main
 from envload.dataset import ClassLabel, FeatureId, read_dataset
 from envload.lda import accuracy, fit_lda
 from envload.preprocess import apply_normalizer, fit_normalizer
+
+PINNED_DIGESTS = Path(__file__).parent / "data" / "default_run_sha256.json"
 
 EXPECTED_FILES = {
     "config.json",
@@ -94,6 +98,14 @@ class TestRunAll:
         assert len(rows) == 50 * 50
         assert {r[2] for r in rows} <= {"low", "medium", "high"}
 
+    def test_default_outputs_match_pinned_digests(self, default_run):
+        pinned = json.loads(PINNED_DIGESTS.read_text())
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in default_run.iterdir()
+        }
+        assert digests == pinned
+
     def test_config_echo_contains_all_stages(self, default_run):
         echo = json.loads((default_run / "config.json").read_text())
         assert set(echo) == {"generate", "surrogate", "thresholds", "split", "efs", "train"}
@@ -114,19 +126,28 @@ class TestDeterminismAndComposition:
         for name in files_a:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_run_all_equals_subcommand_chain(self, tmp_path):
-        loads = tmp_path / "loads.csv"
-        _write_synthetic_loads(loads, 60)
+    @pytest.mark.parametrize("path", ["ingest_train", "simulate_cv5"])
+    def test_run_all_equals_subcommand_chain(self, tmp_path, path):
+        if path == "ingest_train":
+            loads = tmp_path / "loads.csv"
+            _write_synthetic_loads(loads, 60)
+            load_step = ["ingest", "--ingest-loads", str(loads)]
+            n, efs_args = "10", []
+        else:
+            surrogate = tmp_path / "surrogate.json"
+            surrogate.write_text(json.dumps({"q_base": 0.0, "r_wall": 1.0}))
+            load_step = ["simulate", "--surrogate-config", str(surrogate)]
+            n, efs_args = "20", ["--efs-metric", "cv5"]
         whole, chained = tmp_path / "whole", tmp_path / "chained"
-        assert main(["run", "--out", str(whole), "--n-per-material", "10",
-                     "--ingest-loads", str(loads)]) == 0
+        assert main(["run", "--out", str(whole), "--n-per-material", n,
+                     *load_step[1:], *efs_args]) == 0
         for argv in (
-            ["generate", "--n-per-material", "10"],
-            ["ingest", "--ingest-loads", str(loads)],
+            ["generate", "--n-per-material", n],
+            load_step,
             ["label"],
             ["split"],
             ["pca"],
-            ["efs"],
+            ["efs", *efs_args],
             ["train"],
         ):
             assert main([*argv, "--out", str(chained)]) == 0
@@ -134,6 +155,24 @@ class TestDeterminismAndComposition:
         assert names == sorted(p.name for p in chained.iterdir())
         for name in names:
             assert (whole / name).read_bytes() == (chained / name).read_bytes(), name
+
+    def test_run_reads_nothing_back_and_writes_each_dataset_once(
+        self, tmp_path, monkeypatch
+    ):
+        def no_read(path):
+            raise AssertionError(f"run read back {path}")
+
+        written = []
+        write = cli.write_dataset
+
+        def recording_write(dataset, path):
+            written.append(Path(path).name)
+            write(dataset, path)
+
+        monkeypatch.setattr(cli, "read_dataset", no_read)
+        monkeypatch.setattr(cli, "write_dataset", recording_write)
+        assert main(["run", "--out", str(tmp_path / "out"), "--n-per-material", "10"]) == 0
+        assert sorted(written) == ["dataset.csv", "test.csv", "train.csv"]
 
 
 class TestIngestPath:
@@ -169,6 +208,30 @@ class TestErrorHandling:
         assert code == 2
         assert "error in stage simulate" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_split_failure_after_dataset_written_cleans_up(self, tmp_path, capsys):
+        loads = tmp_path / "loads.csv"
+        rows = [f"{i},{95.0 if i == 0 else 60.0 + 20.0 * (i % 2)}" for i in range(60)]
+        loads.write_text("row_index,load\n" + "\n".join(rows) + "\n")  # one high row
+        out = tmp_path / "out"
+        code = main(["run", "--out", str(out), "--n-per-material", "10",
+                     "--ingest-loads", str(loads)])
+        assert code == 2
+        assert "error in stage split" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--train-frac", "1.5", "train_fraction must be in (0, 1), got 1.5"),
+        ("--low-max", "95", "low_max must be < high_min, got 95.0 >= 90.0"),
+        ("--grid-resolution", "1", "--grid-resolution must be >= 2, got 1"),
+    ], ids=["train-frac", "low-max", "grid-resolution"])
+    def test_bad_run_option_is_usage_error(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", str(out), option, value])
+        assert excinfo.value.code == 1
+        assert f"envload: error: {message}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any stage ran
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as excinfo:
