@@ -37,6 +37,7 @@ from .dataset import (
     ClassLabel,
     Dataset,
     FeatureId,
+    LABEL_NAMES,
     N_FEATURES,
     builtin_material_library,
     builtin_system_constants,
@@ -173,16 +174,13 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
             for name, row in pca_mod.loading_report(model)
         ],
     )
-    labels = train_n.labels()
+    labels = [LABEL_NAMES[c] for c in train_n.labels.tolist()]
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        scores = pca_mod.project(model, train_n, [i, j])
+        scores = pca_mod.project(model, train_n, [i, j]).tolist()
         out.csv(
             f"scores_{i}_{j}.csv",
             [f"pc{i}", f"pc{j}", "label"],
-            [
-                [_float_cell(s[0]), _float_cell(s[1]), lbl.csv_value]
-                for s, lbl in zip(scores, labels)
-            ],
+            [[repr(a), repr(b), lbl] for (a, b), lbl in zip(scores, labels)],
         )
     return model
 
@@ -234,8 +232,9 @@ def _read_efs(path: Path, metric: str) -> efs_mod.EfsReport:
     return efs_mod.build_report(results, metric)
 
 
-def _class_counts(labels: list) -> dict[str, int]:
-    return {lbl.csv_value: sum(1 for y in labels if y == lbl) for lbl in ClassLabel}
+def _class_counts(labels: np.ndarray) -> dict[str, int]:
+    counts = np.bincount(labels, minlength=len(ClassLabel)).tolist()
+    return dict(zip(LABEL_NAMES, counts))
 
 
 def _subset_entry(result: efs_mod.SubsetResult) -> dict:
@@ -250,12 +249,12 @@ def _fit_on_features(
     features: list[FeatureId], train_n: Dataset, test_n: Dataset
 ) -> tuple[float, float]:
     cols = [int(f) for f in features]
-    x_train = train_n.feature_matrix()[:, cols]
-    x_test = test_n.feature_matrix()[:, cols]
-    model = lda_mod.fit_lda(x_train, train_n.labels())
+    x_train = train_n.features[:, cols]
+    x_test = test_n.features[:, cols]
+    model = lda_mod.fit_lda(x_train, train_n.labels)
     return (
-        lda_mod.accuracy(model, x_train, train_n.labels()),
-        lda_mod.accuracy(model, x_test, test_n.labels()),
+        lda_mod.accuracy(model, x_train, train_n.labels),
+        lda_mod.accuracy(model, x_test, test_n.labels),
     )
 
 
@@ -269,8 +268,7 @@ def _emit_decision_grids(
 ) -> None:
     """Six pairwise decision-region grids over the selected features, in raw
     feature units (the model works in normalized space)."""
-    raw = train.feature_matrix()
-    labels = train_n.labels()
+    raw = train.features
     ordered = sorted(features, key=int)  # canonical order keeps names stable
     pairs = [
         (ordered[a], ordered[b])
@@ -279,7 +277,7 @@ def _emit_decision_grids(
     ]
     for f1, f2 in pairs:
         cols = [int(f1), int(f2)]
-        model = lda_mod.fit_lda(train_n.feature_matrix()[:, cols], labels)
+        model = lda_mod.fit_lda(train_n.features[:, cols], train_n.labels)
         bounds = []
         for f in (f1, f2):
             lo, hi = float(raw[:, f].min()), float(raw[:, f].max())
@@ -341,8 +339,8 @@ def stage_train(
     _emit_decision_grids(out, pca_features, train, train_n, norm, grid_resolution)
 
     # train and test partition the labelled dataset, so its counts are their sums
-    train_counts = _class_counts(train.labels())
-    test_counts = _class_counts(test.labels())
+    train_counts = _class_counts(train.labels)
+    test_counts = _class_counts(test.labels)
     summary = {
         "config": out.echo,
         "counts": {

@@ -3,6 +3,11 @@
 The canonical feature order (thickness, density, thermal conductivity,
 specific heat capacity, solar/visual/thermal absorptance) is fixed here and
 used everywhere: dataset columns, PCA loading rows, LDA coefficients.
+
+A Dataset holds one read-only numpy column per field: material index, the
+(n, 7) feature matrix, loads and int8 ClassLabel codes. Each pipeline stage
+works on whole columns and returns a new Dataset that shares the columns it
+did not change.
 """
 
 from __future__ import annotations
@@ -10,10 +15,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +40,14 @@ class FeatureId(IntEnum):
 
 
 N_FEATURES = len(FeatureId)
+
+# Features that are > 0 in any physical wall; the rest are absorptances in (0, 1).
+POSITIVE_FEATURES = (
+    FeatureId.THICKNESS,
+    FeatureId.DENSITY,
+    FeatureId.THERMAL_CONDUCTIVITY,
+    FeatureId.SPECIFIC_HEAT_CAPACITY,
+)
 
 FEATURE_COLUMNS = tuple(f.column_name for f in FeatureId)
 
@@ -60,14 +73,9 @@ class ClassLabel(IntEnum):
     def csv_value(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "ClassLabel":
-        try:
-            return cls[text.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown label {text!r}: expected one of low, medium, high"
-            ) from None
+
+# The CSV cell of each ClassLabel code, indexed by the code.
+LABEL_NAMES = tuple(lbl.csv_value for lbl in ClassLabel)
 
 
 @dataclass(frozen=True)
@@ -148,101 +156,92 @@ class SystemConstants:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
-class Row:
-    """One design alternative: material id, 7 features, optional load/label."""
-
-    material_index: int
-    features: tuple[float, ...]
-    load: float | None = None
-    label: ClassLabel | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", tuple(float(v) for v in self.features))
-        if len(self.features) != N_FEATURES:
-            raise ValueError(
-                f"expected {N_FEATURES} features, got {len(self.features)}"
-            )
-        for f, v in zip(FeatureId, self.features):
-            if not math.isfinite(v):
-                raise ValueError(f"feature {f.column_name} is not finite: {v}")
-        if self.material_index < 0:
-            raise ValueError(f"material_index must be >= 0, got {self.material_index}")
-        if self.load is not None:
-            load = float(self.load)
-            if not math.isfinite(load) or load < 0.0:
-                raise ValueError(f"load must be finite and >= 0, got {load}")
-            object.__setattr__(self, "load", load)
+# Each Dataset column: its dtype, its name in errors and CSV files, the test
+# for a bad value and the rule that value breaks.
+_COLUMN_RULES = {
+    "material_index": (np.int64, "material_index", lambda c: c < 0, "must be >= 0"),
+    "features": (np.float64, "features", lambda c: ~np.isfinite(c), "not finite"),
+    "loads": (np.float64, "load", lambda c: ~(np.isfinite(c) & (c >= 0.0)),
+              "must be finite and >= 0"),
+    "labels": (np.int8, "label", lambda c: (c < 0) | (c >= len(ClassLabel)),
+               "not a class code"),
+}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable table of rows; loads and labels are attached stage by stage."""
+    """Table of design alternatives held as read-only numpy columns:
 
-    rows: tuple[Row, ...]
+    * material_index: int64, shape (n,), index into the material library;
+    * features: float64, shape (n, 7), C-contiguous, canonical column order;
+    * loads: float64, shape (n,), or None until loads are attached;
+    * labels: int8 ClassLabel codes, shape (n,), or None until labelled.
+
+    Construction validates every column and names the first bad row and
+    column. A writable input array is copied before it is frozen; a
+    read-only one is shared, so replacing one column copies no other.
+    """
+
+    material_index: np.ndarray
+    features: np.ndarray
+    loads: np.ndarray | None = None
+    labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
+        n = len(self.material_index)
+        for attr, (dtype, column, bad, rule) in _COLUMN_RULES.items():
+            if getattr(self, attr) is not None:
+                shape = (n, N_FEATURES) if attr == "features" else (n,)
+                array = _column(getattr(self, attr), dtype, shape, column, bad, rule)
+                object.__setattr__(self, attr, array)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.material_index)
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([r.features for r in self.rows], dtype=np.float64).reshape(
-            len(self.rows), N_FEATURES
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return all(
+            a is b if a is None or b is None else np.array_equal(a, b)
+            for a, b in zip(self._columns(), other._columns())
         )
 
-    def material_indices(self) -> np.ndarray:
-        return np.array([r.material_index for r in self.rows], dtype=np.int64)
+    def _columns(self) -> tuple[np.ndarray | None, ...]:
+        return (self.material_index, self.features, self.loads, self.labels)
 
-    def loads(self) -> list[float | None]:
-        return [r.load for r in self.rows]
+    def with_loads(self, loads: np.ndarray | Sequence[float]) -> "Dataset":
+        return replace(self, loads=loads)
 
-    def labels(self) -> list[ClassLabel | None]:
-        return [r.label for r in self.rows]
-
-    def has_loads(self) -> bool:
-        return len(self.rows) > 0 and all(r.load is not None for r in self.rows)
-
-    def has_labels(self) -> bool:
-        return len(self.rows) > 0 and all(r.label is not None for r in self.rows)
-
-    def with_loads(self, loads: Sequence[float]) -> "Dataset":
-        if len(loads) != len(self.rows):
-            raise ValueError(f"expected {len(self.rows)} loads, got {len(loads)}")
-        return Dataset(
-            tuple(
-                Row(r.material_index, r.features, float(q), r.label)
-                for r, q in zip(self.rows, loads)
-            )
-        )
-
-    def with_labels(self, labels: Sequence[ClassLabel]) -> "Dataset":
-        if len(labels) != len(self.rows):
-            raise ValueError(f"expected {len(self.rows)} labels, got {len(labels)}")
-        return Dataset(
-            tuple(
-                Row(r.material_index, r.features, r.load, lbl)
-                for r, lbl in zip(self.rows, labels)
-            )
-        )
+    def with_labels(self, labels: np.ndarray | Sequence[ClassLabel]) -> "Dataset":
+        return replace(self, labels=labels)
 
     def with_features(self, features: np.ndarray) -> "Dataset":
-        if features.shape != (len(self.rows), N_FEATURES):
-            raise ValueError(f"expected shape {(len(self.rows), N_FEATURES)}")
-        return Dataset(
-            tuple(
-                Row(r.material_index, tuple(feats), r.load, r.label)
-                for r, feats in zip(self.rows, features)
-            )
-        )
+        return replace(self, features=features)
 
-    def select(self, indices: Iterable[int]) -> "Dataset":
-        return Dataset(tuple(self.rows[i] for i in indices))
+    def select(self, rows: np.ndarray | Sequence[int]) -> "Dataset":
+        """The rows at the given indices, or where a boolean mask is true."""
+        rows = np.asarray(rows)
+        if rows.dtype != np.bool_:
+            rows = rows.astype(np.intp)
+        return Dataset(*(None if c is None else c[rows] for c in self._columns()))
+
+
+def _column(values, dtype, shape: tuple, column: str, bad, rule: str) -> np.ndarray:
+    """values as a frozen C-contiguous array, copied unless it already is
+    one. Raises ValueError for a wrong shape, or naming the first row (and,
+    in the features matrix, the first feature of that row) where bad holds."""
+    array = np.asarray(values, dtype=dtype)
+    if array.shape != shape:
+        raise ValueError(f"column {column}: expected shape {shape}, got {array.shape}")
+    hits = np.argwhere(bad(array))
+    if len(hits):
+        at = tuple(hits[0])
+        name = FEATURE_COLUMNS[at[1]] if array.ndim == 2 else column
+        raise ValueError(f"row {at[0]}, column {name}: {rule}, got {array[at].item()}")
+    if array.flags.writeable or not array.flags.c_contiguous:
+        array = np.array(array, order="C")
+        array.setflags(write=False)
+    return array
 
 
 # Built-in library: the six wall materials and their Gaussian property
@@ -302,25 +301,27 @@ def builtin_system_constants() -> SystemConstants:
 CSV_HEADER = ("material_index",) + FEATURE_COLUMNS + ("load", "label")
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset as CSV; see module docs for the layout."""
+    n = len(dataset)
+    loads = [""] * n if dataset.loads is None else map(repr, dataset.loads.tolist())
+    labels = ([""] * n if dataset.labels is None
+              else [LABEL_NAMES[c] for c in dataset.labels.tolist()])
+    # no cell needs quoting, so each line is its cells joined by commas,
+    # as csv.writer would write it
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in dataset.rows:
-            cells = [str(row.material_index)]
-            cells.extend(_format_float(v) for v in row.features)
-            cells.append("" if row.load is None else _format_float(row.load))
-            cells.append("" if row.label is None else row.label.csv_value)
-            writer.writerow(cells)
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines(
+            ",".join([str(m), *map(repr, feats), load, label]) + "\r\n"
+            for m, feats, load, label in zip(
+                dataset.material_index.tolist(), dataset.features.tolist(), loads, labels
+            )
+        )
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """Read a dataset CSV. Raises ValueError naming row and column on bad input."""
+    """Read a dataset CSV. Raises ValueError naming row and column on bad
+    input; a load or label column must be filled on every row or on none."""
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -328,14 +329,28 @@ def read_dataset(path: str | Path) -> Dataset:
         except StopIteration:
             raise ValueError("empty file: missing header row") from None
         _check_header(header)
-        has_load = len(header) >= 9
-        has_label = len(header) >= 10
-        rows = []
-        for rownum, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            rows.append(_parse_row(rownum, cells, has_load, has_label))
-    return Dataset(tuple(rows))
+        rows = [
+            _parse_row(rownum, cells, len(header))
+            for rownum, cells in enumerate(reader, start=1)
+            if cells
+        ]
+    return Dataset(
+        np.array([r[1] for r in rows], dtype=np.int64),
+        np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, N_FEATURES),
+        _all_or_none(rows, 3, "load"),
+        _all_or_none(rows, 4, "label"),
+    )
+
+
+def _all_or_none(rows: list[tuple], at: int, column: str) -> list | None:
+    empty = [r[0] for r in rows if r[at] is None]
+    if len(empty) == len(rows):
+        return None
+    if empty:
+        raise ValueError(
+            f"row {empty[0]}, column {column}: empty, but other rows have a {column}"
+        )
+    return [r[at] for r in rows]
 
 
 def _check_header(header: list[str]) -> None:
@@ -350,49 +365,35 @@ def _check_header(header: list[str]) -> None:
         raise ValueError(f"bad header tail: expected [load[, label]], got {tail}")
 
 
-def _parse_row(rownum: int, cells: list[str], has_load: bool, has_label: bool) -> Row:
-    n_expected = 1 + N_FEATURES + int(has_load) + int(has_label)
-    if len(cells) != n_expected:
-        n_feat = len(cells) - 1 - int(has_load) - int(has_label)
-        raise ValueError(f"row {rownum}: expected {N_FEATURES} features, got {n_feat}")
-    try:
-        material_index = int(cells[0])
-    except ValueError:
+def _parse_row(rownum: int, cells: list[str], width: int) -> tuple:
+    """(rownum, material_index, features, load or None, label code or None)."""
+    if len(cells) != width:
         raise ValueError(
-            f"row {rownum}, column material_index: not an integer: {cells[0]!r}"
-        ) from None
-    features = []
-    for f, cell in zip(FeatureId, cells[1 : 1 + N_FEATURES]):
-        try:
-            value = float(cell)
-        except ValueError:
-            raise ValueError(
-                f"row {rownum}, column {f.column_name}: not a number: {cell!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise ValueError(
-                f"row {rownum}, column {f.column_name}: non-finite value {cell!r}"
-            )
-        features.append(value)
-    load: float | None = None
-    if has_load and cells[1 + N_FEATURES] != "":
-        cell = cells[1 + N_FEATURES]
-        try:
-            load = float(cell)
-        except ValueError:
-            raise ValueError(
-                f"row {rownum}, column load: not a number: {cell!r}"
-            ) from None
-    label: ClassLabel | None = None
-    if has_label and cells[2 + N_FEATURES] != "":
-        try:
-            label = ClassLabel.from_csv(cells[2 + N_FEATURES].strip())
-        except ValueError as exc:
-            raise ValueError(f"row {rownum}, column label: {exc}") from None
+            f"row {rownum}: expected {N_FEATURES} features, got {len(cells) - width + N_FEATURES}"
+        )
+    *cells, load, label = cells + [""] * (len(CSV_HEADER) - width)
+    return (
+        rownum,
+        _cell(rownum, "material_index", cells[0], int, "an integer >= 0", lambda v: v >= 0),
+        [_cell(rownum, name, text, float, "a finite number", math.isfinite)
+         for name, text in zip(FEATURE_COLUMNS, cells[1:])],
+        None if load == "" else _cell(rownum, "load", load, float, "a finite number >= 0",
+                                      lambda v: math.isfinite(v) and v >= 0.0),
+        None if label == "" else _cell(rownum, "label", label.strip().lower(),
+                                       LABEL_NAMES.index, "one of " + ", ".join(LABEL_NAMES)),
+    )
+
+
+def _cell(rownum: int, column: str, text: str, parse, expected: str, valid=lambda v: True):
+    """parse(text), or a ValueError naming the row and column when it fails
+    or its value is not valid."""
     try:
-        return Row(material_index, tuple(features), load, label)
-    except ValueError as exc:
-        raise ValueError(f"row {rownum}: {exc}") from None
+        value = parse(text)
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise ValueError(f"row {rownum}, column {column}: expected {expected}, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

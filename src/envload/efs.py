@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ClassLabel, Dataset, FeatureId, N_FEATURES
+from .dataset import Dataset, FeatureId, N_FEATURES
 from .lda import accuracy, fit_lda, predict_many
 from .numerics import ConvergenceError, NotPositiveDefiniteError
 from .sampling import Xoshiro256pp
@@ -68,8 +68,7 @@ def _cv_fold_ids(n: int, seed: int) -> np.ndarray:
     start = 0
     for fold in range(CV_FOLDS):
         size = base + (1 if fold < extra else 0)
-        for i in order[start : start + size]:
-            fold_of[i] = fold
+        fold_of[order[start : start + size]] = fold
         start += size
     return fold_of
 
@@ -80,7 +79,7 @@ _FIT_ERRORS = (ValueError, NotPositiveDefiniteError, ConvergenceError)
 def _evaluate_subset(
     cols: tuple[int, ...],
     x: np.ndarray,
-    y: list[ClassLabel],
+    y: np.ndarray,
     metric: str,
     fold_of: np.ndarray | None,
 ) -> tuple[float, bool]:
@@ -95,14 +94,12 @@ def _evaluate_subset(
     assert fold_of is not None
     correct = 0
     for fold in range(CV_FOLDS):
-        train_rows = np.flatnonzero(fold_of != fold)
-        test_rows = np.flatnonzero(fold_of == fold)
+        held_out = fold_of == fold
         try:
-            model = fit_lda(xs[train_rows], [y[i] for i in train_rows])
+            model = fit_lda(xs[~held_out], y[~held_out])
         except _FIT_ERRORS:
             return 0.0, True
-        predictions = predict_many(model, xs[test_rows])
-        correct += sum(1 for i, p_ in zip(test_rows, predictions) if p_ == y[int(i)])
+        correct += int(np.count_nonzero(predict_many(model, xs[held_out]) == y[held_out]))
     return correct / len(y), False
 
 
@@ -115,13 +112,12 @@ def run_efs(
     """Evaluate LDA on every non-empty feature subset of the training set."""
     if metric not in (METRIC_TRAIN, METRIC_CV5):
         raise ValueError(f"unknown metric {metric!r}")
-    labels = train.labels()
-    if any(lbl is None for lbl in labels):
-        raise ValueError("training set must be fully labeled")
-    y: list[ClassLabel] = list(labels)  # type: ignore[arg-type]
-    if len({lbl for lbl in y}) < 2:
+    y = train.labels
+    if y is None:
+        raise ValueError("training set must be labeled")
+    if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 classes for the sweep")
-    x = train.feature_matrix()
+    x = train.features
 
     fold_of = _cv_fold_ids(len(y), cv_seed) if metric == METRIC_CV5 else None
     subsets = enumerate_subsets(N_FEATURES, 1, N_FEATURES)

@@ -41,16 +41,17 @@ class LdaModel:
         return self.solver.ridge
 
 
-def fit_lda(x: np.ndarray, y: Sequence[ClassLabel]) -> LdaModel:
-    """Fit from an (n, p) matrix and one label per row."""
+def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
+    """Fit from an (n, p) matrix and one ClassLabel code per row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x must be 2-D, got shape {x.shape}")
     n, p = x.shape
-    if len(y) != n:
-        raise ValueError(f"got {n} rows but {len(y)} labels")
-    y = list(y)
-    classes = tuple(lbl for lbl in ClassLabel if lbl in y)
+    y = np.asarray(y, dtype=np.int8)
+    if y.shape != (n,):
+        raise ValueError(f"got {n} rows but {y.size} labels")
+    counts = np.bincount(y, minlength=len(ClassLabel))
+    classes = tuple(lbl for lbl in ClassLabel if counts[lbl])
     k = len(classes)
     if k < 2:
         raise ValueError(f"need at least 2 classes, got {k}")
@@ -61,14 +62,14 @@ def fit_lda(x: np.ndarray, y: Sequence[ClassLabel]) -> LdaModel:
     scatter = np.zeros((p, p))
     priors = np.empty(k)
     for ci, lbl in enumerate(classes):
-        rows = np.array([i for i, yi in enumerate(y) if yi == lbl])
-        if len(rows) < 2:
-            raise ValueError(f"class {lbl.csv_value!r} has {len(rows)} row(s); need >= 2")
-        xc = x[rows]
+        n_class = int(counts[lbl])
+        if n_class < 2:
+            raise ValueError(f"class {lbl.csv_value!r} has {n_class} row(s); need >= 2")
+        xc = x[y == lbl]
         means[ci] = xc.mean(axis=0)
         centered = xc - means[ci]
         scatter += centered.T @ centered
-        priors[ci] = len(rows) / n
+        priors[ci] = n_class / n
 
     pooled = SymMatrix.from_full(scatter / (n - k))
     if float(np.max(np.abs(pooled.to_full()))) == 0.0:
@@ -122,20 +123,21 @@ def predict(model: LdaModel, x: np.ndarray) -> ClassLabel:
     return model.classes[int(np.argmax(discriminants(model, x)))]
 
 
-def predict_many(model: LdaModel, x: np.ndarray) -> list[ClassLabel]:
+def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
+    """ClassLabel codes (int8), one per row; ties break to the lower class."""
     scores = discriminants(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    return [model.classes[int(i)] for i in np.argmax(scores, axis=1)]
+    return np.asarray(model.classes, dtype=np.int8)[np.argmax(scores, axis=1)]
 
 
-def accuracy(model: LdaModel, x: np.ndarray, y: Sequence[ClassLabel]) -> float:
+def accuracy(model: LdaModel, x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> float:
     """Fraction of rows where predict matches the label."""
+    y = np.asarray(y, dtype=np.int8)
     if len(y) == 0:
         raise ValueError("cannot score an empty dataset")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != len(y):
         raise ValueError(f"got {x.shape[0]} rows but {len(y)} labels")
-    predictions = predict_many(model, x)
-    return sum(1 for p_, y_ in zip(predictions, y) if p_ == y_) / len(y)
+    return int(np.count_nonzero(predict_many(model, x) == y)) / len(y)
 
 
 def decision_grid(
@@ -159,5 +161,5 @@ def decision_grid(
     xs = [x_min + i * (x_max - x_min) / (nx - 1) for i in range(nx)]
     ys = [y_min + j * (y_max - y_min) / (ny - 1) for j in range(ny)]
     points = np.array([(x, y) for y in ys for x in xs])
-    labels = predict_many(model, points)
-    return [(float(px), float(py), lbl) for (px, py), lbl in zip(points, labels)]
+    labels = predict_many(model, points).tolist()
+    return [(px, py, ClassLabel(c)) for (px, py), c in zip(points.tolist(), labels)]

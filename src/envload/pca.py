@@ -68,7 +68,7 @@ def fit_pca_matrix(x: np.ndarray) -> PcaModel:
 
 def fit_pca(train_normalized: Dataset) -> PcaModel:
     """Fit on a normalized dataset's feature matrix."""
-    return fit_pca_matrix(train_normalized.feature_matrix())
+    return fit_pca_matrix(train_normalized.features)
 
 
 def loading_report(model: PcaModel) -> list[tuple[str, list[float]]]:
@@ -103,4 +103,4 @@ def project(
         if not 1 <= c <= model.p:
             raise ValueError(f"component index {c} outside 1..{model.p}")
     cols = [c - 1 for c in components]
-    return dataset_normalized.feature_matrix() @ model.loadings[:, cols]
+    return dataset_normalized.features @ model.loadings[:, cols]

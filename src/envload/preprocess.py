@@ -37,11 +37,13 @@ def label_load(load: float, thresholds: Thresholds = Thresholds()) -> ClassLabel
 
 
 def label_dataset(dataset: Dataset, thresholds: Thresholds = Thresholds()) -> Dataset:
-    """Label every row from its load; all rows must carry loads."""
-    if not dataset.has_loads():
-        raise ValueError("cannot label: not every row has a load")
+    """Label every row from its load, by the rule of label_load."""
+    if dataset.loads is None:
+        raise ValueError("cannot label: the dataset has no loads")
+    q = dataset.loads
     return dataset.with_labels(
-        [label_load(row.load, thresholds) for row in dataset.rows]  # type: ignore[arg-type]
+        np.where(q >= thresholds.high_min, ClassLabel.HIGH,
+                 np.where(q <= thresholds.low_max, ClassLabel.LOW, ClassLabel.MEDIUM))
     )
 
 
@@ -70,9 +72,9 @@ def split(dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
     order within each part follows the original dataset. Deterministic in
     cfg.seed.
     """
-    labels = dataset.labels()
-    if any(lbl is None for lbl in labels):
-        raise ValueError("cannot split: not every row is labeled")
+    labels = dataset.labels
+    if labels is None:
+        raise ValueError("cannot split: the dataset has no labels")
     n = len(dataset)
     if n < 2:
         raise ValueError(f"need at least 2 rows to split, got {n}")
@@ -80,22 +82,23 @@ def split(dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
     n_train_total = min(max(n_train_total, 1), n - 1)
 
     rng = Xoshiro256pp(cfg.seed)
+    in_train = np.zeros(n, dtype=bool)
     if cfg.stratified:
-        train_idx = _stratified_train_indices(labels, n_train_total, cfg, rng)
+        _mark_stratified_train(in_train, labels, n_train_total, cfg, rng)
     else:
-        order = rng.shuffled(list(range(n)))
-        train_idx = set(order[:n_train_total])
-
-    train = dataset.select([i for i in range(n) if i in train_idx])
-    test = dataset.select([i for i in range(n) if i not in train_idx])
-    return train, test
+        in_train[rng.shuffled(list(range(n)))[:n_train_total]] = True
+    return dataset.select(in_train), dataset.select(~in_train)
 
 
-def _stratified_train_indices(
-    labels: list, n_train_total: int, cfg: SplitConfig, rng: Xoshiro256pp
-) -> set[int]:
-    present = [lbl for lbl in ClassLabel if lbl in labels]
-    by_class = {lbl: [i for i, y in enumerate(labels) if y == lbl] for lbl in present}
+def _mark_stratified_train(
+    in_train: np.ndarray,
+    labels: np.ndarray,
+    n_train_total: int,
+    cfg: SplitConfig,
+    rng: Xoshiro256pp,
+) -> None:
+    by_class = {lbl: np.flatnonzero(labels == lbl).tolist() for lbl in ClassLabel}
+    present = [lbl for lbl in ClassLabel if by_class[lbl]]
 
     quotas = {lbl: len(by_class[lbl]) * cfg.train_fraction for lbl in present}
     counts = {lbl: int(math.floor(quotas[lbl])) for lbl in present}
@@ -112,7 +115,6 @@ def _stratified_train_indices(
         shortfall += 1
         i -= 1
 
-    train_idx: set[int] = set()
     for lbl in present:
         pool = by_class[lbl]
         take = counts[lbl]
@@ -121,9 +123,7 @@ def _stratified_train_indices(
                 f"stratified split leaves class {lbl.csv_value!r} with an empty "
                 f"train or test part ({take} of {len(pool)} rows)"
             )
-        shuffled = rng.shuffled(pool)
-        train_idx.update(shuffled[:take])
-    return train_idx
+        in_train[rng.shuffled(pool)[:take]] = True
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class Normalizer:
 def fit_normalizer(train: Dataset) -> Normalizer:
     if len(train) == 0:
         raise ValueError("cannot fit normalizer on an empty training set")
-    x = train.feature_matrix()
+    x = train.features
     means = x.mean(axis=0)
     stds = x.std(axis=0)  # population (1/n) std
     return Normalizer(tuple(float(m) for m in means), tuple(float(s) for s in stds))
@@ -155,10 +155,9 @@ def fit_normalizer(train: Dataset) -> Normalizer:
 
 def apply_normalizer(norm: Normalizer, dataset: Dataset) -> Dataset:
     """Transform every row with the fitted training statistics."""
-    x = dataset.feature_matrix()
     means = np.array(norm.means)
     stds = np.array(norm.std_devs)
     safe = np.where(stds > 0.0, stds, 1.0)
-    z = (x - means) / safe
+    z = (dataset.features - means) / safe
     z[:, stds == 0.0] = 0.0
     return dataset.with_features(z)

@@ -27,19 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, FeatureId, MaterialLibrary, MaterialSpec, Row
+from .dataset import (
+    N_FEATURES,
+    POSITIVE_FEATURES,
+    Dataset,
+    FeatureId,
+    MaterialLibrary,
+    MaterialSpec,
+)
 
 _MASK64 = (1 << 64) - 1
-
-# Features that must be strictly positive; the rest are absorptances in (0, 1).
-_POSITIVE_FEATURES = frozenset(
-    {
-        FeatureId.THICKNESS,
-        FeatureId.DENSITY,
-        FeatureId.THERMAL_CONDUCTIVITY,
-        FeatureId.SPECIFIC_HEAT_CAPACITY,
-    }
-)
 
 
 class SplitMix64:
@@ -87,8 +84,8 @@ class Xoshiro256pp:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def next_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound). Modulo bias is negligible for the
-        small bounds used here (shuffles of a few hundred rows)."""
+        """Uniform integer in [0, bound) by modulo. The bias is at most
+        bound / 2**64 per draw: below 4e-15 for a 60 000-row shuffle."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
@@ -140,12 +137,6 @@ class SamplerConfig:
             raise ValueError("max_rejections_per_draw must be >= 1")
 
 
-def _is_valid(feature: FeatureId, value: float) -> bool:
-    if feature in _POSITIVE_FEATURES:
-        return value > 0.0
-    return 0.0 < value < 1.0
-
-
 def sample_material(
     spec: MaterialSpec,
     n: int,
@@ -161,29 +152,34 @@ def sample_material(
         raise ValueError(f"n must be >= 1, got {n}")
     columns = np.empty((len(FeatureId), n), dtype=np.float64)
     for f in FeatureId:
-        dist = spec.dist[f]
-        for i in range(n):
-            for _ in range(max_rejections_per_draw):
-                value = dist.mean + dist.std_dev * stream.next_gaussian()
-                if _is_valid(f, value):
-                    columns[f, i] = value
+        mean, std_dev = spec.dist[f].mean, spec.dist[f].std_dev
+        upper = math.inf if f in POSITIVE_FEATURES else 1.0
+        values = []
+        for _ in range(n):
+            for _attempt in range(max_rejections_per_draw):
+                value = mean + std_dev * stream.next_gaussian()
+                if 0.0 < value < upper:
+                    values.append(value)
                     break
             else:
                 raise ValueError(
                     f"material {spec.name!r}, feature {f.column_name!r}: "
                     f"no valid draw in {max_rejections_per_draw} attempts"
                 )
+        columns[f] = values
     return columns.T.copy()
 
 
 def generate_dataset(library: MaterialLibrary, cfg: SamplerConfig) -> Dataset:
     """Sample cfg.n_per_material rows per material, grouped in library order."""
-    rows = []
-    for index, spec in enumerate(library):
-        stream = material_stream(cfg.seed, index)
-        samples = sample_material(
-            spec, cfg.n_per_material, stream, cfg.max_rejections_per_draw
+    blocks = [
+        sample_material(
+            spec, cfg.n_per_material, material_stream(cfg.seed, index),
+            cfg.max_rejections_per_draw,
         )
-        for vec in samples:
-            rows.append(Row(material_index=index, features=tuple(vec)))
-    return Dataset(tuple(rows))
+        for index, spec in enumerate(library)
+    ]
+    return Dataset(
+        np.repeat(np.arange(len(library)), cfg.n_per_material),
+        np.concatenate([np.empty((0, N_FEATURES)), *blocks]),
+    )

@@ -25,7 +25,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .dataset import Dataset, FeatureId
+import numpy as np
+
+from .dataset import POSITIVE_FEATURES, Dataset, FeatureId
 
 # Default q_base is calibrated against the default-seed pipeline so that the
 # 75/90 kWh/m2 label thresholds partition the outputs into three usable
@@ -48,6 +50,9 @@ class SurrogateConfig:
     w_visual: float = 0.0      # load per unit visual absorptance [kWh/m2]
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not (self.r_si > 0.0 and self.r_so > 0.0):
             raise ValueError("surface film resistances must be > 0")
         if not (0.0 <= self.d_max < 1.0):
@@ -56,73 +61,67 @@ class SurrogateConfig:
             raise ValueError("degree-days must be >= 0")
         if not (self.r_wall > 0.0 and self.c_ref > 0.0):
             raise ValueError("r_wall and c_ref must be > 0")
-        for w in (self.w_solar, self.w_thermal, self.w_visual, self.q_base):
-            if not math.isfinite(w):
-                raise ValueError("config values must be finite")
 
 
-def wall_u_value(thickness: float, conductivity: float, cfg: SurrogateConfig) -> float:
-    """Steady-state U-value of the wall layer plus surface films [W/m2K]."""
-    if thickness <= 0.0:
-        raise ValueError(f"thickness must be > 0, got {thickness}")
-    if conductivity <= 0.0:
-        raise ValueError(f"conductivity must be > 0, got {conductivity}")
+def _require_positive(**values: float | np.ndarray) -> None:
+    for name, value in values.items():
+        if np.any(np.asarray(value) <= 0.0):
+            raise ValueError(f"{name} must be > 0, got {np.min(value)}")
+
+
+def wall_u_value(thickness, conductivity, cfg: SurrogateConfig):
+    """Steady-state U-value of the wall layer plus surface films [W/m2K].
+    Takes floats or arrays, as do the next two functions."""
+    _require_positive(thickness=thickness, conductivity=conductivity)
     return 1.0 / (cfg.r_si + thickness / conductivity + cfg.r_so)
 
 
-def areal_heat_capacity(thickness: float, density: float, specific_heat: float) -> float:
+def areal_heat_capacity(thickness, density, specific_heat):
     """Heat capacity per wall area, rho * c * t [J/m2K]."""
-    if thickness <= 0.0 or density <= 0.0 or specific_heat <= 0.0:
-        raise ValueError(
-            "thickness, density and specific heat must all be > 0, got "
-            f"({thickness}, {density}, {specific_heat})"
-        )
+    _require_positive(thickness=thickness, density=density, specific_heat=specific_heat)
     return density * specific_heat * thickness
 
 
-def damping_factor(capacity: float, cfg: SurrogateConfig) -> float:
-    """Thermal-mass damping multiplier, decreasing from 1 to 1 - d_max."""
-    return 1.0 - cfg.d_max * (1.0 - math.exp(-capacity / cfg.c_ref))
+def damping_factor(capacity, cfg: SurrogateConfig):
+    """Thermal-mass damping multiplier, decreasing from 1 to 1 - d_max.
+
+    exp is math.exp, element by element: np.exp differs from it in the last
+    ulp on some inputs, and the loads are written out with repr.
+    """
+    exponent = -np.asarray(capacity, dtype=np.float64) / cfg.c_ref
+    decay = np.fromiter(map(math.exp, exponent.ravel().tolist()), np.float64, exponent.size)
+    return 1.0 - cfg.d_max * (1.0 - decay.reshape(exponent.shape))
 
 
-def annual_thermal_load(features: Sequence[float], cfg: SurrogateConfig) -> float:
-    """Annual heating + cooling load per floor area [kWh/m2]."""
-    if len(features) != len(FeatureId):
-        raise ValueError(f"expected {len(FeatureId)} features, got {len(features)}")
-    t = features[FeatureId.THICKNESS]
-    rho = features[FeatureId.DENSITY]
-    k = features[FeatureId.THERMAL_CONDUCTIVITY]
-    c = features[FeatureId.SPECIFIC_HEAT_CAPACITY]
-    a_solar = features[FeatureId.SOLAR_ABSORPTANCE]
-    a_visual = features[FeatureId.VISUAL_ABSORPTANCE]
-    a_thermal = features[FeatureId.THERMAL_ABSORPTANCE]
-    u = wall_u_value(t, k, cfg)
-    cap = areal_heat_capacity(t, rho, c)
-    conduction = u * cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0
+def thermal_loads(x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
+    """Annual heating + cooling load per floor area [kWh/m2] of every row of
+    an (n, 7) feature matrix. Raises ValueError naming the first row and
+    column whose thickness, density, conductivity or specific heat is not > 0."""
+    x = np.asarray(x, dtype=np.float64)
+    bad = np.argwhere(x[:, POSITIVE_FEATURES] <= 0.0)
+    if len(bad):
+        row, f = bad[0][0], POSITIVE_FEATURES[bad[0][1]]
+        raise ValueError(f"row {row}, column {f.column_name}: must be > 0, got {x[row, f]}")
+    t, rho, k, c, a_solar, a_visual, a_thermal = x.T
+    conduction = wall_u_value(t, k, cfg) * cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0
     return (
-        damping_factor(cap, cfg) * (conduction + cfg.q_base)
+        damping_factor(areal_heat_capacity(t, rho, c), cfg) * (conduction + cfg.q_base)
         + cfg.w_solar * a_solar
         + cfg.w_thermal * a_thermal
         + cfg.w_visual * a_visual
     )
 
 
+def annual_thermal_load(features: Sequence[float], cfg: SurrogateConfig) -> float:
+    """Annual heating + cooling load per floor area [kWh/m2] of one design."""
+    if len(features) != len(FeatureId):
+        raise ValueError(f"expected {len(FeatureId)} features, got {len(features)}")
+    return float(thermal_loads(np.array([features], dtype=np.float64), cfg)[0])
+
+
 def simulate_dataset(dataset: Dataset, cfg: SurrogateConfig) -> Dataset:
-    """Attach a surrogate load to every row; other fields untouched."""
-    loads = []
-    for i, row in enumerate(dataset.rows):
-        try:
-            loads.append(annual_thermal_load(row.features, cfg))
-        except ValueError as exc:
-            raise ValueError(f"row {i}: {exc}") from None
-    try:
-        return dataset.with_loads(loads)
-    except ValueError as exc:
-        # with_loads rejects negative loads without saying which row
-        for i, q in enumerate(loads):
-            if not (math.isfinite(q) and q >= 0.0):
-                raise ValueError(f"row {i}: computed load {q} is invalid") from None
-        raise
+    """Attach a surrogate load to every row; other columns untouched."""
+    return dataset.with_loads(thermal_loads(dataset.features, cfg))
 
 
 def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
@@ -157,7 +156,7 @@ def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
     for idx, q in enumerate(loads):
         if q is None:
             raise ValueError(f"row {idx} missing")
-    return dataset.with_loads([q for q in loads if q is not None])
+    return dataset.with_loads(loads)
 
 
 def config_to_json(cfg: SurrogateConfig) -> dict:

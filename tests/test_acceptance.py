@@ -72,8 +72,8 @@ def test_criterion_3_pca_structural_suite(normalized_train):
     assert np.max(np.abs(gram - np.eye(7))) <= 1e-10
     scores = project(model, normalized_train, list(range(1, 8)))
     rebuilt = scores @ model.loadings.T
-    assert np.max(np.abs(rebuilt - normalized_train.feature_matrix())) <= 1e-8
-    x = normalized_train.feature_matrix()
+    assert np.max(np.abs(rebuilt - normalized_train.features)) <= 1e-8
+    x = normalized_train.features
     xc = x - x.mean(axis=0)
     trace = float(np.trace(xc.T @ xc / (len(x) - 1)))
     assert abs(model.eigenvalues.sum() - trace) <= 1e-8 * max(1.0, abs(trace))
@@ -86,7 +86,7 @@ def test_criterion_4_pca_top3_matches_fixture(normalized_train):
     assert set(top_features(model, 3)) == EXPECTED_TOP3
     assert EXPECTED_TOP3 <= set(top_features(model, 4))
     # independent eigensolver on the identical matrix must agree
-    x = normalized_train.feature_matrix()
+    x = normalized_train.features
     xc = x - x.mean(axis=0)
     w, v = np.linalg.eigh(xc.T @ xc / (len(x) - 1))
     pc1 = np.abs(v[:, np.argmax(w)])
@@ -135,7 +135,7 @@ def test_criterion_6_lda_correctness_suite():
         model_b.classes[int(np.argmin(np.sum((centers - p) ** 2, axis=1)))]
         for p in probes
     ]
-    assert predict_many(model_b, probes) == nearest
+    assert predict_many(model_b, probes).tolist() == nearest
 
     # (c) affine invariance of decisions
     base = fit_lda(x, y)
@@ -143,7 +143,8 @@ def test_criterion_6_lda_correctness_suite():
     m = np.array([[1.3, -0.7], [0.4, 2.1]])
     shift = np.array([5.0, -3.0])
     transformed = fit_lda(x @ m.T + shift, y)
-    assert predict_many(transformed, points @ m.T + shift) == predict_many(base, points)
+    assert (predict_many(transformed, points @ m.T + shift).tolist()
+            == predict_many(base, points).tolist())
 
     # (d) training accuracy never loses to majority voting
     for _ in range(25):

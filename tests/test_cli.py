@@ -66,10 +66,10 @@ class TestRunAll:
 
         for part, ds in (("train", train), ("test", test)):
             for lbl in ClassLabel:
-                count = sum(1 for r in ds.rows if r.label == lbl)
+                count = int(np.count_nonzero(ds.labels == lbl))
                 assert summary["counts"][part]["per_class"][lbl.csv_value] == count
         for lbl in ClassLabel:
-            count = sum(1 for r in dataset.rows if r.label == lbl)
+            count = int(np.count_nonzero(dataset.labels == lbl))
             assert summary["counts"]["per_class"][lbl.csv_value] == count
 
         norm = fit_normalizer(train)
@@ -79,9 +79,9 @@ class TestRunAll:
         for key in ("pca_selected", "efs_selected"):
             entry = summary["lda"][key]
             cols = [int(by_name[n]) for n in entry["features"]]
-            model = fit_lda(train_n.feature_matrix()[:, cols], train_n.labels())
-            train_acc = accuracy(model, train_n.feature_matrix()[:, cols], train_n.labels())
-            test_acc = accuracy(model, test_n.feature_matrix()[:, cols], test_n.labels())
+            model = fit_lda(train_n.features[:, cols], train_n.labels)
+            train_acc = accuracy(model, train_n.features[:, cols], train_n.labels)
+            test_acc = accuracy(model, test_n.features[:, cols], test_n.labels)
             assert entry["train_accuracy"] == train_acc
             assert entry["test_accuracy"] == test_acc
 
@@ -183,9 +183,9 @@ class TestIngestPath:
         assert main(["run", "--out", str(out), "--n-per-material", "10",
                      "--ingest-loads", str(loads)]) == 0
         ds = read_dataset(out / "dataset.csv")
-        assert ds.rows[0].load == 60.0
-        assert ds.rows[1].load == 82.5
-        assert ds.rows[0].label is ClassLabel.LOW
+        assert ds.loads[0] == 60.0
+        assert ds.loads[1] == 82.5
+        assert ClassLabel(ds.labels[0]) is ClassLabel.LOW
 
 
 class TestErrorHandling:
@@ -232,6 +232,16 @@ class TestErrorHandling:
         assert excinfo.value.code == 1
         assert f"envload: error: {message}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any stage ran
+
+    def test_non_finite_surrogate_constant_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "surrogate.json"
+        cfg.write_text('{"hdd": NaN}')
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", str(out), "--surrogate-config", str(cfg)])
+        assert excinfo.value.code == 1
+        assert "envload: error: hdd must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from envload.dataset import (
@@ -12,7 +13,6 @@ from envload.dataset import (
     MaterialLibrary,
     MaterialSpec,
     PropertyDistribution,
-    Row,
     SystemConstants,
     builtin_material_library,
     builtin_system_constants,
@@ -134,38 +134,66 @@ class TestDomainTypes:
 
     def test_row_needs_seven_features(self):
         with pytest.raises(ValueError):
-            Row(0, (1.0,) * 6)
+            Dataset([0], [(1.0,) * 6])
 
     def test_row_rejects_nan_feature(self):
         with pytest.raises(ValueError):
-            Row(0, (1.0, 2.0, math.nan, 4.0, 0.5, 0.5, 0.5))
+            Dataset([0], [(1.0, 2.0, math.nan, 4.0, 0.5, 0.5, 0.5)])
 
     def test_row_rejects_negative_load(self):
         with pytest.raises(ValueError):
-            Row(0, (1.0,) * 7, load=-1.0)
+            Dataset([0], [(1.0,) * 7], loads=[-1.0])
 
     def test_with_loads_length_check(self):
-        ds = Dataset((Row(0, (1.0,) * 7),))
+        ds = Dataset([0], [(1.0,) * 7])
         with pytest.raises(ValueError):
             ds.with_loads([1.0, 2.0])
 
+    @pytest.mark.parametrize("column, bad, message", [
+        ("features", math.nan, "row 3, column thermal_conductivity: not finite"),
+        ("loads", -1.0, "row 3, column load: must be finite and >= 0"),
+        ("labels", 3, "row 3, column label: not a class code"),
+        ("material_index", -1, "row 3, column material_index: must be >= 0"),
+    ])
+    def test_first_bad_row_and_column_named(self, column, bad, message):
+        columns = {
+            "material_index": np.zeros(10, dtype=np.int64),
+            "features": np.ones((10, 7)),
+            "loads": np.ones(10),
+            "labels": np.zeros(10, dtype=np.int8),
+        }
+        for row in (7, 3):
+            if column == "features":
+                columns[column][row, FeatureId.THERMAL_CONDUCTIVITY] = bad
+            else:
+                columns[column][row] = bad
+        with pytest.raises(ValueError, match=message):
+            Dataset(**columns)
 
-def _synthetic_dataset(n=600):
-    rows = []
-    for i in range(n):
-        feats = (
-            0.01 + i * 1e-5,
-            545.0 + i,
-            0.135 * (1 + i * 1e-3),
-            1740.0 / (1 + i * 1e-4),
-            0.5,
-            0.25 + 1e-9,
-            1.0 / 3.0,
-        )
-        load = None if i % 3 == 0 else 75.0 + i * 0.01
-        label = None if i % 2 == 0 else ClassLabel(i % 3)
-        rows.append(Row(i % 6, feats, load, label))
-    return Dataset(tuple(rows))
+    def test_columns_are_read_only(self):
+        features = np.ones((2, 7))
+        ds = Dataset([0, 1], features, loads=[1.0, 2.0], labels=[ClassLabel.LOW] * 2)
+        features[0, 0] = 5.0  # the caller's array was copied, not frozen
+        assert ds.features[0, 0] == 1.0
+        for column in (ds.material_index, ds.features, ds.loads, ds.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert ds.with_loads([3.0, 4.0]).features is ds.features
+
+
+def _synthetic_dataset(n=600, labels=True):
+    i = np.arange(n)
+    features = np.column_stack([
+        0.01 + i * 1e-5,
+        545.0 + i,
+        0.135 * (1 + i * 1e-3),
+        1740.0 / (1 + i * 1e-4),
+        np.full(n, 0.5),
+        np.full(n, 0.25 + 1e-9),
+        np.full(n, 1.0 / 3.0),
+    ])
+    return Dataset(i % 6, features, loads=75.0 + i * 0.01,
+                   labels=(i % 3) if labels else None)
 
 
 class TestCsvRoundTrip:
@@ -174,6 +202,21 @@ class TestCsvRoundTrip:
         path = tmp_path / "ds.csv"
         write_dataset(ds, path)
         assert read_dataset(path) == ds
+
+    def test_roundtrip_without_labels(self, tmp_path):
+        ds = _synthetic_dataset(labels=False)
+        path = tmp_path / "ds.csv"
+        write_dataset(ds, path)
+        assert read_dataset(path) == ds
+        assert path.read_text().splitlines()[1].endswith(",75.0,")
+
+    def test_load_on_some_rows_only_rejected(self, tmp_path):
+        path = tmp_path / "partial.csv"
+        header = ",".join(CSV_HEADER)
+        path.write_text(header + "\n0,0.1,500,0.2,800,0.5,0.5,0.5,80.0,high\n"
+                        "0,0.1,500,0.2,800,0.5,0.5,0.5,,high\n")
+        with pytest.raises(ValueError, match="row 2, column load"):
+            read_dataset(path)
 
     def test_roundtrip_of_generated_dataset(self, tmp_path, default_dataset):
         path = tmp_path / "gen.csv"
@@ -186,7 +229,7 @@ class TestCsvRoundTrip:
         path.write_text(header + "\n0,0.1,500,0.2,800,0.5,0.5,0.5\n")
         ds = read_dataset(path)
         assert len(ds) == 1
-        assert ds.rows[0].load is None and ds.rows[0].label is None
+        assert ds.loads is None and ds.labels is None
 
     def test_wrong_feature_count(self, tmp_path):
         ds = _synthetic_dataset(3)

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from envload.dataset import ClassLabel, Dataset, FeatureId, Row
+from envload.dataset import ClassLabel, Dataset, FeatureId
 from envload.efs import (
     METRIC_CV5,
     METRIC_TRAIN,
@@ -16,10 +16,8 @@ LOW, HIGH = ClassLabel.LOW, ClassLabel.HIGH
 
 
 def _dataset(x: np.ndarray, y) -> Dataset:
-    rows = tuple(
-        Row(0, tuple(feats), load=1.0, label=lbl) for feats, lbl in zip(x, y)
-    )
-    return Dataset(rows)
+    n = len(y)
+    return Dataset(np.zeros(n, dtype=np.int64), x, loads=np.ones(n), labels=y)
 
 
 def make_single_informative(n=120, seed=60):
@@ -84,8 +82,8 @@ class TestRunEfs:
         assert best1.subset == (FeatureId.SPECIFIC_HEAT_CAPACITY,)
         assert best1.metric_value == 1.0
         # verified independently by evaluating all seven singletons
-        x = single_informative.feature_matrix()
-        y = single_informative.labels()
+        x = single_informative.features
+        y = single_informative.labels
         for f in FeatureId:
             xs = x[:, [int(f)]]
             acc = accuracy(fit_lda(xs, y), xs, y)
@@ -151,7 +149,7 @@ class TestRunEfs:
             run_efs(single_informative, metric="auc")
 
     def test_unlabeled_rows_rejected(self):
-        ds = Dataset((Row(0, (1.0,) * 7, load=1.0),) * 4)
+        ds = Dataset([0] * 4, [(1.0,) * 7] * 4, loads=[1.0] * 4)
         with pytest.raises(ValueError, match="label"):
             run_efs(ds)
 

@@ -116,7 +116,7 @@ class TestPredict:
             model.classes[int(np.argmin(np.sum((centers - p) ** 2, axis=1)))]
             for p in probes
         ]
-        assert ours == nearest
+        assert ours.tolist() == nearest
 
     def test_tie_breaks_to_lower_class(self):
         # identical class distributions make every discriminant tie
@@ -144,9 +144,9 @@ class TestInvariances:
                 m = rng.normal(size=(2, 2))
             shift = rng.normal(size=2) * 3.0
             transformed = fit_lda(x @ m.T + shift, y)
-            assert predict_many(transformed, probes @ m.T + shift) == predict_many(
+            assert predict_many(transformed, probes @ m.T + shift).tolist() == predict_many(
                 base, probes
-            )
+            ).tolist()
 
     def test_scale_invariance_of_labels(self):
         rng = np.random.default_rng(21)
@@ -154,7 +154,7 @@ class TestInvariances:
         base = fit_lda(x, y)
         scaled = fit_lda(x * 37.5, y)
         probes = rng.uniform(-2.0, 6.0, size=(200, 2))
-        assert predict_many(scaled, probes * 37.5) == predict_many(base, probes)
+        assert predict_many(scaled, probes * 37.5).tolist() == predict_many(base, probes).tolist()
 
 
 class TestAccuracy:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from envload.dataset import ClassLabel, Dataset, FeatureId, Row
+from envload.dataset import FeatureId
 from envload.pca import (
     PcaModel,
     REPORT_ROW_ORDER,
@@ -63,7 +63,7 @@ class TestFit:
             assert int(np.argmax(np.abs(model.loadings[:, 0]))) == j
 
     def test_matches_numpy_eigh(self, normalized_train, default_model):
-        x = normalized_train.feature_matrix()
+        x = normalized_train.features
         xc = x - x.mean(axis=0)
         w, _ = np.linalg.eigh(xc.T @ xc / (len(x) - 1))
         assert default_model.eigenvalues == pytest.approx(w[::-1], rel=1e-9, abs=1e-12)
@@ -89,7 +89,7 @@ class TestFit:
             fit_pca_matrix(np.ones((10, 3)))
 
     def test_dataset_and_matrix_paths_agree(self, normalized_train, default_model):
-        twin = fit_pca_matrix(normalized_train.feature_matrix())
+        twin = fit_pca_matrix(normalized_train.features)
         assert np.array_equal(twin.loadings, default_model.loadings)
         assert twin.n_fit == default_model.n_fit == 210
 
@@ -152,7 +152,7 @@ class TestProject:
     def test_full_projection_reconstructs(self, default_model, normalized_train):
         scores = project(default_model, normalized_train, list(range(1, 8)))
         rebuilt = scores @ default_model.loadings.T
-        assert np.max(np.abs(rebuilt - normalized_train.feature_matrix())) <= 1e-8
+        assert np.max(np.abs(rebuilt - normalized_train.features)) <= 1e-8
 
     def test_scores_have_zero_mean_on_fit_data(self, default_model, normalized_train):
         scores = project(default_model, normalized_train, [1, 2, 3])

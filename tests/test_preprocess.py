@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from envload.dataset import ClassLabel, Dataset, Row
+from envload.dataset import ClassLabel, Dataset
 from envload.preprocess import (
     Normalizer,
     SplitConfig,
@@ -47,20 +47,22 @@ class TestLabeling:
             label_load(math.nan)
 
     def test_label_dataset_requires_loads(self):
-        ds = Dataset((Row(0, (1.0,) * 7),))
+        ds = Dataset([0], [(1.0,) * 7])
         with pytest.raises(ValueError, match="load"):
             label_dataset(ds)
 
 
 def _labeled(counts: dict[ClassLabel, int]) -> Dataset:
-    rows = []
-    i = 0
-    for lbl, n in counts.items():
-        for _ in range(n):
-            rows.append(Row(0, (float(i), 0.0, 0.0, 0.0, 0.5, 0.5, 0.5),
-                            load=1.0, label=lbl))
-            i += 1
-    return Dataset(tuple(rows))
+    labels = [lbl for lbl, n in counts.items() for _ in range(n)]
+    n = len(labels)
+    features = [(float(i), 0.0, 0.0, 0.0, 0.5, 0.5, 0.5) for i in range(n)]
+    return Dataset([0] * n, features, loads=[1.0] * n, labels=labels)
+
+
+def _rows(ds: Dataset) -> Counter:
+    """The dataset as a multiset of (material_index, features, load, label) rows."""
+    return Counter(zip(ds.material_index.tolist(), map(tuple, ds.features.tolist()),
+                       ds.loads.tolist(), ds.labels.tolist()))
 
 
 class TestSplit:
@@ -70,8 +72,8 @@ class TestSplit:
 
     def test_partition_no_loss_no_duplication(self, labeled_dataset):
         train, test = split(labeled_dataset, SplitConfig())
-        combined = Counter(train.rows) + Counter(test.rows)
-        assert combined == Counter(labeled_dataset.rows)
+        combined = _rows(train) + _rows(test)
+        assert combined == _rows(labeled_dataset)
 
     def test_same_seed_same_split(self, labeled_dataset):
         a = split(labeled_dataset, SplitConfig(seed=9))
@@ -93,14 +95,14 @@ class TestSplit:
         # goes to the earliest largest-remainder class (LOW)
         ds = _labeled({ClassLabel.LOW: 3, ClassLabel.MEDIUM: 3, ClassLabel.HIGH: 4})
         train, _ = split(ds, SplitConfig(train_fraction=0.5))
-        by_class = Counter(r.label for r in train.rows)
+        by_class = Counter(ClassLabel(c) for c in train.labels.tolist())
         assert len(train) == 5
         assert by_class == {ClassLabel.LOW: 2, ClassLabel.MEDIUM: 1, ClassLabel.HIGH: 2}
 
     def test_stratification_preserves_class_shares(self, labeled_dataset):
         train, _ = split(labeled_dataset, SplitConfig())
-        total = Counter(r.label for r in labeled_dataset.rows)
-        in_train = Counter(r.label for r in train.rows)
+        total = Counter(ClassLabel(c) for c in labeled_dataset.labels.tolist())
+        in_train = Counter(ClassLabel(c) for c in train.labels.tolist())
         for lbl, n in total.items():
             assert in_train[lbl] == pytest.approx(0.35 * n, abs=1.0)
 
@@ -110,7 +112,7 @@ class TestSplit:
             split(ds, SplitConfig(train_fraction=0.35))
 
     def test_unlabeled_rows_rejected(self):
-        ds = Dataset((Row(0, (1.0,) * 7, load=1.0),) * 4)
+        ds = Dataset([0] * 4, [(1.0,) * 7] * 4, loads=[1.0] * 4)
         with pytest.raises(ValueError, match="label"):
             split(ds, SplitConfig())
 
@@ -118,8 +120,8 @@ class TestSplit:
         cfg = SplitConfig(stratified=False)
         train, test = split(labeled_dataset, cfg)
         assert (len(train), len(test)) == (210, 390)
-        combined = Counter(train.rows) + Counter(test.rows)
-        assert combined == Counter(labeled_dataset.rows)
+        combined = _rows(train) + _rows(test)
+        assert combined == _rows(labeled_dataset)
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -129,18 +131,16 @@ class TestSplit:
 
 
 def _feature_column(values):
-    rows = [
-        Row(0, (v, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5), load=1.0, label=ClassLabel.LOW)
-        for v in values
-    ]
-    return Dataset(tuple(rows))
+    n = len(values)
+    features = [(v, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5) for v in values]
+    return Dataset([0] * n, features, loads=[1.0] * n, labels=[ClassLabel.LOW] * n)
 
 
 class TestNormalizer:
     def test_z_scores_of_small_sample(self):
         ds = _feature_column([1.0, 2.0, 3.0])
         norm = fit_normalizer(ds)
-        out = apply_normalizer(norm, ds).feature_matrix()[:, 0]
+        out = apply_normalizer(norm, ds).features[:, 0]
         # population sigma of {1,2,3} is 0.816496580927726
         assert out == pytest.approx(
             [-1.224744871391589, 0.0, 1.224744871391589], rel=1e-12
@@ -149,21 +149,21 @@ class TestNormalizer:
     def test_constant_feature_maps_to_zero(self):
         ds = _feature_column([5.0, 5.0, 5.0])
         norm = fit_normalizer(ds)
-        out = apply_normalizer(norm, ds).feature_matrix()
+        out = apply_normalizer(norm, ds).features
         assert np.all(out[:, 0] == 0.0)
 
     def test_training_set_becomes_standardized(self, default_split):
         train, _ = default_split
         norm = fit_normalizer(train)
-        z = apply_normalizer(norm, train).feature_matrix()
+        z = apply_normalizer(norm, train).features
         assert np.all(np.abs(z.mean(axis=0)) <= 1e-10)
         assert np.all(np.abs(z.std(axis=0) - 1.0) <= 1e-10)
 
     def test_test_rows_use_training_statistics(self, default_split):
         train, _ = default_split
         norm = fit_normalizer(train)
-        probe = Dataset((Row(0, norm.means, load=1.0, label=ClassLabel.LOW),))
-        z = apply_normalizer(norm, probe).feature_matrix()
+        probe = Dataset([0], [norm.means], loads=[1.0], labels=[ClassLabel.LOW])
+        z = apply_normalizer(norm, probe).features
         assert np.all(np.abs(z) <= 1e-12)
 
     def test_not_idempotent(self, default_split):
@@ -171,11 +171,11 @@ class TestNormalizer:
         norm = fit_normalizer(train)
         once = apply_normalizer(norm, train)
         twice = apply_normalizer(norm, once)
-        assert not np.allclose(once.feature_matrix(), twice.feature_matrix())
+        assert not np.allclose(once.features, twice.features)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            fit_normalizer(Dataset(()))
+            fit_normalizer(Dataset(np.empty(0, dtype=np.int64), np.empty((0, 7))))
 
     def test_normalizer_shape_validation(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,30 @@ class TestPrng:
         assert a != items  # astronomically unlikely to be identity
 
 
+class TestReferenceVectors:
+    """The streams pinned to fixed values, not only to themselves."""
+
+    def test_splitmix64_matches_published_outputs(self):
+        # splitmix64 seeded with 0: Blackman & Vigna, "Scrambled linear
+        # pseudorandom number generators", ACM TOMS 2021
+        sm = SplitMix64(0)
+        assert [sm.next_u64() for _ in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        ]
+
+    def test_xoshiro256pp_first_outputs(self):
+        rng = Xoshiro256pp(0)
+        assert [rng.next_u64() for _ in range(4)] == [
+            0x53175D61490B23DF, 0x61DA6F3DC380D507, 0x5C0FDF91EC9A7BFC, 0x02EEBF8C3BBE5E1A,
+        ]
+
+    def test_gaussian_first_outputs_exact(self):
+        rng = Xoshiro256pp(42)
+        assert [rng.next_gaussian() for _ in range(3)] == [
+            -0.7689930538210061, 1.6661184587142, -0.8684461074702454,
+        ]
+
+
 class TestSampleMaterial:
     def test_sigma_zero_gives_mean_vector(self):
         spec = _spec(stds=[0.0] * 7)
@@ -116,31 +140,31 @@ class TestGenerateDataset:
         assert len(default_dataset) == 600
 
     def test_rows_grouped_by_material(self, default_dataset):
-        indices = default_dataset.material_indices()
+        indices = default_dataset.material_index
         expected = np.repeat(np.arange(6), 100)
         assert np.array_equal(indices, expected)
 
     def test_loads_and_labels_unset(self, default_dataset):
-        assert all(r.load is None and r.label is None for r in default_dataset.rows)
+        assert default_dataset.loads is None and default_dataset.labels is None
 
     def test_one_per_material(self, default_library):
         ds = generate_dataset(default_library, SamplerConfig(n_per_material=1))
         assert len(ds) == 6
-        assert list(ds.material_indices()) == [0, 1, 2, 3, 4, 5]
+        assert list(ds.material_index) == [0, 1, 2, 3, 4, 5]
 
     def test_adjacent_seeds_differ(self, default_library):
         a = generate_dataset(default_library, SamplerConfig(seed=42, n_per_material=5))
         b = generate_dataset(default_library, SamplerConfig(seed=43, n_per_material=5))
-        assert not np.array_equal(a.feature_matrix(), b.feature_matrix())
+        assert not np.array_equal(a.features, b.features)
 
     def test_repeat_run_bit_identical(self, default_library, default_dataset):
         again = generate_dataset(default_library, SamplerConfig())
-        assert np.array_equal(again.feature_matrix(), default_dataset.feature_matrix())
+        assert np.array_equal(again.features, default_dataset.features)
 
     def test_material_blocks_independent(self, default_library):
         # each material's block depends only on (seed, material_index)
         full = generate_dataset(default_library, SamplerConfig(seed=8, n_per_material=20))
-        block = full.feature_matrix()[40:60]  # concrete
+        block = full.features[40:60]  # concrete
         alone = sample_material(default_library[2], 20, material_stream(8, 2))
         assert np.array_equal(block, alone)
 

@@ -140,14 +140,14 @@ class TestAnnualThermalLoad:
 class TestSimulateDataset:
     def test_default_run_all_loads_positive(self, default_dataset):
         out = simulate_dataset(default_dataset, DEFAULTS)
-        loads = out.loads()
+        loads = out.loads
         assert len(loads) == 600
         assert all(q is not None and math.isfinite(q) and q > 0.0 for q in loads)
 
     def test_other_fields_untouched(self, default_dataset):
         out = simulate_dataset(default_dataset, DEFAULTS)
-        assert out.feature_matrix().tolist() == default_dataset.feature_matrix().tolist()
-        assert list(out.material_indices()) == list(default_dataset.material_indices())
+        assert out.features.tolist() == default_dataset.features.tolist()
+        assert list(out.material_index) == list(default_dataset.material_index)
 
     def test_commutes_with_row_permutation(self, default_dataset):
         perm = list(range(len(default_dataset)))[::-1]
@@ -169,8 +169,8 @@ class TestIngest:
         path = tmp_path / "loads.csv"
         self._write_loads(path, [(i, 60.0 + (i % 50)) for i in range(600)])
         out = ingest_external_loads(default_dataset, path)
-        assert out.loads()[0] == 60.0
-        assert out.loads()[599] == 60.0 + (599 % 50)
+        assert out.loads[0] == 60.0
+        assert out.loads[599] == 60.0 + (599 % 50)
 
     def test_missing_row_named(self, tmp_path, default_dataset):
         path = tmp_path / "loads.csv"
@@ -229,6 +229,11 @@ class TestConfig:
             {"hdd": -1.0},
             {"c_ref": 0.0},
             {"w_solar": math.inf},
+            {"hdd": math.nan},
+            {"cdd": math.nan},
+            {"r_wall": math.inf},
+            {"r_si": math.inf},
+            {"c_ref": math.inf},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -25,12 +25,11 @@ from envload.preprocess import (
     split,
 )
 from envload.sampling import SamplerConfig, generate_dataset
-from envload.surrogate import SurrogateConfig, annual_thermal_load
+from envload.surrogate import SurrogateConfig, thermal_loads
 
 
 def pipeline_stats(dataset, q_base):
-    cfg = SurrogateConfig(q_base=q_base)
-    loads = np.array([annual_thermal_load(r.features, cfg) for r in dataset.rows])
+    loads = thermal_loads(dataset.features, SurrogateConfig(q_base=q_base))
     t = Thresholds()
     low = float(np.mean(loads <= t.low_max))
     high = float(np.mean(loads >= t.high_min))
@@ -49,12 +48,11 @@ def pipeline_stats(dataset, q_base):
 def pc1_ranking_numpy(dataset, q_base):
     """Independent oracle: split + normalize, then numpy eigh on the
     1/(n-1) covariance of the training matrix."""
-    cfg = SurrogateConfig(q_base=q_base)
-    loads = [annual_thermal_load(r.features, cfg) for r in dataset.rows]
+    loads = thermal_loads(dataset.features, SurrogateConfig(q_base=q_base))
     labeled = label_dataset(dataset.with_loads(loads))
     train, test = split(labeled, SplitConfig())
     norm = fit_normalizer(train)
-    x = apply_normalizer(norm, train).feature_matrix()
+    x = apply_normalizer(norm, train).features
     xc = x - x.mean(axis=0)
     cov = xc.T @ xc / (len(train) - 1)
     w, v = np.linalg.eigh(cov)
@@ -64,8 +62,7 @@ def pc1_ranking_numpy(dataset, q_base):
     pc1 = np.abs(v[:, 0])
     ranking = sorted(FeatureId, key=lambda f: (-pc1[f], int(f)))
     per_class = {
-        lbl.csv_value: sum(1 for r in train.rows if r.label == lbl)
-        for lbl in ClassLabel
+        lbl.csv_value: int(np.count_nonzero(train.labels == lbl)) for lbl in ClassLabel
     }
     return {
         "n_train": len(train),
