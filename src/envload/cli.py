@@ -180,7 +180,7 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
         out.csv(
             f"scores_{i}_{j}.csv",
             [f"pc{i}", f"pc{j}", "label"],
-            [[repr(a), repr(b), lbl] for (a, b), lbl in zip(scores, labels)],
+            [[_float_cell(a), _float_cell(b), lbl] for (a, b), lbl in zip(scores, labels)],
         )
     return model
 

@@ -368,23 +368,26 @@ def _check_header(header: list[str]) -> None:
 def _parse_row(rownum: int, cells: list[str], width: int) -> tuple:
     """(rownum, material_index, features, load or None, label code or None)."""
     if len(cells) != width:
-        raise ValueError(
-            f"row {rownum}: expected {N_FEATURES} features, got {len(cells) - width + N_FEATURES}"
-        )
+        got = len(cells) - width + N_FEATURES
+        raise ValueError(f"row {rownum}: expected {N_FEATURES} features, got {got}")
     *cells, load, label = cells + [""] * (len(CSV_HEADER) - width)
     return (
         rownum,
-        _cell(rownum, "material_index", cells[0], int, "an integer >= 0", lambda v: v >= 0),
+        _cell(rownum, "material_index", cells[0], int, "an integer >= 0",
+              lambda v: v >= 0),
         [_cell(rownum, name, text, float, "a finite number", math.isfinite)
          for name, text in zip(FEATURE_COLUMNS, cells[1:])],
-        None if load == "" else _cell(rownum, "load", load, float, "a finite number >= 0",
+        None if load == "" else _cell(rownum, "load", load, float,
+                                      "a finite number >= 0",
                                       lambda v: math.isfinite(v) and v >= 0.0),
         None if label == "" else _cell(rownum, "label", label.strip().lower(),
-                                       LABEL_NAMES.index, "one of " + ", ".join(LABEL_NAMES)),
+                                       LABEL_NAMES.index,
+                                       "one of " + ", ".join(LABEL_NAMES)),
     )
 
 
-def _cell(rownum: int, column: str, text: str, parse, expected: str, valid=lambda v: True):
+def _cell(rownum: int, column: str, text: str, parse, expected: str,
+          valid=lambda v: True):
     """parse(text), or a ValueError naming the row and column when it fails
     or its value is not valid."""
     try:
@@ -392,7 +395,9 @@ def _cell(rownum: int, column: str, text: str, parse, expected: str, valid=lambd
     except ValueError:
         value = None
     if value is None or not valid(value):
-        raise ValueError(f"row {rownum}, column {column}: expected {expected}, got {text!r}")
+        raise ValueError(
+            f"row {rownum}, column {column}: expected {expected}, got {text!r}"
+        )
     return value
 
 
