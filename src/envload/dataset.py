@@ -228,11 +228,15 @@ class Dataset:
 
 def _column(values, dtype, shape: tuple, column: str, bad, rule: str) -> np.ndarray:
     """values as a frozen C-contiguous array, copied unless it already is
-    one. Raises ValueError for a wrong shape, or naming the first row (and,
-    in the features matrix, the first feature of that row) where bad holds."""
-    array = np.asarray(values, dtype=dtype)
+    one. Raises ValueError for a wrong shape or a value that dtype cannot
+    hold, or naming the first row (and, in the features matrix, the first
+    feature of that row) where bad holds."""
+    given = np.asarray(values)
+    array = given.astype(dtype, copy=False)
     if array.shape != shape:
         raise ValueError(f"column {column}: expected shape {shape}, got {array.shape}")
+    if array is not given and not np.array_equal(array, given):
+        raise ValueError(f"column {column}: values do not fit {array.dtype}")
     hits = np.argwhere(bad(array))
     if len(hits):
         at = tuple(hits[0])

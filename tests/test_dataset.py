@@ -170,6 +170,16 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match=message):
             Dataset(**columns)
 
+    @pytest.mark.parametrize("column, values", [
+        ("labels", np.array([256])),
+        ("material_index", [1.5]),
+        ("loads", [None]),
+    ])
+    def test_values_that_do_not_fit_the_column_dtype_rejected(self, column, values):
+        columns = {"material_index": [0], "features": [(1.0,) * 7], column: values}
+        with pytest.raises(ValueError, match="do not fit"):
+            Dataset(**columns)
+
     def test_columns_are_read_only(self):
         features = np.ones((2, 7))
         ds = Dataset([0, 1], features, loads=[1.0, 2.0], labels=[ClassLabel.LOW] * 2)
