@@ -235,7 +235,7 @@ def _column(values, dtype, shape: tuple, column: str, bad, rule: str) -> np.ndar
     array = given.astype(dtype, copy=False)
     if array.shape != shape:
         raise ValueError(f"column {column}: expected shape {shape}, got {array.shape}")
-    if array is not given and not np.array_equal(array, given):
+    if not np.can_cast(given.dtype, dtype) and not np.array_equal(array, given):
         raise ValueError(f"column {column}: values do not fit {array.dtype}")
     hits = np.argwhere(bad(array))
     if len(hits):

@@ -180,6 +180,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="do not fit"):
             Dataset(**columns)
 
+    def test_narrower_float_column_checked_by_value(self):
+        features = np.ones((4, 7), dtype=np.float32)
+        features[2, FeatureId.DENSITY] = np.nan
+        with pytest.raises(ValueError, match="row 2, column density: not finite"):
+            Dataset(np.zeros(4, dtype=np.int64), features)
+
     def test_columns_are_read_only(self):
         features = np.ones((2, 7))
         ds = Dataset([0, 1], features, loads=[1.0, 2.0], labels=[ClassLabel.LOW] * 2)

@@ -46,6 +46,13 @@ class TestLabeling:
         with pytest.raises(ValueError):
             label_load(math.nan)
 
+    def test_label_dataset_matches_label_load(self):
+        t = Thresholds()
+        loads = [0.0, 75.0, math.nextafter(75.0, 90.0), 82.5,
+                 math.nextafter(90.0, 0.0), 90.0, 1e6]
+        ds = Dataset([0] * len(loads), [(1.0,) * 7] * len(loads), loads=loads)
+        assert label_dataset(ds, t).labels.tolist() == [label_load(q, t) for q in loads]
+
     def test_label_dataset_requires_loads(self):
         ds = Dataset([0], [(1.0,) * 7])
         with pytest.raises(ValueError, match="load"):

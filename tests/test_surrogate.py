@@ -155,6 +155,20 @@ class TestSimulateDataset:
         b = simulate_dataset(default_dataset, DEFAULTS).select(perm)
         assert a == b
 
+    @pytest.mark.parametrize("cfg", [DEFAULTS, SurrogateConfig(q_base=0.0, r_wall=1.0)])
+    def test_matches_per_row_formula_bit_for_bit(self, default_dataset, cfg):
+        # the scalar formula, one row at a time in Python floats and math.exp:
+        # the column version must give the same bits, since loads go out with repr
+        def load(t, rho, k, c, a_solar, a_visual, a_thermal):
+            u = 1.0 / (cfg.r_si + t / k + cfg.r_so)
+            conduction = u * cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0
+            damping = 1.0 - cfg.d_max * (1.0 - math.exp(-(rho * c * t) / cfg.c_ref))
+            return (damping * (conduction + cfg.q_base) + cfg.w_solar * a_solar
+                    + cfg.w_thermal * a_thermal + cfg.w_visual * a_visual)
+
+        expected = [load(*row) for row in default_dataset.features.tolist()]
+        assert simulate_dataset(default_dataset, cfg).loads.tolist() == expected
+
     def test_negative_load_aborts_with_row_index(self, default_dataset):
         bad = SurrogateConfig(q_base=-1000.0)
         with pytest.raises(ValueError, match="row 0"):
