@@ -63,13 +63,9 @@ def _cv_fold_ids(n: int, seed: int) -> np.ndarray:
     """Deterministic fold assignment: shuffled indices cut into CV_FOLDS
     near-equal contiguous chunks."""
     order = Xoshiro256pp(seed).shuffled(list(range(n)))
-    fold_of = np.empty(n, dtype=np.int64)
     base, extra = divmod(n, CV_FOLDS)
-    start = 0
-    for fold in range(CV_FOLDS):
-        size = base + (1 if fold < extra else 0)
-        fold_of[order[start : start + size]] = fold
-        start += size
+    fold_of = np.empty(n, dtype=np.int64)
+    fold_of[order] = np.repeat(np.arange(CV_FOLDS), [base + (f < extra) for f in range(CV_FOLDS)])
     return fold_of
 
 

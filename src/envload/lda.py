@@ -47,10 +47,12 @@ def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
     if x.ndim != 2:
         raise ValueError(f"x must be 2-D, got shape {x.shape}")
     n, p = x.shape
-    y = np.asarray(y, dtype=np.int8)
+    y = np.asarray(y)
     if y.shape != (n,):
         raise ValueError(f"got {n} rows but {y.size} labels")
-    counts = np.bincount(y, minlength=len(ClassLabel))
+    if not np.isin(y, list(ClassLabel)).all():
+        raise ValueError(f"labels must be ClassLabel codes, got {np.unique(y)}")
+    counts = np.bincount(y.astype(np.int8), minlength=len(ClassLabel))
     classes = tuple(lbl for lbl in ClassLabel if counts[lbl])
     k = len(classes)
     if k < 2:

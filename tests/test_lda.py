@@ -68,6 +68,12 @@ class TestFit:
         with pytest.raises(ValueError, match="covariance"):
             fit_lda(x, y)
 
+    @pytest.mark.parametrize("bad", [3, -1, 0.5])
+    def test_label_not_a_class_code_rejected(self, bad):
+        x = np.arange(6.0).reshape(6, 1)
+        with pytest.raises(ValueError, match="ClassLabel codes"):
+            fit_lda(x, [LOW, LOW, HIGH, HIGH, bad, bad])
+
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
             fit_lda(np.zeros((3, 1)), [LOW, HIGH])
