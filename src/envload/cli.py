@@ -25,8 +25,9 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain, product
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,8 +43,10 @@ from .dataset import (
     builtin_material_library,
     builtin_system_constants,
     constants_to_json,
+    format_rows,
     read_dataset,
     write_dataset,
+    write_lines,
 )
 from .preprocess import (
     Normalizer,
@@ -97,14 +100,17 @@ class _Out:
     def load(self, name: str) -> Dataset:
         return read_dataset(self.path / name)
 
-    def dataset(self, name: str, dataset: Dataset) -> None:
-        write_dataset(dataset, self._new(name))
+    def dataset(self, name: str, dataset: Dataset) -> list[str]:
+        return write_dataset(dataset, self._new(name))
 
-    def csv(self, name: str, header: list[str], rows: list[list[str]]) -> None:
+    def dataset_lines(self, name: str, lines: Iterable[str]) -> None:
+        write_lines(self._new(name), lines)
+
+    def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+        # no cell of these files needs quoting, so each line is its cells
+        # joined by commas, as csv.writer would write it
         with open(self._new(name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.writelines(",".join(cells) + "\r\n" for cells in chain([header], rows))
 
     def json(self, name: str, data: dict) -> None:
         self._new(name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -131,23 +137,33 @@ def stage_ingest(out: _Out, dataset: Dataset, loads_path: str) -> Dataset:
     return ingest_external_loads(dataset, loads_path)
 
 
-def stage_label(out: _Out, dataset: Dataset, thresholds: Thresholds) -> Dataset:
+def stage_label(
+    out: _Out, dataset: Dataset, thresholds: Thresholds
+) -> tuple[Dataset, np.ndarray]:
+    """The labelled dataset and its dataset.csv body lines, as an object array."""
     out.echo["thresholds"] = {"low_max": thresholds.low_max, "high_min": thresholds.high_min}
     labeled = label_dataset(dataset, thresholds)
-    out.dataset("dataset.csv", labeled)
-    return labeled
+    return labeled, np.array(out.dataset("dataset.csv", labeled), dtype=object)
 
 
-def stage_split(out: _Out, dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
+def stage_split(
+    out: _Out, dataset: Dataset, lines: np.ndarray, cfg: SplitConfig
+) -> tuple[Dataset, Dataset]:
+    """Split a dataset; train.csv and test.csv are subsets of its body `lines`."""
     out.echo["split"] = {
         "train_fraction": cfg.train_fraction,
         "seed": cfg.seed,
         "stratified": cfg.stratified,
     }
-    train, test = split(dataset, cfg)
-    out.dataset("train.csv", train)
-    out.dataset("test.csv", test)
-    return train, test
+    in_train = split(dataset, cfg)
+    out.dataset_lines("train.csv", lines[in_train])
+    out.dataset_lines("test.csv", lines[~in_train])
+    return dataset.select(in_train), dataset.select(~in_train)
+
+
+def _split_from_file(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> None:
+    dataset = out.load("dataset.csv")
+    stage_split(out, dataset, np.array(format_rows(dataset), dtype=object), cfg.split)
 
 
 def _normalize(train: Dataset) -> tuple[Normalizer, Dataset]:
@@ -174,14 +190,12 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
             for name, row in pca_mod.loading_report(model)
         ],
     )
+    # each PC's scores are formatted once and shared by the two files that show it
+    pcs = [list(map(repr, col)) for col in pca_mod.project(model, train_n, [1, 2, 3]).T.tolist()]
     labels = [LABEL_NAMES[c] for c in train_n.labels.tolist()]
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        scores = pca_mod.project(model, train_n, [i, j]).tolist()
-        out.csv(
-            f"scores_{i}_{j}.csv",
-            [f"pc{i}", f"pc{j}", "label"],
-            [[_float_cell(a), _float_cell(b), lbl] for (a, b), lbl in zip(scores, labels)],
-        )
+        out.csv(f"scores_{i}_{j}.csv", [f"pc{i}", f"pc{j}", "label"],
+                zip(pcs[i - 1], pcs[j - 1], labels))
     return model
 
 
@@ -284,13 +298,14 @@ def _emit_decision_grids(
             margin = GRID_MARGIN * (hi - lo)
             bounds.extend([lo - margin, hi + margin])
         # grid in raw units; normalize per feature before predicting
-        grid_raw = lda_mod.decision_grid(
+        codes = lda_mod.decision_grid(
             _denormalized_twin(model, norm, f1, f2), tuple(bounds), resolution
         )
+        xs, ys = (list(map(repr, axis)) for axis in lda_mod.grid_axes(tuple(bounds), resolution))
         out.csv(
             f"decision_grid_{f1.column_name}_{f2.column_name}.csv",
             ["x", "y", "label"],
-            [[_float_cell(x), _float_cell(y), lbl.csv_value] for x, y, lbl in grid_raw],
+            ((x, y, LABEL_NAMES[c]) for (y, x), c in zip(product(ys, xs), codes.tolist())),
         )
 
 
@@ -413,10 +428,10 @@ def _pipeline(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> I
         yield "simulate"
         dataset = stage_simulate(out, dataset, cfg.surrogate)
     yield "label"
-    dataset = stage_label(out, dataset, cfg.thresholds)
+    dataset, lines = stage_label(out, dataset, cfg.thresholds)
     yield "split"
-    train, test = stage_split(out, dataset, cfg.split)
-    del dataset
+    train, test = stage_split(out, dataset, lines, cfg.split)
+    del dataset, lines
     yield "pca"
     norm, train_n = _normalize(train)
     pca_model = stage_pca(out, train_n)
@@ -477,8 +492,7 @@ _SUBCOMMANDS = (
          o, o.load("dataset.csv"), a.ingest_loads))),
     ("label", "label loads into classes",
      lambda a, c, o: stage_label(o, o.load("dataset.csv"), c.thresholds)),
-    ("split", "train/test split",
-     lambda a, c, o: stage_split(o, o.load("dataset.csv"), c.split)),
+    ("split", "train/test split", _split_from_file),
     ("pca", "scree, loadings, and PC scores",
      lambda a, c, o: stage_pca(o, _normalize(o.load("train.csv"))[1])),
     ("efs", "exhaustive feature-subset sweep",

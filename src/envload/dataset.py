@@ -17,8 +17,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -305,22 +306,44 @@ def builtin_system_constants() -> SystemConstants:
 CSV_HEADER = ("material_index",) + FEATURE_COLUMNS + ("load", "label")
 
 
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset as CSV; see module docs for the layout."""
-    n = len(dataset)
-    loads = [""] * n if dataset.loads is None else map(repr, dataset.loads.tolist())
-    labels = ([""] * n if dataset.labels is None
-              else [LABEL_NAMES[c] for c in dataset.labels.tolist()])
-    # no cell needs quoting, so each line is its cells joined by commas,
-    # as csv.writer would write it
+# Rows per .tolist() in format_rows: Python floats of one chunk at a time
+# live beside the lines, never those of the whole feature matrix.
+_FORMAT_CHUNK = 4096
+
+
+def format_rows(dataset: Dataset) -> list[str]:
+    """The CSV body lines of a dataset, one per row, each ending in "\r\n".
+
+    No cell needs quoting, so each line is its cells joined by commas, as
+    csv.writer would write it."""
+    lines: list[str] = []
+    for start in range(0, len(dataset), _FORMAT_CHUNK):
+        rows = slice(start, start + _FORMAT_CHUNK)
+        loads = repeat("") if dataset.loads is None else map(repr, dataset.loads[rows].tolist())
+        labels = (repeat("") if dataset.labels is None
+                  else (LABEL_NAMES[c] for c in dataset.labels[rows].tolist()))
+        lines.extend(
+            ",".join([str(m), *map(repr, f), load, label]) + "\r\n"
+            for m, f, load, label in zip(dataset.material_index[rows].tolist(),
+                                         dataset.features[rows].tolist(), loads, labels)
+        )
+    return lines
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write a dataset CSV from body lines made by format_rows."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.writelines(
-            ",".join([str(m), *map(repr, feats), load, label]) + "\r\n"
-            for m, feats, load, label in zip(
-                dataset.material_index.tolist(), dataset.features.tolist(), loads, labels
-            )
-        )
+        fh.writelines(lines)
+
+
+def write_dataset(dataset: Dataset, path: str | Path) -> list[str]:
+    """Write a dataset as CSV; see module docs for the layout. Returns the
+    body lines, so that subsets of the rows can be written with write_lines
+    without formatting them again."""
+    lines = format_rows(dataset)
+    write_lines(path, lines)
+    return lines
 
 
 def read_dataset(path: str | Path) -> Dataset:

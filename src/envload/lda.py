@@ -142,26 +142,35 @@ def accuracy(model: LdaModel, x: np.ndarray, y: np.ndarray | Sequence[ClassLabel
     return int(np.count_nonzero(predict_many(model, x) == y)) / len(y)
 
 
-def decision_grid(
-    model: LdaModel,
-    bounds: tuple[float, float, float, float],
-    resolution: int | tuple[int, int],
-) -> list[tuple[float, float, ClassLabel]]:
-    """Labels over a regular grid for a 2-feature model.
+def grid_axes(
+    bounds: tuple[float, float, float, float], resolution: int | tuple[int, int]
+) -> tuple[list[float], list[float]]:
+    """The x and y values of a regular grid, each axis from its min to its max.
 
     bounds is (x_min, x_max, y_min, y_max); resolution is points per axis.
-    Points are emitted row-major, y outer, x inner.
     """
-    if model.p != 2:
-        raise ValueError(f"decision grid needs a 2-feature model, got p={model.p}")
     nx, ny = (resolution, resolution) if isinstance(resolution, int) else resolution
     if nx < 2 or ny < 2:
         raise ValueError(f"resolution must be >= 2 per axis, got ({nx}, {ny})")
     x_min, x_max, y_min, y_max = bounds
     if not (x_min < x_max and y_min < y_max):
         raise ValueError(f"bad bounds {bounds}")
-    xs = [x_min + i * (x_max - x_min) / (nx - 1) for i in range(nx)]
-    ys = [y_min + j * (y_max - y_min) / (ny - 1) for j in range(ny)]
-    points = np.array([(x, y) for y in ys for x in xs])
-    labels = predict_many(model, points).tolist()
-    return [(px, py, ClassLabel(c)) for (px, py), c in zip(points.tolist(), labels)]
+    return tuple([lo + i * (hi - lo) / (n - 1) for i in range(n)]
+                 for lo, hi, n in ((x_min, x_max, nx), (y_min, y_max, ny)))
+
+
+def decision_grid(
+    model: LdaModel,
+    bounds: tuple[float, float, float, float],
+    resolution: int | tuple[int, int],
+) -> np.ndarray:
+    """ClassLabel codes (int8) over the grid_axes points for a 2-feature model.
+
+    Points are in row-major order, y outer, x inner: code k is at
+    (xs[k % nx], ys[k // nx]).
+    """
+    if model.p != 2:
+        raise ValueError(f"decision grid needs a 2-feature model, got p={model.p}")
+    xs, ys = grid_axes(bounds, resolution)
+    points = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+    return predict_many(model, points)

@@ -64,13 +64,14 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split(dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
-    """Partition into (train, test) with |train| = round(n * train_fraction).
+def split(dataset: Dataset, cfg: SplitConfig) -> np.ndarray:
+    """Boolean mask of the train rows, round(n * train_fraction) of them;
+    dataset.select(mask) and dataset.select(~mask) are the train and test
+    parts, each in the original row order.
 
     The stratified mode allocates per-class counts by largest remainder, so
-    class proportions carry over as exactly as integer counts allow. Row
-    order within each part follows the original dataset. Deterministic in
-    cfg.seed.
+    class proportions carry over as exactly as integer counts allow.
+    Deterministic in cfg.seed.
     """
     labels = dataset.labels
     if labels is None:
@@ -87,7 +88,7 @@ def split(dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
         _mark_stratified_train(in_train, labels, n_train_total, cfg, rng)
     else:
         in_train[rng.shuffled(list(range(n)))[:n_train_total]] = True
-    return dataset.select(in_train), dataset.select(~in_train)
+    return in_train
 
 
 def _mark_stratified_train(

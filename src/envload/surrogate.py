@@ -127,7 +127,8 @@ def simulate_dataset(dataset: Dataset, cfg: SurrogateConfig) -> Dataset:
 def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
     """Attach externally computed loads from a (row_index, load) CSV.
 
-    The file must cover every dataset row exactly once.
+    The file must cover every dataset row exactly once. Errors name the
+    line of the file, the header being line 1.
     """
     n = len(dataset)
     loads: list[float | None] = [None] * n
@@ -136,9 +137,10 @@ def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["row_index", "load"]:
             raise ValueError("expected header 'row_index,load'")
-        for lineno, cells in enumerate(reader, start=1):
+        for cells in reader:
             if not cells:
                 continue
+            lineno = reader.line_num
             if len(cells) < 2:
                 raise ValueError(f"line {lineno}: expected 2 columns")
             try:

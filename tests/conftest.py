@@ -30,7 +30,8 @@ def labeled_dataset(default_dataset):
 
 @pytest.fixture(scope="session")
 def default_split(labeled_dataset):
-    return split(labeled_dataset, SplitConfig())
+    in_train = split(labeled_dataset, SplitConfig())
+    return labeled_dataset.select(in_train), labeled_dataset.select(~in_train)
 
 
 @pytest.fixture(scope="session")

@@ -47,7 +47,8 @@ def test_criterion_1_dataset_shape():
     start = time.perf_counter()
     dataset = generate_dataset(builtin_material_library(), SamplerConfig())
     labeled = label_dataset(simulate_dataset(dataset, SurrogateConfig()))
-    train, test = split(labeled, SplitConfig())
+    in_train = split(labeled, SplitConfig())
+    train, test = labeled.select(in_train), labeled.select(~in_train)
     assert len(dataset) == 600
     assert (len(train), len(test)) == (210, 390)
     _report("criterion 1 - 600 rows, 210/390 stratified split",

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from envload import cli
+from envload import dataset as dataset_mod
+from envload import lda as lda_mod
 from envload.cli import main
-from envload.dataset import ClassLabel, FeatureId, read_dataset
-from envload.lda import accuracy, fit_lda
-from envload.preprocess import apply_normalizer, fit_normalizer
+from envload.dataset import LABEL_NAMES, ClassLabel, FeatureId, read_dataset, write_dataset
+from envload.lda import accuracy, fit_lda, predict_many
+from envload.pca import fit_pca, project
+from envload.preprocess import SplitConfig, apply_normalizer, fit_normalizer, split
 
 PINNED_DIGESTS = Path(__file__).parent / "data" / "default_run_sha256.json"
 
@@ -163,16 +166,83 @@ class TestDeterminismAndComposition:
             raise AssertionError(f"run read back {path}")
 
         written = []
-        write = cli.write_dataset
+        write = dataset_mod.write_lines
 
-        def recording_write(dataset, path):
+        def recording_write(path, lines):
             written.append(Path(path).name)
-            write(dataset, path)
+            write(path, lines)
 
         monkeypatch.setattr(cli, "read_dataset", no_read)
-        monkeypatch.setattr(cli, "write_dataset", recording_write)
+        # write_dataset writes through write_lines; the CLI also calls it directly
+        monkeypatch.setattr(dataset_mod, "write_lines", recording_write)
+        monkeypatch.setattr(cli, "write_lines", recording_write)
         assert main(["run", "--out", str(tmp_path / "out"), "--n-per-material", "10"]) == 0
         assert sorted(written) == ["dataset.csv", "test.csv", "train.csv"]
+
+
+@pytest.fixture(scope="module", params=[["--grid-resolution", "2"],
+                                        ["--no-stratify", "--grid-resolution", "7"]],
+                ids=["stratified-2", "unstratified-7"])
+def seed7_run(request, tmp_path_factory):
+    """A run at --seed 7 --n-per-material 30 with the decision_grid calls it made."""
+    out = tmp_path_factory.mktemp("seed7")
+    grids = []
+    decision_grid = lda_mod.decision_grid
+
+    def recording_grid(model, bounds, resolution):
+        grids.append((model, bounds, resolution))
+        return decision_grid(model, bounds, resolution)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lda_mod, "decision_grid", recording_grid)
+        assert main(["run", "--out", str(out), "--seed", "7", "--n-per-material", "30",
+                     *request.param]) == 0
+    return out, "--no-stratify" not in request.param, grids
+
+
+def _text(path: Path) -> str:
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+class TestFormattedOnce:
+    """Files written from lines formatted once equal those formatted per file."""
+
+    def test_split_files_equal_written_parts(self, seed7_run, tmp_path):
+        out, stratified, _ = seed7_run
+        dataset = read_dataset(out / "dataset.csv")
+        in_train = split(dataset, SplitConfig(seed=42, stratified=stratified))
+        for name, rows in (("train.csv", in_train), ("test.csv", ~in_train)):
+            write_dataset(dataset.select(rows), tmp_path / name)
+            assert _text(out / name) == _text(tmp_path / name), name
+
+    def test_scores_equal_pairwise_projections(self, seed7_run):
+        out, _, _ = seed7_run
+        train = read_dataset(out / "train.csv")
+        train_n = apply_normalizer(fit_normalizer(train), train)
+        model = fit_pca(train_n)
+        labels = [LABEL_NAMES[c] for c in train_n.labels.tolist()]
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            scores = project(model, train_n, [i, j]).tolist()
+            expected = f"pc{i},pc{j},label\r\n" + "".join(
+                f"{a!r},{b!r},{lbl}\r\n" for (a, b), lbl in zip(scores, labels)
+            )
+            assert _text(out / f"scores_{i}_{j}.csv") == expected
+
+    def test_grids_equal_pointwise_predictions(self, seed7_run):
+        out, _, grids = seed7_run
+        expected = []
+        for model, (x_min, x_max, y_min, y_max), n in grids:
+            xs = [x_min + i * (x_max - x_min) / (n - 1) for i in range(n)]
+            ys = [y_min + j * (y_max - y_min) / (n - 1) for j in range(n)]
+            points = [(x, y) for y in ys for x in xs]
+            codes = predict_many(model, np.array(points)).tolist()
+            expected.append("x,y,label\r\n" + "".join(
+                f"{x!r},{y!r},{LABEL_NAMES[c]}\r\n" for (x, y), c in zip(points, codes)
+            ))
+        written = [_text(p) for p in out.glob("decision_grid_*.csv")]
+        assert len(grids) == len(written) == 6
+        assert sorted(written) == sorted(expected)
 
 
 class TestIngestPath:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from envload import dataset as dataset_mod
 from envload.dataset import (
     CSV_HEADER,
     ClassLabel,
@@ -18,6 +21,7 @@ from envload.dataset import (
     builtin_system_constants,
     constants_from_json,
     constants_to_json,
+    format_rows,
     library_from_json,
     library_to_json,
     read_dataset,
@@ -285,6 +289,32 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError, match="header"):
             read_dataset(path)
+
+
+def _row_line(ds: Dataset, i: int) -> str:
+    """Row i as csv.writer writes it, from per-element Python values."""
+    load = "" if ds.loads is None else repr(float(ds.loads[i]))
+    label = "" if ds.labels is None else ClassLabel(int(ds.labels[i])).csv_value
+    buf = io.StringIO()
+    csv.writer(buf).writerow(
+        [int(ds.material_index[i]), *(repr(float(v)) for v in ds.features[i]), load, label]
+    )
+    return buf.getvalue()
+
+
+class TestFormatRows:
+    @pytest.mark.parametrize("columns", ["features", "loads", "labels"])
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_equals_per_row_formula_at_chunk_edges(self, tmp_path, edge, columns):
+        ds = _synthetic_dataset(dataset_mod._FORMAT_CHUNK + edge, labels=columns == "labels")
+        if columns == "features":
+            ds = Dataset(ds.material_index, ds.features)
+        expected = [_row_line(ds, i) for i in range(len(ds))]
+        assert format_rows(ds) == expected
+        path = tmp_path / "ds.csv"
+        assert write_dataset(ds, path) == expected
+        with open(path, newline="") as fh:
+            assert fh.read() == ",".join(CSV_HEADER) + "\r\n" + "".join(expected)
 
 
 class TestJsonExport:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from envload.lda import (
     decision_grid,
     discriminants,
     fit_lda,
+    grid_axes,
     predict,
     predict_many,
 )
@@ -199,6 +201,14 @@ class TestAccuracy:
             accuracy(model, np.zeros((0, 1)), [])
 
 
+def _grid(model, bounds, resolution):
+    """decision_grid as (x, y, ClassLabel) points, row-major like its codes."""
+    xs, ys = grid_axes(bounds, resolution)
+    codes = decision_grid(model, bounds, resolution).tolist()
+    assert len(codes) == len(xs) * len(ys)
+    return [(x, y, ClassLabel(c)) for (y, x), c in zip(itertools.product(ys, xs), codes)]
+
+
 class TestDecisionGrid:
     @pytest.fixture()
     def model_2d(self):
@@ -207,14 +217,14 @@ class TestDecisionGrid:
         return fit_lda(x, y)
 
     def test_grid_matches_pointwise_prediction(self, model_2d):
-        grid = decision_grid(model_2d, (-1.0, 5.0, -1.0, 5.0), 9)
+        grid = _grid(model_2d, (-1.0, 5.0, -1.0, 5.0), 9)
         assert len(grid) == 81
         for px, py, lbl in grid:
             assert predict(model_2d, np.array([px, py])) is lbl
 
     def test_doubling_resolution_agrees_at_shared_points(self, model_2d):
-        coarse = decision_grid(model_2d, (-1.0, 5.0, -1.0, 5.0), 11)
-        fine = decision_grid(model_2d, (-1.0, 5.0, -1.0, 5.0), 21)
+        coarse = _grid(model_2d, (-1.0, 5.0, -1.0, 5.0), 11)
+        fine = _grid(model_2d, (-1.0, 5.0, -1.0, 5.0), 21)
         coarse_map = {(px, py): lbl for px, py, lbl in coarse}
         fine_map = {(px, py): lbl for px, py, lbl in fine}
         shared = set(coarse_map) & set(fine_map)
@@ -227,7 +237,7 @@ class TestDecisionGrid:
         y = [LOW] * 4 + [HIGH] * 4
         model = fit_lda(x, y)
         n = 41
-        grid = decision_grid(model, (-3.0, 3.0, -3.0, 3.0), n)
+        grid = _grid(model, (-3.0, 3.0, -3.0, 3.0), n)
         cell = 6.0 / (n - 1)
         crossings = []
         for j in range(n):  # per grid row, x where the label flips

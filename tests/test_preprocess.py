@@ -72,42 +72,48 @@ def _rows(ds: Dataset) -> Counter:
                        ds.loads.tolist(), ds.labels.tolist()))
 
 
+def _parts(ds: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
+    """(train, test) of the split's train mask."""
+    in_train = split(ds, cfg)
+    return ds.select(in_train), ds.select(~in_train)
+
+
 class TestSplit:
     def test_default_pipeline_is_210_390(self, labeled_dataset):
-        train, test = split(labeled_dataset, SplitConfig())
+        train, test = _parts(labeled_dataset, SplitConfig())
         assert (len(train), len(test)) == (210, 390)
 
     def test_partition_no_loss_no_duplication(self, labeled_dataset):
-        train, test = split(labeled_dataset, SplitConfig())
+        train, test = _parts(labeled_dataset, SplitConfig())
         combined = _rows(train) + _rows(test)
         assert combined == _rows(labeled_dataset)
 
     def test_same_seed_same_split(self, labeled_dataset):
-        a = split(labeled_dataset, SplitConfig(seed=9))
-        b = split(labeled_dataset, SplitConfig(seed=9))
+        a = _parts(labeled_dataset, SplitConfig(seed=9))
+        b = _parts(labeled_dataset, SplitConfig(seed=9))
         assert a == b
 
     def test_different_seed_different_membership(self, labeled_dataset):
-        a_train, _ = split(labeled_dataset, SplitConfig(seed=9))
-        b_train, _ = split(labeled_dataset, SplitConfig(seed=10))
+        a_train, _ = _parts(labeled_dataset, SplitConfig(seed=9))
+        b_train, _ = _parts(labeled_dataset, SplitConfig(seed=10))
         assert a_train != b_train
 
     def test_two_rows_one_class_half(self):
         ds = _labeled({ClassLabel.LOW: 2})
-        train, test = split(ds, SplitConfig(train_fraction=0.5))
+        train, test = _parts(ds, SplitConfig(train_fraction=0.5))
         assert (len(train), len(test)) == (1, 1)
 
     def test_largest_remainder_allocation(self):
         # quotas 1.5 / 1.5 / 2.0 at fraction 0.5 -> floors 1/1/2, one leftover
         # goes to the earliest largest-remainder class (LOW)
         ds = _labeled({ClassLabel.LOW: 3, ClassLabel.MEDIUM: 3, ClassLabel.HIGH: 4})
-        train, _ = split(ds, SplitConfig(train_fraction=0.5))
+        train, _ = _parts(ds, SplitConfig(train_fraction=0.5))
         by_class = Counter(ClassLabel(c) for c in train.labels.tolist())
         assert len(train) == 5
         assert by_class == {ClassLabel.LOW: 2, ClassLabel.MEDIUM: 1, ClassLabel.HIGH: 2}
 
     def test_stratification_preserves_class_shares(self, labeled_dataset):
-        train, _ = split(labeled_dataset, SplitConfig())
+        train, _ = _parts(labeled_dataset, SplitConfig())
         total = Counter(ClassLabel(c) for c in labeled_dataset.labels.tolist())
         in_train = Counter(ClassLabel(c) for c in train.labels.tolist())
         for lbl, n in total.items():
@@ -125,7 +131,7 @@ class TestSplit:
 
     def test_unstratified_mode(self, labeled_dataset):
         cfg = SplitConfig(stratified=False)
-        train, test = split(labeled_dataset, cfg)
+        train, test = _parts(labeled_dataset, cfg)
         assert (len(train), len(test)) == (210, 390)
         combined = _rows(train) + _rows(test)
         assert combined == _rows(labeled_dataset)

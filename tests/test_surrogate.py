@@ -210,6 +210,13 @@ class TestIngest:
         with pytest.raises(ValueError, match="out of range"):
             ingest_external_loads(default_dataset, path)
 
+    @pytest.mark.parametrize("second_line", ["0,80.0\n", "\n"], ids=["row", "blank"])
+    def test_error_names_the_physical_line(self, tmp_path, default_dataset, second_line):
+        path = tmp_path / "loads.csv"
+        path.write_text("row_index,load\n" + second_line + "1,abc\n")
+        with pytest.raises(ValueError, match=r"^line 3: malformed row \['1', 'abc'\]$"):
+            ingest_external_loads(default_dataset, path)
+
     def test_bad_header_rejected(self, tmp_path, default_dataset):
         path = tmp_path / "loads.csv"
         path.write_text("index,value\n0,80\n")

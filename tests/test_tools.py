@@ -40,7 +40,8 @@ def test_pipeline_stats_at_default(calibrate, default_dataset):
 def test_numpy_pc1_ranking_matches_package_pca(calibrate, default_dataset):
     info = calibrate.pc1_ranking_numpy(default_dataset, DEFAULT_Q_BASE)
     labeled = label_dataset(simulate_dataset(default_dataset, SurrogateConfig()))
-    train, test = split(labeled, SplitConfig())
+    in_train = split(labeled, SplitConfig())
+    train, test = labeled.select(in_train), labeled.select(~in_train)
     model = fit_pca(apply_normalizer(fit_normalizer(train), train))
     assert (info["n_train"], info["n_test"]) == (len(train), len(test))
     assert info["ranking"] == [f.column_name for f in top_features(model, 7)]

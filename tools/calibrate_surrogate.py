@@ -50,7 +50,8 @@ def pc1_ranking_numpy(dataset, q_base):
     1/(n-1) covariance of the training matrix."""
     loads = thermal_loads(dataset.features, SurrogateConfig(q_base=q_base))
     labeled = label_dataset(dataset.with_loads(loads))
-    train, test = split(labeled, SplitConfig())
+    in_train = split(labeled, SplitConfig())
+    train, test = labeled.select(in_train), labeled.select(~in_train)
     norm = fit_normalizer(train)
     x = apply_normalizer(norm, train).features
     xc = x - x.mean(axis=0)
