@@ -24,8 +24,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from itertools import chain, product
+from itertools import chain, combinations, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +41,7 @@ from .dataset import (
     FeatureId,
     LABEL_NAMES,
     N_FEATURES,
+    _cell,
     builtin_material_library,
     builtin_system_constants,
     constants_to_json,
@@ -214,35 +216,59 @@ def stage_efs(out: _Out, train: Dataset, metric: str, cv_seed: int) -> efs_mod.E
     return report
 
 
+def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[str, dict[str, str]]]:
+    """(place, cells by column name) for each non-blank body line of a CSV
+    that a stage wrote; place names the file and line (header = line 1)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path.name}, line 1: missing column {missing[0]!r}")
+        for cells in reader:
+            if not cells:
+                continue
+            place = f"{path.name}, line {reader.line_num}"
+            if len(cells) != len(header):
+                raise ValueError(f"{place}: expected {len(header)} cells, got {len(cells)}")
+            yield place, dict(zip(header, cells))
+
+
+def _number(place: str, row: dict[str, str], column: str) -> float:
+    return _cell(place, column, row[column], float, "a finite number", math.isfinite)
+
+
 def _read_pca(path: Path, n_fit: int) -> pca_mod.PcaModel:
     """The model that `pca` wrote to scree.csv and loadings.csv. Those keep
     only the variance ratios and |loadings|, so the eigenvalues come back as
     the ratios and the loadings unsigned; ranking and the summary need no more."""
-    with open(path / "scree.csv", newline="") as fh:
-        scree = np.array([[float(r["ratio"]), float(r["cumulative"])]
-                          for r in csv.DictReader(fh)]).reshape(-1, 2)
+    scree = np.array([[_number(place, row, c) for c in ("ratio", "cumulative")]
+                      for place, row in _csv_rows(path / "scree.csv", ["ratio", "cumulative"])
+                      ]).reshape(-1, 2)
+    pcs = [f"pc{j + 1}" for j in range(len(scree))]
     loadings = np.zeros((N_FEATURES, len(scree)))
-    with open(path / "loadings.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            loadings[_BY_NAME[row["feature"]]] = [
-                float(row[f"pc{j + 1}"]) for j in range(len(scree))
-            ]
+    for place, row in _csv_rows(path / "loadings.csv", ["feature", *pcs]):
+        feature = _cell(place, "feature", row["feature"], _BY_NAME.__getitem__,
+                        "a feature name")
+        loadings[feature] = [_number(place, row, c) for c in pcs]
     return pca_mod.PcaModel(scree[:, 0], scree[:, 0], scree[:, 1], loadings, n_fit)
 
 
 def _read_efs(path: Path, metric: str) -> efs_mod.EfsReport:
     """The report that `efs` wrote to efs_accuracy.csv."""
-    with open(path, newline="") as fh:
-        results = [
-            efs_mod.SubsetResult(
-                subset=tuple(_BY_NAME[n] for n in row["subset"].split("+")),
-                size=int(row["size"]),
-                metric_value=float(row["metric"]),
-                metric_kind=metric,
-                fit_failed=bool(int(row["flag"])),
-            )
-            for row in csv.DictReader(fh)
-        ]
+    results = [
+        efs_mod.SubsetResult(
+            subset=_cell(place, "subset", row["subset"],
+                         lambda text: tuple(_BY_NAME[n] for n in text.split("+")),
+                         "feature names joined by '+'"),
+            size=_cell(place, "size", row["size"], int, "an integer"),
+            metric_value=_number(place, row, "metric"),
+            metric_kind=metric,
+            fit_failed=bool(_cell(place, "flag", row["flag"], int, "0 or 1",
+                                  lambda v: v in (0, 1))),
+        )
+        for place, row in _csv_rows(path, ["subset", "size", "metric", "flag"])
+    ]
     return efs_mod.build_report(results, metric)
 
 
@@ -281,15 +307,12 @@ def _emit_decision_grids(
     resolution: int,
 ) -> None:
     """Six pairwise decision-region grids over the selected features, in raw
-    feature units (the model works in normalized space)."""
+    feature units. The model works in normalized space, so each axis is
+    z-scored as apply_normalizer does before predicting; a constant feature
+    (sigma = 0) has zero-width bounds, which grid_axes rejects."""
     raw = train.features
-    ordered = sorted(features, key=int)  # canonical order keeps names stable
-    pairs = [
-        (ordered[a], ordered[b])
-        for a in range(len(ordered))
-        for b in range(a + 1, len(ordered))
-    ]
-    for f1, f2 in pairs:
+    # canonical order keeps the file names stable
+    for f1, f2 in combinations(sorted(features, key=int), 2):
         cols = [int(f1), int(f2)]
         model = lda_mod.fit_lda(train_n.features[:, cols], train_n.labels)
         bounds = []
@@ -297,40 +320,16 @@ def _emit_decision_grids(
             lo, hi = float(raw[:, f].min()), float(raw[:, f].max())
             margin = GRID_MARGIN * (hi - lo)
             bounds.extend([lo - margin, hi + margin])
-        # grid in raw units; normalize per feature before predicting
-        codes = lda_mod.decision_grid(
-            _denormalized_twin(model, norm, f1, f2), tuple(bounds), resolution
-        )
-        xs, ys = (list(map(repr, axis)) for axis in lda_mod.grid_axes(tuple(bounds), resolution))
+        axes = lda_mod.grid_axes(tuple(bounds), resolution)
+        xs_z, ys_z = ((np.array(axis) - norm.means[f]) / norm.std_devs[f]
+                      for axis, f in zip(axes, cols))
+        codes = lda_mod.decision_grid(model, xs_z, ys_z)
+        xs, ys = (list(map(repr, axis)) for axis in axes)
         out.csv(
             f"decision_grid_{f1.column_name}_{f2.column_name}.csv",
             ["x", "y", "label"],
             ((x, y, LABEL_NAMES[c]) for (y, x), c in zip(product(ys, xs), codes.tolist())),
         )
-
-
-def _denormalized_twin(
-    model: lda_mod.LdaModel, norm: Normalizer, f1: FeatureId, f2: FeatureId
-) -> lda_mod.LdaModel:
-    """Rewrite a 2-feature model fit in z-space to accept raw coordinates.
-
-    z = (x - mu) / sigma is affine, so delta_k(z(x)) stays linear in x:
-    coefficients divide by sigma, intercepts absorb the mean shift.
-    """
-    sigmas = np.array([norm.std_devs[f1] or 1.0, norm.std_devs[f2] or 1.0])
-    mus = np.array([norm.means[f1], norm.means[f2]])
-    coef = model.coef / sigmas
-    intercept = model.intercept - coef @ mus
-    return lda_mod.LdaModel(
-        classes=model.classes,
-        means=model.means,
-        pooled_covariance=model.pooled_covariance,
-        solver=model.solver,
-        log_priors=model.log_priors,
-        p=2,
-        coef=coef,
-        intercept=intercept,
-    )
 
 
 def stage_train(
@@ -445,7 +444,11 @@ def _train_from_files(args: argparse.Namespace, cfg: argparse.Namespace, out: _O
     train, test = out.load("train.csv"), out.load("test.csv")
     norm, train_n = _normalize(train)
     pca_model = _read_pca(out.path, len(train))
-    report = _read_efs(out.path / "efs_accuracy.csv", out.echo["efs"]["metric"])
+    metric = out.echo.get("efs", {}).get("metric")
+    if metric not in _EFS_METRIC_FLAGS.values():
+        raise ValueError(f"config.json, key efs.metric: expected one of "
+                         f"{sorted(_EFS_METRIC_FLAGS.values())}, got {metric!r}")
+    report = _read_efs(out.path / "efs_accuracy.csv", metric)
     stage_train(out, train, test, norm, train_n, pca_model, report, args.grid_resolution)
 
 

@@ -398,32 +398,34 @@ def _parse_row(rownum: int, cells: list[str], width: int) -> tuple:
         got = len(cells) - width + N_FEATURES
         raise ValueError(f"row {rownum}: expected {N_FEATURES} features, got {got}")
     *cells, load, label = cells + [""] * (len(CSV_HEADER) - width)
+    row = f"row {rownum}"
     return (
         rownum,
-        _cell(rownum, "material_index", cells[0], int, "an integer >= 0",
+        _cell(row, "material_index", cells[0], int, "an integer >= 0",
               lambda v: v >= 0),
-        [_cell(rownum, name, text, float, "a finite number", math.isfinite)
+        [_cell(row, name, text, float, "a finite number", math.isfinite)
          for name, text in zip(FEATURE_COLUMNS, cells[1:])],
-        None if load == "" else _cell(rownum, "load", load, float,
+        None if load == "" else _cell(row, "load", load, float,
                                       "a finite number >= 0",
                                       lambda v: math.isfinite(v) and v >= 0.0),
-        None if label == "" else _cell(rownum, "label", label.strip().lower(),
+        None if label == "" else _cell(row, "label", label.strip().lower(),
                                        LABEL_NAMES.index,
                                        "one of " + ", ".join(LABEL_NAMES)),
     )
 
 
-def _cell(rownum: int, column: str, text: str, parse, expected: str,
+def _cell(where: str, column: str, text: str, parse, expected: str,
           valid=lambda v: True):
-    """parse(text), or a ValueError naming the row and column when it fails
-    or its value is not valid."""
+    """parse(text), or a ValueError naming the place (e.g. "row 3") and the
+    column when parse fails (ValueError or LookupError) or its value is not
+    valid."""
     try:
         value = parse(text)
-    except ValueError:
+    except (ValueError, LookupError):
         value = None
     if value is None or not valid(value):
         raise ValueError(
-            f"row {rownum}, column {column}: expected {expected}, got {text!r}"
+            f"{where}, column {column}: expected {expected}, got {text!r}"
         )
     return value
 

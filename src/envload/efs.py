@@ -1,15 +1,13 @@
 """Exhaustive wrapper feature selection over an LDA classifier.
 
-Every feature subset is evaluated independently on a shared read-only
-training matrix, so the sweep can run on a thread pool; results are always
-assembled in enumeration order (size ascending, then lexicographic), making
-sequential and parallel runs identical. A subset whose LDA fit fails scores
-0 with a diagnostic flag instead of aborting the sweep.
+Every feature subset is evaluated on the same training matrix, one after
+another in enumeration order (size ascending, then lexicographic). A subset
+whose LDA fit fails scores 0 with a diagnostic flag instead of aborting the
+sweep.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -18,7 +16,6 @@ import numpy as np
 
 from .dataset import Dataset, FeatureId, N_FEATURES
 from .lda import accuracy, fit_lda, predict_many
-from .numerics import ConvergenceError, NotPositiveDefiniteError
 from .sampling import Xoshiro256pp
 
 METRIC_TRAIN = "train_accuracy"
@@ -69,9 +66,6 @@ def _cv_fold_ids(n: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-_FIT_ERRORS = (ValueError, NotPositiveDefiniteError, ConvergenceError)
-
-
 def _evaluate_subset(
     cols: tuple[int, ...],
     x: np.ndarray,
@@ -84,7 +78,7 @@ def _evaluate_subset(
         try:
             model = fit_lda(xs, y)
             return accuracy(model, xs, y), False
-        except _FIT_ERRORS:
+        except ValueError:  # NotPositiveDefiniteError is one
             return 0.0, True
     # pooled k-fold accuracy: correct held-out predictions over all rows
     assert fold_of is not None
@@ -93,7 +87,7 @@ def _evaluate_subset(
         held_out = fold_of == fold
         try:
             model = fit_lda(xs[~held_out], y[~held_out])
-        except _FIT_ERRORS:
+        except ValueError:
             return 0.0, True
         correct += int(np.count_nonzero(predict_many(model, xs[held_out]) == y[held_out]))
     return correct / len(y), False
@@ -103,7 +97,6 @@ def run_efs(
     train: Dataset,
     metric: str = METRIC_TRAIN,
     cv_seed: int = 42,
-    n_jobs: int = 1,
 ) -> EfsReport:
     """Evaluate LDA on every non-empty feature subset of the training set."""
     if metric not in (METRIC_TRAIN, METRIC_CV5):
@@ -116,30 +109,17 @@ def run_efs(
     x = train.features
 
     fold_of = _cv_fold_ids(len(y), cv_seed) if metric == METRIC_CV5 else None
-    subsets = enumerate_subsets(N_FEATURES, 1, N_FEATURES)
-
-    def task(cols: tuple[int, ...]) -> tuple[float, bool]:
-        return _evaluate_subset(cols, x, y, metric, fold_of)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(task, subsets))
-    else:
-        outcomes = [task(cols) for cols in subsets]
-
-    return build_report(
-        [
-            SubsetResult(
-                subset=tuple(FeatureId(i) for i in cols),
-                size=len(cols),
-                metric_value=value,
-                metric_kind=metric,
-                fit_failed=failed,
-            )
-            for cols, (value, failed) in zip(subsets, outcomes)
-        ],
-        metric,
-    )
+    results = []
+    for cols in enumerate_subsets(N_FEATURES, 1, N_FEATURES):
+        value, failed = _evaluate_subset(cols, x, y, metric, fold_of)
+        results.append(SubsetResult(
+            subset=tuple(FeatureId(i) for i in cols),
+            size=len(cols),
+            metric_value=value,
+            metric_kind=metric,
+            fit_failed=failed,
+        ))
+    return build_report(results, metric)
 
 
 def build_report(results: Sequence[SubsetResult], metric: str) -> EfsReport:

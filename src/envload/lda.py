@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import ClassLabel
-from .numerics import CholeskyFactor, NotPositiveDefiniteError, SymMatrix
+from .numerics import CholeskyFactor, NotPositiveDefiniteError, symmetric
 
 RIDGE_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 
@@ -28,17 +28,13 @@ RIDGE_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 class LdaModel:
     classes: tuple[ClassLabel, ...]
     means: np.ndarray        # (K, p)
-    pooled_covariance: SymMatrix
-    solver: CholeskyFactor   # factor of pooled covariance (+ used ridge)
+    pooled_covariance: np.ndarray  # (p, p), symmetric and read-only
+    ridge_used: float        # the RIDGE_LADDER step that made S factorizable
     log_priors: np.ndarray   # (K,)
     p: int
     # cached discriminant parameters: delta_k(x) = coef[k] . x + intercept[k]
     coef: np.ndarray         # (K, p) rows are S^-1 mu_k
     intercept: np.ndarray    # (K,)
-
-    @property
-    def ridge_used(self) -> float:
-        return self.solver.ridge
 
 
 def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
@@ -73,8 +69,8 @@ def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
         scatter += centered.T @ centered
         priors[ci] = n_class / n
 
-    pooled = SymMatrix.from_full(scatter / (n - k))
-    if float(np.max(np.abs(pooled.to_full()))) == 0.0:
+    pooled = symmetric(scatter / (n - k))
+    if float(np.max(np.abs(pooled))) == 0.0:
         raise ValueError("zero within-class covariance: all rows identical per class")
 
     solver = _factor_with_ladder(pooled)
@@ -89,7 +85,7 @@ def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
         classes=classes,
         means=means,
         pooled_covariance=pooled,
-        solver=solver,
+        ridge_used=solver.ridge,
         log_priors=np.log(priors),
         p=p,
         coef=coef,
@@ -97,7 +93,7 @@ def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
     )
 
 
-def _factor_with_ladder(pooled: SymMatrix) -> CholeskyFactor:
+def _factor_with_ladder(pooled: np.ndarray) -> CholeskyFactor:
     last_error: NotPositiveDefiniteError | None = None
     for ridge in RIDGE_LADDER:
         try:
@@ -159,18 +155,14 @@ def grid_axes(
                  for lo, hi, n in ((x_min, x_max, nx), (y_min, y_max, ny)))
 
 
-def decision_grid(
-    model: LdaModel,
-    bounds: tuple[float, float, float, float],
-    resolution: int | tuple[int, int],
-) -> np.ndarray:
-    """ClassLabel codes (int8) over the grid_axes points for a 2-feature model.
+def decision_grid(model: LdaModel, xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
+    """ClassLabel codes (int8) of a 2-feature model over the grid of points
+    (x, y), x from xs and y from ys, such as the grid_axes values.
 
     Points are in row-major order, y outer, x inner: code k is at
-    (xs[k % nx], ys[k // nx]).
+    (xs[k % len(xs)], ys[k // len(xs)]).
     """
     if model.p != 2:
         raise ValueError(f"decision grid needs a 2-feature model, got p={model.p}")
-    xs, ys = grid_axes(bounds, resolution)
     points = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
     return predict_many(model, points)

@@ -1,6 +1,8 @@
 """Dense symmetric linear algebra: cyclic Jacobi eigendecomposition and
-Cholesky SPD solves. Matrices here are tiny (p <= 7), so the implementations
-favor being explicit and portable over being fast.
+Cholesky SPD solves, on plain float64 arrays. `symmetric` is the one check
+that an array is a symmetric matrix; both solvers take their input through it.
+Matrices here are tiny (p <= 7), so the implementations favor being explicit
+and portable over being fast.
 """
 
 from __future__ import annotations
@@ -19,51 +21,20 @@ class ConvergenceError(RuntimeError):
     """Jacobi sweeps did not reduce the off-diagonal norm in time."""
 
 
-class SymMatrix:
-    """Dense symmetric matrix; storage is the packed upper triangle, so
-    symmetry holds by construction."""
-
-    def __init__(self, dim: int, packed: np.ndarray) -> None:
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        expected = dim * (dim + 1) // 2
-        packed = np.asarray(packed, dtype=np.float64)
-        if packed.shape != (expected,):
-            raise ValueError(f"packed storage must have length {expected}")
-        if not np.all(np.isfinite(packed)):
-            raise ValueError("matrix entries must be finite")
-        self._dim = dim
-        self._packed = packed.copy()
-        self._packed.setflags(write=False)
-
-    @classmethod
-    def from_full(cls, a: np.ndarray, asym_tol: float = 1e-8) -> "SymMatrix":
-        """Build from a full matrix. Relative asymmetry above asym_tol is an
-        error; below it, the upper triangle wins."""
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
-        asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if asym > asym_tol * max(1.0, scale):
-            raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
-        dim = a.shape[0]
-        iu = np.triu_indices(dim)
-        return cls(dim, a[iu])
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def to_full(self) -> np.ndarray:
-        full = np.zeros((self._dim, self._dim), dtype=np.float64)
-        iu = np.triu_indices(self._dim)
-        full[iu] = self._packed
-        full.T[iu] = self._packed
-        return full
-
-    def trace(self) -> float:
-        return float(np.trace(self.to_full()))
+def symmetric(a: np.ndarray, asym_tol: float = 1e-8) -> np.ndarray:
+    """A read-only copy of the square, finite matrix a with its lower triangle
+    replaced by the upper one. Relative asymmetry above asym_tol is an error."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"need a non-empty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    asym = float(np.abs(a - a.T).max())
+    if asym > asym_tol * max(1.0, float(np.abs(a).max())):
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
+    full = np.where(np.tri(len(a), k=-1, dtype=bool), a.T, a)
+    full.setflags(write=False)
+    return full
 
 
 @dataclass(frozen=True)
@@ -81,11 +52,11 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(off * off)))
 
 
-def jacobi_eigen(matrix: SymMatrix, max_sweeps: int = 100) -> EigenDecomposition:
+def jacobi_eigen(matrix: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
     """Cyclic Jacobi rotations until the off-diagonal Frobenius norm drops
     below 1e-12 * ||A||_F (or max_sweeps, then ConvergenceError)."""
-    n = matrix.dim
-    a = matrix.to_full()
+    a = symmetric(matrix).copy()
+    n = len(a)
     v = np.eye(n)
     target = 1e-12 * float(np.sqrt(np.sum(a * a)))
 
@@ -152,12 +123,13 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
 class CholeskyFactor:
     """Lower-triangular factor of (A + ridge*I); reusable solver context."""
 
-    def __init__(self, matrix: SymMatrix, ridge: float = 0.0) -> None:
+    def __init__(self, matrix: np.ndarray, ridge: float = 0.0) -> None:
         if ridge < 0.0:
             raise ValueError(f"ridge must be >= 0, got {ridge}")
-        a = matrix.to_full()
-        n = matrix.dim
+        a = symmetric(matrix)
+        n = len(a)
         if ridge > 0.0:
+            a = a.copy()
             a[np.diag_indices(n)] += ridge
         lower = np.zeros((n, n), dtype=np.float64)
         for i in range(n):
@@ -176,10 +148,6 @@ class CholeskyFactor:
         self._dim = n
         self.ridge = ridge
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self._dim,):
@@ -193,8 +161,3 @@ class CholeskyFactor:
         for i in range(n - 1, -1, -1):
             x[i] = (y[i] - float(np.dot(lower[i + 1 :, i], x[i + 1 :]))) / lower[i, i]
         return x
-
-
-def spd_solve(matrix: SymMatrix, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Solve (A + ridge*I) x = b via Cholesky."""
-    return CholeskyFactor(matrix, ridge).solve(b)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, FeatureId, N_FEATURES
-from .numerics import SymMatrix, jacobi_eigen
+from .numerics import jacobi_eigen
 
 # Row order used by loading_report, chosen for side-by-side comparison with
 # conventional loading tables; internal storage never changes order.
@@ -51,8 +51,7 @@ def fit_pca_matrix(x: np.ndarray) -> PcaModel:
     if n < 2:
         raise ValueError(f"need at least 2 rows to fit, got {n}")
     centered = x - x.mean(axis=0)
-    cov = SymMatrix.from_full(centered.T @ centered / (n - 1))
-    decomp = jacobi_eigen(cov)
+    decomp = jacobi_eigen(centered.T @ centered / (n - 1))
     total = float(decomp.eigenvalues.sum())
     if total <= 0.0:
         raise ValueError("zero total variance: cannot compute variance ratios")

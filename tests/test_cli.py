@@ -11,7 +11,7 @@ from envload import dataset as dataset_mod
 from envload import lda as lda_mod
 from envload.cli import main
 from envload.dataset import LABEL_NAMES, ClassLabel, FeatureId, read_dataset, write_dataset
-from envload.lda import accuracy, fit_lda, predict_many
+from envload.lda import accuracy, fit_lda
 from envload.pca import fit_pca, project
 from envload.preprocess import SplitConfig, apply_normalizer, fit_normalizer, split
 
@@ -189,9 +189,9 @@ def seed7_run(request, tmp_path_factory):
     grids = []
     decision_grid = lda_mod.decision_grid
 
-    def recording_grid(model, bounds, resolution):
-        grids.append((model, bounds, resolution))
-        return decision_grid(model, bounds, resolution)
+    def recording_grid(model, xs, ys):
+        grids.append((model, xs, ys))
+        return decision_grid(model, xs, ys)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lda_mod, "decision_grid", recording_grid)
@@ -230,19 +230,33 @@ class TestFormattedOnce:
             assert _text(out / f"scores_{i}_{j}.csv") == expected
 
     def test_grids_equal_pointwise_predictions(self, seed7_run):
+        # reference: the z-space model rewritten for raw units (coefficients
+        # over sigma, intercepts less coef . mu), applied to the raw grid points
         out, _, grids = seed7_run
-        expected = []
-        for model, (x_min, x_max, y_min, y_max), n in grids:
-            xs = [x_min + i * (x_max - x_min) / (n - 1) for i in range(n)]
-            ys = [y_min + j * (y_max - y_min) / (n - 1) for j in range(n)]
-            points = [(x, y) for y in ys for x in xs]
-            codes = predict_many(model, np.array(points)).tolist()
-            expected.append("x,y,label\r\n" + "".join(
-                f"{x!r},{y!r},{LABEL_NAMES[c]}\r\n" for (x, y), c in zip(points, codes)
-            ))
-        written = [_text(p) for p in out.glob("decision_grid_*.csv")]
+        train = read_dataset(out / "train.csv")
+        norm = fit_normalizer(train)
+        train_n = apply_normalizer(norm, train)
+        n = json.loads((out / "config.json").read_text())["train"]["grid_resolution"]
+        names = {f"decision_grid_{a.column_name}_{b.column_name}.csv": [a, b]
+                 for a in FeatureId for b in FeatureId}
+        written = sorted(out.glob("decision_grid_*.csv"))
         assert len(grids) == len(written) == 6
-        assert sorted(written) == sorted(expected)
+        for path in written:
+            cols = names[path.name]
+            model = fit_lda(train_n.features[:, cols], train_n.labels)
+            coef = model.coef / [norm.std_devs[f] for f in cols]
+            intercept = model.intercept - coef @ [norm.means[f] for f in cols]
+            bounds = []
+            for f in cols:
+                lo, hi = train.features[:, f].min(), train.features[:, f].max()
+                bounds += [lo - cli.GRID_MARGIN * (hi - lo), hi + cli.GRID_MARGIN * (hi - lo)]
+            xs, ys = lda_mod.grid_axes(tuple(float(b) for b in bounds), n)
+            points = [(x, y) for y in ys for x in xs]
+            scores = np.array(points) @ coef.T + intercept
+            codes = [model.classes[k] for k in np.argmax(scores, axis=1)]
+            assert _text(path) == "x,y,label\r\n" + "".join(
+                f"{x!r},{y!r},{LABEL_NAMES[c]}\r\n" for (x, y), c in zip(points, codes)
+            ), path.name
 
 
 class TestIngestPath:
@@ -331,3 +345,46 @@ class TestErrorHandling:
         code = main(["pca", "--out", str(out)])
         assert code == 2
         assert "error in stage pca" in capsys.readouterr().err
+
+
+def _set_cell(path: Path, lineno: int, column: int, text: str) -> None:
+    lines = _text(path).split("\r\n")
+    cells = lines[lineno - 1].split(",")
+    cells[column] = text
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("\r\n".join(lines), newline="")
+
+
+def _drop_last_column(path: Path) -> None:
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\r\n"
+                            for line in _text(path).splitlines()), newline="")
+
+
+def _drop_efs_echo(path: Path) -> None:
+    config = json.loads(path.read_text())
+    del config["efs"]
+    path.write_text(json.dumps(config))
+
+
+class TestTrainInputs:
+    """`train` names the file, line and column of a bad input it reads from --out."""
+
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("efs_accuracy.csv", lambda p: _set_cell(p, 2, 0, "thicknes"),
+         "efs_accuracy.csv, line 2, column subset: expected feature names joined "
+         "by '+', got 'thicknes'"),
+        ("efs_accuracy.csv", _drop_last_column,
+         "efs_accuracy.csv, line 1: missing column 'flag'"),
+        ("loadings.csv", lambda p: _set_cell(p, 3, 1, "abc"),
+         "loadings.csv, line 3, column pc1: expected a finite number, got 'abc'"),
+        ("config.json", _drop_efs_echo,
+         "config.json, key efs.metric: expected one of ['cv5', 'train_accuracy'], got None"),
+    ], ids=["subset-name", "flag-column", "loading", "efs-config"])
+    def test_bad_input_is_named(self, default_run, tmp_path, capsys, name, corrupt, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        for path in default_run.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        corrupt(out / name)
+        assert main(["train", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error in stage train: {message}\n"

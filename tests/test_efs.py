@@ -112,13 +112,6 @@ class TestRunEfs:
         assert best is same_metric[0]
         assert all(r.size >= best.size for r in same_metric)
 
-    def test_sequential_and_parallel_sweeps_identical(self, single_informative):
-        seq = run_efs(single_informative, n_jobs=1)
-        par = run_efs(single_informative, n_jobs=4)
-        assert seq.all_results == par.all_results
-        assert seq.best_per_size == par.best_per_size
-        assert seq.overall_best == par.overall_best
-
     def test_duplicated_column_tie_breaks_lexicographically(self):
         rng = np.random.default_rng(5)
         signs = np.where(np.arange(80) % 2 == 0, 1.0, -1.0)

@@ -6,6 +6,7 @@ import pytest
 
 from envload.dataset import ClassLabel
 from envload.lda import (
+    RIDGE_LADDER,
     accuracy,
     decision_grid,
     discriminants,
@@ -41,7 +42,7 @@ class TestFit:
         model = fit_lda(x, y)
         assert model.classes == (LOW, HIGH)
         assert model.means[:, 0] == pytest.approx([-1.0, 1.0])
-        assert model.pooled_covariance.to_full()[0, 0] == pytest.approx(2.0)
+        assert model.pooled_covariance[0, 0] == pytest.approx(2.0)
         assert model.log_priors == pytest.approx([math.log(0.5)] * 2)
 
     def test_duplicated_rows_rescale_pooled_covariance(self):
@@ -53,8 +54,16 @@ class TestFit:
         base = fit_lda(x, y)
         doubled = fit_lda(np.vstack([x, x]), y + y)
         assert doubled.means == pytest.approx(base.means)
-        expected = base.pooled_covariance.to_full() * (2 * (n - k)) / (2 * n - k)
-        assert doubled.pooled_covariance.to_full() == pytest.approx(expected)
+        expected = base.pooled_covariance * (2 * (n - k)) / (2 * n - k)
+        assert doubled.pooled_covariance == pytest.approx(expected)
+
+    def test_ridge_used_is_the_ladder_step_that_factored(self):
+        rng = np.random.default_rng(3)
+        x, y = _three_blobs(rng, n_per=10)
+        assert fit_lda(x, y).ridge_used == 0.0
+        # a constant column gives the pooled covariance a zero row
+        singular = fit_lda(np.column_stack([x, np.ones(len(y))]), y)
+        assert singular.ridge_used == RIDGE_LADDER[1]
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
@@ -95,7 +104,7 @@ class TestPredict:
                       [-1.1], [-0.9], [-1.3], [1.0], [0.6]])
         y = [LOW] * 9 + [HIGH] * 2
         model = fit_lda(x, y)
-        s = model.pooled_covariance.to_full()[0, 0]
+        s = model.pooled_covariance[0, 0]
         mu = {lbl: x[np.array(y) == lbl].mean() for lbl in (LOW, HIGH)}
         pi = {LOW: 9 / 11, HIGH: 2 / 11}
         for probe in np.linspace(-3.0, 3.0, 61):
@@ -115,7 +124,7 @@ class TestPredict:
         x = np.vstack([c + residuals for c in centers])
         y = [LOW] * 4 + [MED] * 4 + [HIGH] * 4
         model = fit_lda(x, y)
-        assert model.pooled_covariance.to_full() == pytest.approx(np.eye(2))
+        assert model.pooled_covariance == pytest.approx(np.eye(2))
         assert predict(model, np.array([3.9, 0.1])) is MED  # mean (4, 0)
         rng = np.random.default_rng(55)
         probes = rng.uniform(-2.0, 6.0, size=(1000, 2))
@@ -202,9 +211,10 @@ class TestAccuracy:
 
 
 def _grid(model, bounds, resolution):
-    """decision_grid as (x, y, ClassLabel) points, row-major like its codes."""
+    """decision_grid over the grid_axes values as (x, y, ClassLabel) points,
+    row-major like its codes."""
     xs, ys = grid_axes(bounds, resolution)
-    codes = decision_grid(model, bounds, resolution).tolist()
+    codes = decision_grid(model, xs, ys).tolist()
     assert len(codes) == len(xs) * len(ys)
     return [(x, y, ClassLabel(c)) for (y, x), c in zip(itertools.product(ys, xs), codes)]
 
@@ -256,15 +266,23 @@ class TestDecisionGrid:
         x, y = _two_class_1d()
         model = fit_lda(x, y)
         with pytest.raises(ValueError, match="2-feature"):
-            decision_grid(model, (0.0, 1.0, 0.0, 1.0), 5)
+            decision_grid(model, [0.0, 1.0], [0.0, 1.0])
 
-    def test_resolution_validation(self, model_2d):
-        with pytest.raises(ValueError):
-            decision_grid(model_2d, (0.0, 1.0, 0.0, 1.0), 1)
+    def test_uneven_axes_are_row_major(self, model_2d):
+        xs, ys = [-1.0, 2.0, 5.0], [0.0, 4.0]
+        codes = decision_grid(model_2d, xs, ys)
+        points = [[x, y] for y in ys for x in xs]
+        assert codes.tolist() == predict_many(model_2d, np.array(points)).tolist()
 
-    def test_bounds_validation(self, model_2d):
-        with pytest.raises(ValueError):
-            decision_grid(model_2d, (1.0, 0.0, 0.0, 1.0), 5)
+    def test_resolution_validation(self):
+        for resolution in (1, (2, 1), (0, 5)):
+            with pytest.raises(ValueError, match="resolution"):
+                grid_axes((0.0, 1.0, 0.0, 1.0), resolution)
+
+    def test_bounds_validation(self):
+        for bounds in ((1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 2.0, 2.0)):
+            with pytest.raises(ValueError, match="bounds"):
+                grid_axes(bounds, 5)
 
 
 class TestFeatureOrdering:

@@ -5,45 +5,63 @@ from envload.numerics import (
     CholeskyFactor,
     ConvergenceError,
     NotPositiveDefiniteError,
-    SymMatrix,
     jacobi_eigen,
-    spd_solve,
+    symmetric,
 )
 
 
 def _random_symmetric(rng, n, scale=1.0):
     m = rng.normal(size=(n, n)) * scale
-    return SymMatrix.from_full((m + m.T) / 2.0)
+    return (m + m.T) / 2.0
 
 
 class TestSymMatrix:
+    """symmetric(): the check every matrix passes before the solvers use it."""
+
     def test_full_roundtrip(self):
         a = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, -1.0], [0.5, -1.0, 4.0]])
-        assert np.array_equal(SymMatrix.from_full(a).to_full(), a)
+        sym = symmetric(a)
+        assert np.array_equal(sym, a)
+        assert not sym.flags.writeable
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            SymMatrix.from_full(a)
+            symmetric(a)
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigen(a)
+        with pytest.raises(ValueError, match="symmetric"):
+            CholeskyFactor(a)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            SymMatrix.from_full(np.zeros((2, 3)))
+        for shape in [(2, 3), (0, 0), (4,)]:
+            with pytest.raises(ValueError, match="square"):
+                symmetric(np.zeros(shape))
 
     def test_non_finite_rejected(self):
-        a = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        with pytest.raises(ValueError):
-            SymMatrix.from_full(a)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                symmetric(np.array([[1.0, bad], [bad, 1.0]]))
+            with pytest.raises(ValueError, match="finite"):  # lower triangle only
+                symmetric(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+    def test_upper_triangle_wins_below_tolerance(self):
+        a = np.array([[4.0, -0.0, 1.0 / 3.0],
+                      [0.0, 5.0, 2.0e-7],
+                      [1.0 / 3.0 + 1e-15, 2.0e-7 * (1.0 + 1e-9), 6.0]])
+        expected = np.array([[4.0, -0.0, 1.0 / 3.0], [-0.0, 5.0, 2.0e-7],
+                             [1.0 / 3.0, 2.0e-7, 6.0]])
+        assert symmetric(a).tobytes() == expected.tobytes()  # -0.0 included
 
 
 class TestJacobiEigen:
     def test_identity(self):
-        eig = jacobi_eigen(SymMatrix.from_full(np.eye(7)))
+        eig = jacobi_eigen(np.eye(7))
         assert np.array_equal(eig.eigenvalues, np.ones(7))
         assert np.array_equal(eig.eigenvectors, np.eye(7))
 
     def test_analytic_2x2(self):
-        eig = jacobi_eigen(SymMatrix.from_full(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        eig = jacobi_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert eig.eigenvalues == pytest.approx([3.0, 1.0], rel=1e-12)
         r = 1.0 / np.sqrt(2.0)
         assert eig.eigenvectors[:, 0] == pytest.approx([r, r], rel=1e-12)
@@ -56,7 +74,7 @@ class TestJacobiEigen:
             sym = _random_symmetric(rng, 6, scale=3.0)
             eig = jacobi_eigen(sym)
             rebuilt = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
-            assert np.max(np.abs(rebuilt - sym.to_full())) <= 1e-8
+            assert np.max(np.abs(rebuilt - sym)) <= 1e-8
 
     def test_orthonormality(self):
         rng = np.random.default_rng(7)
@@ -71,7 +89,7 @@ class TestJacobiEigen:
         for _ in range(20):
             sym = _random_symmetric(rng, 7, scale=2.0)
             eig = jacobi_eigen(sym)
-            w_np, v_np = np.linalg.eigh(sym.to_full())
+            w_np, v_np = np.linalg.eigh(sym)
             w_np = w_np[::-1]
             v_np = v_np[:, ::-1]
             assert eig.eigenvalues == pytest.approx(w_np, rel=1e-9, abs=1e-9)
@@ -83,7 +101,7 @@ class TestJacobiEigen:
         for _ in range(20):
             sym = _random_symmetric(rng, 5)
             eig = jacobi_eigen(sym)
-            tr = sym.trace()
+            tr = float(np.trace(sym))
             assert abs(eig.eigenvalues.sum() - tr) <= 1e-8 * max(1.0, abs(tr))
 
     def test_eigenvalue_product_is_determinant_3x3(self):
@@ -97,14 +115,14 @@ class TestJacobiEigen:
                 - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
                 + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
             )
-            eig = jacobi_eigen(SymMatrix.from_full(a))
+            eig = jacobi_eigen(a)
             assert np.prod(eig.eigenvalues) == pytest.approx(det, rel=1e-6, abs=1e-9)
 
     def test_psd_eigenvalues_non_negative(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             m = rng.normal(size=(7, 4))
-            eig = jacobi_eigen(SymMatrix.from_full(m @ m.T))
+            eig = jacobi_eigen(m @ m.T)
             assert np.all(eig.eigenvalues >= -1e-10)
 
     def test_sorted_descending_with_sign_convention(self):
@@ -116,60 +134,62 @@ class TestJacobiEigen:
             assert col[int(np.argmax(np.abs(col)))] >= 0.0
 
     def test_non_convergence_raises(self):
-        a = SymMatrix.from_full(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ConvergenceError, match="residual"):
             jacobi_eigen(a, max_sweeps=0)
 
 
 class TestSpdSolve:
+    """Solving (A + ridge*I) x = b with CholeskyFactor(A, ridge).solve(b)."""
+
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        x = spd_solve(SymMatrix.from_full(np.eye(3)), b)
+        x = CholeskyFactor(np.eye(3)).solve(b)
         assert np.array_equal(x, b)
 
     def test_diagonal(self):
-        a = SymMatrix.from_full(np.diag([2.0, 4.0]))
-        x = spd_solve(a, np.array([2.0, 8.0]))
+        a = np.diag([2.0, 4.0])
+        x = CholeskyFactor(a).solve(np.array([2.0, 8.0]))
         assert x == pytest.approx([1.0, 2.0], rel=1e-15)
 
     def test_random_spd_residual(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             m = rng.normal(size=(5, 5))
-            a = SymMatrix.from_full(m.T @ m + np.eye(5))
+            a = m.T @ m + np.eye(5)
             b = rng.normal(size=5)
-            x = spd_solve(a, b)
-            residual = np.max(np.abs(a.to_full() @ x - b))
+            x = CholeskyFactor(a).solve(b)
+            residual = np.max(np.abs(a @ x - b))
             assert residual <= 1e-8 * max(1.0, np.max(np.abs(b)))
 
     def test_not_positive_definite_advises_ridge(self):
-        a = SymMatrix.from_full(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        a = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NotPositiveDefiniteError, match="ridge"):
-            spd_solve(a, np.array([1.0, 1.0]))
+            CholeskyFactor(a)
 
     def test_ridge_rescues_singular_matrix(self):
         v = np.array([1.0, 2.0, 3.0])
-        a = SymMatrix.from_full(np.outer(v, v))  # rank 1
+        a = np.outer(v, v)  # rank 1
         with pytest.raises(NotPositiveDefiniteError):
-            spd_solve(a, v)
-        x = spd_solve(a, v, ridge=1e-8)
+            CholeskyFactor(a)
+        x = CholeskyFactor(a, ridge=1e-8).solve(v)
         assert np.all(np.isfinite(x))
 
     def test_factor_reuse(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(4, 4))
-        a = SymMatrix.from_full(m.T @ m + np.eye(4))
+        a = m.T @ m + np.eye(4)
         factor = CholeskyFactor(a)
         for _ in range(5):
             b = rng.normal(size=4)
-            assert np.max(np.abs(a.to_full() @ factor.solve(b) - b)) <= 1e-8
+            assert np.max(np.abs(a @ factor.solve(b) - b)) <= 1e-8
 
     def test_negative_ridge_rejected(self):
-        a = SymMatrix.from_full(np.eye(2))
+        a = np.eye(2)
         with pytest.raises(ValueError):
-            spd_solve(a, np.zeros(2), ridge=-1.0)
+            CholeskyFactor(a, ridge=-1.0)
 
     def test_b_shape_validated(self):
-        a = SymMatrix.from_full(np.eye(2))
+        a = np.eye(2)
         with pytest.raises(ValueError):
-            spd_solve(a, np.zeros(3))
+            CholeskyFactor(a).solve(np.zeros(3))
