@@ -15,7 +15,7 @@ from .dataset import (
     write_dataset,
 )
 from .efs import EfsReport, SubsetResult, enumerate_subsets, run_efs
-from .lda import LdaModel, accuracy, decision_grid, fit_lda, predict
+from .lda import ClassStats, LdaModel, accuracy, class_stats, decision_grid, fit_lda, predict
 from .pca import PcaModel, fit_pca, loading_report, project, top_features
 from .preprocess import (
     Normalizer,
@@ -41,6 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassLabel",
+    "ClassStats",
     "Dataset",
     "EfsReport",
     "FeatureId",
@@ -62,6 +63,7 @@ __all__ = [
     "areal_heat_capacity",
     "builtin_material_library",
     "builtin_system_constants",
+    "class_stats",
     "decision_grid",
     "enumerate_subsets",
     "fit_lda",

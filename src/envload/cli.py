@@ -247,28 +247,35 @@ def _read_pca(path: Path, n_fit: int) -> pca_mod.PcaModel:
                       ]).reshape(-1, 2)
     pcs = [f"pc{j + 1}" for j in range(len(scree))]
     loadings = np.zeros((N_FEATURES, len(scree)))
+    seen: set[FeatureId] = set()
     for place, row in _csv_rows(path / "loadings.csv", ["feature", *pcs]):
         feature = _cell(place, "feature", row["feature"], _BY_NAME.__getitem__,
-                        "a feature name")
+                        "a feature name not on an earlier line", lambda f: f not in seen)
+        seen.add(feature)
         loadings[feature] = [_number(place, row, c) for c in pcs]
+    missing = [f.column_name for f in FeatureId if f not in seen]
+    if missing:
+        raise ValueError(f"loadings.csv: no line for feature {missing[0]!r}")
     return pca_mod.PcaModel(scree[:, 0], scree[:, 0], scree[:, 1], loadings, n_fit)
 
 
 def _read_efs(path: Path, metric: str) -> efs_mod.EfsReport:
     """The report that `efs` wrote to efs_accuracy.csv."""
-    results = [
-        efs_mod.SubsetResult(
-            subset=_cell(place, "subset", row["subset"],
-                         lambda text: tuple(_BY_NAME[n] for n in text.split("+")),
-                         "feature names joined by '+'"),
-            size=_cell(place, "size", row["size"], int, "an integer"),
+    results = []
+    for place, row in _csv_rows(path, ["subset", "size", "metric", "flag"]):
+        subset = _cell(place, "subset", row["subset"],
+                       lambda text: tuple(_BY_NAME[n] for n in text.split("+")),
+                       "feature names joined by '+'")
+        results.append(efs_mod.SubsetResult(
+            subset=subset,
+            size=_cell(place, "size", row["size"], int,
+                       f"{len(subset)}, the number of features in subset",
+                       lambda v: v == len(subset)),
             metric_value=_number(place, row, "metric"),
             metric_kind=metric,
             fit_failed=bool(_cell(place, "flag", row["flag"], int, "0 or 1",
                                   lambda v: v in (0, 1))),
-        )
-        for place, row in _csv_rows(path, ["subset", "size", "metric", "flag"])
-    ]
+        ))
     return efs_mod.build_report(results, metric)
 
 
@@ -291,7 +298,7 @@ def _fit_on_features(
     cols = [int(f) for f in features]
     x_train = train_n.features[:, cols]
     x_test = test_n.features[:, cols]
-    model = lda_mod.fit_lda(x_train, train_n.labels)
+    model = lda_mod.fit_lda(lda_mod.class_stats(x_train, train_n.labels))
     return (
         lda_mod.accuracy(model, x_train, train_n.labels),
         lda_mod.accuracy(model, x_test, test_n.labels),
@@ -314,7 +321,7 @@ def _emit_decision_grids(
     # canonical order keeps the file names stable
     for f1, f2 in combinations(sorted(features, key=int), 2):
         cols = [int(f1), int(f2)]
-        model = lda_mod.fit_lda(train_n.features[:, cols], train_n.labels)
+        model = lda_mod.fit_lda(lda_mod.class_stats(train_n.features[:, cols], train_n.labels))
         bounds = []
         for f in (f1, f2):
             lo, hi = float(raw[:, f].min()), float(raw[:, f].max())

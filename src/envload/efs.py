@@ -1,9 +1,11 @@
 """Exhaustive wrapper feature selection over an LDA classifier.
 
-Every feature subset is evaluated on the same training matrix, one after
-another in enumeration order (size ascending, then lexicographic). A subset
-whose LDA fit fails scores 0 with a diagnostic flag instead of aborting the
-sweep.
+Every feature subset is scored in enumeration order (size ascending, then
+lexicographic). The class means and within-class scatter of all 7 features
+are computed once per training matrix: once for the train metric, once per
+fold for cv5. Each subset's LDA is fit from a slice of them, so no subset
+re-reads the training rows. A subset whose LDA fit fails scores 0 with a
+diagnostic flag instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, FeatureId, N_FEATURES
-from .lda import accuracy, fit_lda, predict_many
+from .lda import class_stats, fit_lda, predict_many
 from .sampling import Xoshiro256pp
 
 METRIC_TRAIN = "train_accuracy"
@@ -66,31 +68,35 @@ def _cv_fold_ids(n: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def _evaluate_subset(
-    cols: tuple[int, ...],
+def _pooled_accuracies(
+    subsets: Sequence[tuple[int, ...]],
     x: np.ndarray,
     y: np.ndarray,
-    metric: str,
-    fold_of: np.ndarray | None,
-) -> tuple[float, bool]:
-    xs = x[:, cols]
-    if metric == METRIC_TRAIN:
+    folds: Sequence[tuple[np.ndarray | slice, np.ndarray | slice]],
+) -> list[tuple[float, bool]]:
+    """(accuracy, fit failed) per subset. For each (fit rows, scored rows) of
+    folds, every subset is fit on the fit rows and its correct predictions on
+    the scored rows are counted; accuracy is the total over all len(y) rows.
+    A subset whose fit fails in any fold scores 0."""
+    correct = [0] * len(subsets)
+    failed = [False] * len(subsets)
+    for fit_rows, scored_rows in folds:
         try:
-            model = fit_lda(xs, y)
-            return accuracy(model, xs, y), False
-        except ValueError:  # NotPositiveDefiniteError is one
-            return 0.0, True
-    # pooled k-fold accuracy: correct held-out predictions over all rows
-    assert fold_of is not None
-    correct = 0
-    for fold in range(CV_FOLDS):
-        held_out = fold_of == fold
-        try:
-            model = fit_lda(xs[~held_out], y[~held_out])
+            stats = class_stats(x[fit_rows], y[fit_rows])
         except ValueError:
-            return 0.0, True
-        correct += int(np.count_nonzero(predict_many(model, xs[held_out]) == y[held_out]))
-    return correct / len(y), False
+            return [(0.0, True)] * len(subsets)
+        x_scored, y_scored = x[scored_rows], y[scored_rows]
+        for i, cols in enumerate(subsets):
+            if failed[i]:
+                continue
+            try:
+                model = fit_lda(stats.subset(cols))
+            except ValueError:  # NotPositiveDefiniteError is one
+                failed[i] = True
+                continue
+            predicted = predict_many(model, x_scored[:, cols])
+            correct[i] += int(np.count_nonzero(predicted == y_scored))
+    return [(0.0, True) if f else (c / len(y), False) for c, f in zip(correct, failed)]
 
 
 def run_efs(
@@ -108,17 +114,22 @@ def run_efs(
         raise ValueError("need at least 2 classes for the sweep")
     x = train.features
 
-    fold_of = _cv_fold_ids(len(y), cv_seed) if metric == METRIC_CV5 else None
-    results = []
-    for cols in enumerate_subsets(N_FEATURES, 1, N_FEATURES):
-        value, failed = _evaluate_subset(cols, x, y, metric, fold_of)
-        results.append(SubsetResult(
+    if metric == METRIC_TRAIN:
+        folds = [(slice(None), slice(None))]  # fit and score on every row
+    else:
+        fold_of = _cv_fold_ids(len(y), cv_seed)
+        folds = [(fold_of != f, fold_of == f) for f in range(CV_FOLDS)]
+    subsets = enumerate_subsets(N_FEATURES, 1, N_FEATURES)
+    results = [
+        SubsetResult(
             subset=tuple(FeatureId(i) for i in cols),
             size=len(cols),
             metric_value=value,
             metric_kind=metric,
             fit_failed=failed,
-        ))
+        )
+        for cols, (value, failed) in zip(subsets, _pooled_accuracies(subsets, x, y, folds))
+    ]
     return build_report(results, metric)
 
 

@@ -8,6 +8,11 @@ with S the pooled within-class covariance (1/(n-K) scaling) and pi_k the
 empirical class priors. Ties go to the lower class in LOW < MEDIUM < HIGH
 order. A ridge ladder (0, 1e-8, 1e-6, 1e-4) handles near-singular pooled
 covariances, as happen for near-constant feature subsets.
+
+Fitting runs from class statistics: `fit_lda(class_stats(x, y))`.
+`class_stats` checks the labels and computes the class means and the
+within-class scatter once; `ClassStats.subset(cols)` slices them for a
+feature subset without touching the rows again.
 """
 
 from __future__ import annotations
@@ -37,8 +42,28 @@ class LdaModel:
     intercept: np.ndarray    # (K,)
 
 
-def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
-    """Fit from an (n, p) matrix and one ClassLabel code per row."""
+@dataclass(frozen=True)
+class ClassStats:
+    """Per-class sufficient statistics of an (n, p) matrix: everything fit_lda
+    needs. A feature subset's statistics are slices of these (ESL 2nd ed.,
+    section 4.3), so one class_stats call serves every subset."""
+
+    classes: tuple[ClassLabel, ...]
+    counts: np.ndarray       # (K,) rows per class
+    means: np.ndarray        # (K, p)
+    scatter: np.ndarray      # (p, p) within-class scatter, sum of centered outer products
+    n: int
+
+    def subset(self, cols: Sequence[int]) -> ClassStats:
+        """The statistics of the columns cols, in that order."""
+        cols = list(cols)
+        return ClassStats(self.classes, self.counts, self.means[:, cols],
+                          self.scatter[np.ix_(cols, cols)], self.n)
+
+
+def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassStats:
+    """Class means and within-class scatter of an (n, p) matrix with one
+    ClassLabel code per row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x must be 2-D, got shape {x.shape}")
@@ -58,7 +83,6 @@ def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
 
     means = np.empty((k, p))
     scatter = np.zeros((p, p))
-    priors = np.empty(k)
     for ci, lbl in enumerate(classes):
         n_class = int(counts[lbl])
         if n_class < 2:
@@ -67,12 +91,18 @@ def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
         means[ci] = xc.mean(axis=0)
         centered = xc - means[ci]
         scatter += centered.T @ centered
-        priors[ci] = n_class / n
+    return ClassStats(classes, counts[list(classes)], means, scatter, n)
 
-    pooled = symmetric(scatter / (n - k))
+
+def fit_lda(stats: ClassStats) -> LdaModel:
+    """Fit from the class statistics of the training rows (see class_stats)."""
+    k = len(stats.classes)
+    means = stats.means
+    pooled = symmetric(stats.scatter / (stats.n - k))
     if float(np.max(np.abs(pooled))) == 0.0:
         raise ValueError("zero within-class covariance: all rows identical per class")
 
+    priors = stats.counts / stats.n
     solver = _factor_with_ladder(pooled)
     coef = np.vstack([solver.solve(means[ci]) for ci in range(k)])
     intercept = np.array(
@@ -82,12 +112,12 @@ def fit_lda(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> LdaModel:
         ]
     )
     return LdaModel(
-        classes=classes,
+        classes=stats.classes,
         means=means,
         pooled_covariance=pooled,
         ridge_used=solver.ridge,
         log_priors=np.log(priors),
-        p=p,
+        p=means.shape[1],
         coef=coef,
         intercept=intercept,
     )

@@ -11,7 +11,7 @@ from envload import dataset as dataset_mod
 from envload import lda as lda_mod
 from envload.cli import main
 from envload.dataset import LABEL_NAMES, ClassLabel, FeatureId, read_dataset, write_dataset
-from envload.lda import accuracy, fit_lda
+from envload.lda import accuracy, class_stats, fit_lda
 from envload.pca import fit_pca, project
 from envload.preprocess import SplitConfig, apply_normalizer, fit_normalizer, split
 
@@ -82,7 +82,7 @@ class TestRunAll:
         for key in ("pca_selected", "efs_selected"):
             entry = summary["lda"][key]
             cols = [int(by_name[n]) for n in entry["features"]]
-            model = fit_lda(train_n.features[:, cols], train_n.labels)
+            model = fit_lda(class_stats(train_n.features[:, cols], train_n.labels))
             train_acc = accuracy(model, train_n.features[:, cols], train_n.labels)
             test_acc = accuracy(model, test_n.features[:, cols], test_n.labels)
             assert entry["train_accuracy"] == train_acc
@@ -243,7 +243,7 @@ class TestFormattedOnce:
         assert len(grids) == len(written) == 6
         for path in written:
             cols = names[path.name]
-            model = fit_lda(train_n.features[:, cols], train_n.labels)
+            model = fit_lda(class_stats(train_n.features[:, cols], train_n.labels))
             coef = model.coef / [norm.std_devs[f] for f in cols]
             intercept = model.intercept - coef @ [norm.means[f] for f in cols]
             bounds = []
@@ -355,6 +355,12 @@ def _set_cell(path: Path, lineno: int, column: int, text: str) -> None:
     path.write_text("\r\n".join(lines), newline="")
 
 
+def _edit_lines(path: Path, edit) -> None:
+    """Rewrite a CSV that a stage wrote with edit(its lines)."""
+    lines = _text(path).splitlines()
+    path.write_text("".join(line + "\r\n" for line in edit(lines)), newline="")
+
+
 def _drop_last_column(path: Path) -> None:
     path.write_text("".join(line.rsplit(",", 1)[0] + "\r\n"
                             for line in _text(path).splitlines()), newline="")
@@ -379,7 +385,17 @@ class TestTrainInputs:
          "loadings.csv, line 3, column pc1: expected a finite number, got 'abc'"),
         ("config.json", _drop_efs_echo,
          "config.json, key efs.metric: expected one of ['cv5', 'train_accuracy'], got None"),
-    ], ids=["subset-name", "flag-column", "loading", "efs-config"])
+        ("loadings.csv", lambda p: _edit_lines(p, lambda lines: [
+            line for line in lines if not line.startswith("density,")]),
+         "loadings.csv: no line for feature 'density'"),
+        ("loadings.csv", lambda p: _edit_lines(p, lambda lines: lines + lines[1:2]),
+         "loadings.csv, line 9, column feature: expected a feature name not on an "
+         "earlier line, got 'thickness'"),
+        ("efs_accuracy.csv", lambda p: _set_cell(p, 2, 1, "4"),
+         "efs_accuracy.csv, line 2, column size: expected 1, the number of features "
+         "in subset, got '4'"),
+    ], ids=["subset-name", "flag-column", "loading", "efs-config", "missing-loading",
+            "repeated-loading", "subset-size"])
     def test_bad_input_is_named(self, default_run, tmp_path, capsys, name, corrupt, message):
         out = tmp_path / "out"
         out.mkdir()

@@ -3,14 +3,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from envload.dataset import ClassLabel, Dataset, FeatureId
+from envload.dataset import ClassLabel, Dataset, FeatureId, builtin_material_library
 from envload.efs import (
+    CV_FOLDS,
     METRIC_CV5,
     METRIC_TRAIN,
+    _cv_fold_ids,
     enumerate_subsets,
     run_efs,
 )
-from envload.lda import accuracy, fit_lda
+from envload.lda import accuracy, class_stats, fit_lda, predict_many
+from envload.preprocess import label_dataset
+from envload.sampling import SamplerConfig, generate_dataset
+from envload.surrogate import SurrogateConfig, simulate_dataset
 
 LOW, HIGH = ClassLabel.LOW, ClassLabel.HIGH
 
@@ -86,7 +91,7 @@ class TestRunEfs:
         y = single_informative.labels
         for f in FeatureId:
             xs = x[:, [int(f)]]
-            acc = accuracy(fit_lda(xs, y), xs, y)
+            acc = accuracy(fit_lda(class_stats(xs, y)), xs, y)
             if f is FeatureId.SPECIFIC_HEAT_CAPACITY:
                 assert acc == 1.0
             else:
@@ -169,3 +174,74 @@ class TestCrossValidation:
         # the informative singleton generalizes across folds too
         assert cv.best_per_size[1].subset == (FeatureId.SPECIFIC_HEAT_CAPACITY,)
         assert cv.best_per_size[1].metric_value == 1.0
+
+
+def _generated(seed: int) -> Dataset:
+    ds = generate_dataset(builtin_material_library(),
+                          SamplerConfig(seed=seed, n_per_material=30))
+    return label_dataset(simulate_dataset(ds, SurrogateConfig(q_base=0.0, r_wall=1.0)))
+
+
+def _brute_force_efs(ds: Dataset, metric: str, cv_seed: int = 42) -> list[tuple[float, bool]]:
+    """(metric, fit failed) per subset from one fit on the subset's own
+    columns per subset, and per fold for cv5."""
+    x, y = ds.features, ds.labels
+    fold_of = _cv_fold_ids(len(y), cv_seed)
+    out = []
+    for cols in enumerate_subsets(7, 1, 7):
+        xs = x[:, cols]
+        try:
+            if metric == METRIC_TRAIN:
+                value = accuracy(fit_lda(class_stats(xs, y)), xs, y)
+            else:
+                correct = 0
+                for fold in range(CV_FOLDS):
+                    held = fold_of == fold
+                    model = fit_lda(class_stats(xs[~held], y[~held]))
+                    correct += int(np.count_nonzero(predict_many(model, xs[held]) == y[held]))
+                value = correct / len(y)
+        except ValueError:
+            out.append((0.0, True))
+            continue
+        out.append((value, False))
+    return out
+
+
+def _swept(ds: Dataset, metric: str) -> list[tuple[float, bool]]:
+    return [(r.metric_value, r.fit_failed) for r in run_efs(ds, metric=metric).all_results]
+
+
+class TestSharedStatisticsEquivalence:
+    """run_efs fits every subset from slices of one set of class statistics
+    per training matrix; the results must equal one fit per subset exactly."""
+
+    @pytest.mark.parametrize("metric", [METRIC_TRAIN, METRIC_CV5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_one_fit_per_subset(self, seed, metric):
+        ds = _generated(seed)
+        assert _swept(ds, metric) == _brute_force_efs(ds, metric)
+
+    @pytest.mark.parametrize("metric", [METRIC_TRAIN, METRIC_CV5])
+    def test_constant_column_fails_its_singleton_only(self, metric):
+        # with other columns the ridge ladder factors the constant column's
+        # zero row, so only the singleton hits the zero-covariance check
+        ds = _generated(0)
+        x = ds.features.copy()
+        x[:, FeatureId.DENSITY] = 3.25
+        ds = Dataset(ds.material_index, x, loads=ds.loads, labels=ds.labels)
+        expected = _brute_force_efs(ds, metric)
+        assert _swept(ds, metric) == expected
+        subsets = enumerate_subsets(7, 1, 7)
+        assert [cols for cols, (_, failed) in zip(subsets, expected) if failed] == [
+            (int(FeatureId.DENSITY),)]
+
+    def test_fold_leaving_one_row_of_a_class_fails_every_subset(self):
+        # one HIGH row: the four folds that train on it have a one-row class
+        ds = _generated(0)
+        labels = ds.labels.copy()
+        high = np.flatnonzero(labels == HIGH)
+        labels[high[1:]] = ClassLabel.MEDIUM
+        ds = Dataset(ds.material_index, ds.features, loads=ds.loads, labels=labels)
+        expected = _brute_force_efs(ds, METRIC_CV5)
+        assert expected == [(0.0, True)] * 127
+        assert _swept(ds, METRIC_CV5) == expected

@@ -8,6 +8,7 @@ from envload.dataset import ClassLabel
 from envload.lda import (
     RIDGE_LADDER,
     accuracy,
+    class_stats,
     decision_grid,
     discriminants,
     fit_lda,
@@ -39,7 +40,7 @@ class TestFit:
         # classes {-2, 0} and {0, 2}: means -1/+1, pooled var
         # ((−2+1)² + (0+1)² + (0−1)² + (2−1)²) / (4−2) = 2
         x, y = _two_class_1d()
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         assert model.classes == (LOW, HIGH)
         assert model.means[:, 0] == pytest.approx([-1.0, 1.0])
         assert model.pooled_covariance[0, 0] == pytest.approx(2.0)
@@ -51,8 +52,8 @@ class TestFit:
         rng = np.random.default_rng(2)
         x, y = _three_blobs(rng, n_per=10)
         n, k = len(y), 3
-        base = fit_lda(x, y)
-        doubled = fit_lda(np.vstack([x, x]), y + y)
+        base = fit_lda(class_stats(x, y))
+        doubled = fit_lda(class_stats(np.vstack([x, x]), y + y))
         assert doubled.means == pytest.approx(base.means)
         expected = base.pooled_covariance * (2 * (n - k)) / (2 * n - k)
         assert doubled.pooled_covariance == pytest.approx(expected)
@@ -60,40 +61,73 @@ class TestFit:
     def test_ridge_used_is_the_ladder_step_that_factored(self):
         rng = np.random.default_rng(3)
         x, y = _three_blobs(rng, n_per=10)
-        assert fit_lda(x, y).ridge_used == 0.0
+        assert fit_lda(class_stats(x, y)).ridge_used == 0.0
         # a constant column gives the pooled covariance a zero row
-        singular = fit_lda(np.column_stack([x, np.ones(len(y))]), y)
+        singular = fit_lda(class_stats(np.column_stack([x, np.ones(len(y))]), y))
         assert singular.ridge_used == RIDGE_LADDER[1]
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
-            fit_lda(np.array([[1.0], [2.0], [3.0]]), [LOW, LOW, LOW])
+            class_stats(np.array([[1.0], [2.0], [3.0]]), [LOW, LOW, LOW])
 
     def test_class_with_one_row_rejected(self):
         with pytest.raises(ValueError, match="high"):
-            fit_lda(np.array([[1.0], [2.0], [3.0]]), [LOW, LOW, HIGH])
+            class_stats(np.array([[1.0], [2.0], [3.0]]), [LOW, LOW, HIGH])
 
     def test_identical_rows_rejected(self):
         x = np.ones((6, 2))
         y = [LOW, LOW, LOW, HIGH, HIGH, HIGH]
         with pytest.raises(ValueError, match="covariance"):
-            fit_lda(x, y)
+            fit_lda(class_stats(x, y))
 
     @pytest.mark.parametrize("bad", [3, -1, 0.5])
     def test_label_not_a_class_code_rejected(self, bad):
         x = np.arange(6.0).reshape(6, 1)
         with pytest.raises(ValueError, match="ClassLabel codes"):
-            fit_lda(x, [LOW, LOW, HIGH, HIGH, bad, bad])
+            class_stats(x, [LOW, LOW, HIGH, HIGH, bad, bad])
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            fit_lda(np.zeros((3, 1)), [LOW, HIGH])
+            class_stats(np.zeros((3, 1)), [LOW, HIGH])
+
+
+class TestClassStats:
+    @pytest.fixture()
+    def data(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(150, 7)) * [1.0, 1e3, 1e-3, 5.0, 7.0, 9.0, 11.0] + 100.0
+        y = rng.choice([LOW, MED, HIGH], size=150)
+        return x, y
+
+    def test_subset_equals_stats_of_the_columns(self, data):
+        x, y = data
+        full = class_stats(x, y)
+        for size in range(1, 8):
+            for cols in itertools.combinations(range(7), size):
+                sliced, direct = full.subset(cols), class_stats(x[:, cols], y)
+                assert sliced.classes == direct.classes
+                assert sliced.counts.tolist() == direct.counts.tolist()
+                assert sliced.n == direct.n
+                if size > 1:
+                    assert np.array_equal(sliced.means, direct.means)
+                else:
+                    # numpy sums a one-column matrix pairwise, the columns of a
+                    # wider one row by row
+                    np.testing.assert_allclose(sliced.means, direct.means, rtol=1e-12)
+                np.testing.assert_allclose(sliced.scatter, direct.scatter, rtol=1e-12)
+
+    def test_counts_follow_classes(self):
+        x = np.arange(7.0).reshape(7, 1)
+        stats = class_stats(x, [HIGH, LOW, HIGH, LOW, LOW, HIGH, HIGH])
+        assert stats.classes == (LOW, HIGH)
+        assert stats.counts.tolist() == [3, 4]
+        assert stats.n == 7
 
 
 class TestPredict:
     def test_symmetric_midpoint_boundary(self):
         x, y = _two_class_1d()
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         assert predict(model, np.array([0.5])) is HIGH
         assert predict(model, np.array([-0.5])) is LOW
 
@@ -103,7 +137,7 @@ class TestPredict:
         x = np.array([[-1.0], [-1.5], [-0.5], [-2.0], [-1.2], [-0.8],
                       [-1.1], [-0.9], [-1.3], [1.0], [0.6]])
         y = [LOW] * 9 + [HIGH] * 2
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         s = model.pooled_covariance[0, 0]
         mu = {lbl: x[np.array(y) == lbl].mean() for lbl in (LOW, HIGH)}
         pi = {LOW: 9 / 11, HIGH: 2 / 11}
@@ -123,7 +157,7 @@ class TestPredict:
         centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
         x = np.vstack([c + residuals for c in centers])
         y = [LOW] * 4 + [MED] * 4 + [HIGH] * 4
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         assert model.pooled_covariance == pytest.approx(np.eye(2))
         assert predict(model, np.array([3.9, 0.1])) is MED  # mean (4, 0)
         rng = np.random.default_rng(55)
@@ -139,12 +173,12 @@ class TestPredict:
         # identical class distributions make every discriminant tie
         x = np.array([[0.0], [1.0], [0.0], [1.0]])
         y = [LOW, LOW, HIGH, HIGH]
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         assert predict(model, np.array([0.7])) is LOW
 
     def test_dimension_mismatch(self):
         x, y = _two_class_1d()
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         with pytest.raises(ValueError):
             predict(model, np.array([1.0, 2.0]))
 
@@ -153,14 +187,14 @@ class TestInvariances:
     def test_affine_invariance_of_decisions(self):
         rng = np.random.default_rng(8)
         x, y = _three_blobs(rng)
-        base = fit_lda(x, y)
+        base = fit_lda(class_stats(x, y))
         probes = rng.uniform(-2.0, 6.0, size=(200, 2))
         for _ in range(5):
             m = rng.normal(size=(2, 2))
             while abs(np.linalg.det(m)) < 0.3:
                 m = rng.normal(size=(2, 2))
             shift = rng.normal(size=2) * 3.0
-            transformed = fit_lda(x @ m.T + shift, y)
+            transformed = fit_lda(class_stats(x @ m.T + shift, y))
             assert predict_many(transformed, probes @ m.T + shift).tolist() == predict_many(
                 base, probes
             ).tolist()
@@ -168,8 +202,8 @@ class TestInvariances:
     def test_scale_invariance_of_labels(self):
         rng = np.random.default_rng(21)
         x, y = _three_blobs(rng)
-        base = fit_lda(x, y)
-        scaled = fit_lda(x * 37.5, y)
+        base = fit_lda(class_stats(x, y))
+        scaled = fit_lda(class_stats(x * 37.5, y))
         probes = rng.uniform(-2.0, 6.0, size=(200, 2))
         assert predict_many(scaled, probes * 37.5).tolist() == predict_many(base, probes).tolist()
 
@@ -178,7 +212,7 @@ class TestAccuracy:
     def test_separable_toy_scores_one(self):
         rng = np.random.default_rng(14)
         x, y = _three_blobs(rng, spread=0.1)
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         assert accuracy(model, x, y) == 1.0
 
     def test_flipped_labels_complement(self):
@@ -187,7 +221,7 @@ class TestAccuracy:
         x = np.vstack([rng.normal(size=(30, 2)) * 2.5,
                        rng.normal(size=(30, 2)) * 2.5 + 1.0])
         y = [LOW] * 30 + [HIGH] * 30
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         acc = accuracy(model, x, y)
         assert 0.0 < acc < 1.0
         flipped = [LOW if lbl is HIGH else HIGH for lbl in y]
@@ -199,13 +233,13 @@ class TestAccuracy:
             n_per = int(rng.integers(5, 40))
             spread = float(rng.uniform(0.2, 4.0))
             x, y = _three_blobs(rng, n_per=n_per, spread=spread)
-            model = fit_lda(x, y)
+            model = fit_lda(class_stats(x, y))
             majority = max(np.mean([lbl is c for lbl in y]) for c in set(y))
             assert accuracy(model, x, y) >= majority
 
     def test_empty_dataset_rejected(self):
         x, y = _two_class_1d()
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         with pytest.raises(ValueError):
             accuracy(model, np.zeros((0, 1)), [])
 
@@ -224,7 +258,7 @@ class TestDecisionGrid:
     def model_2d(self):
         rng = np.random.default_rng(92)
         x, y = _three_blobs(rng)
-        return fit_lda(x, y)
+        return fit_lda(class_stats(x, y))
 
     def test_grid_matches_pointwise_prediction(self, model_2d):
         grid = _grid(model_2d, (-1.0, 5.0, -1.0, 5.0), 9)
@@ -245,7 +279,7 @@ class TestDecisionGrid:
         x = np.array([[-2.0, 0.3], [-1.0, -0.2], [-1.5, 1.1], [-0.7, 0.6],
                       [2.0, -0.3], [1.0, 0.2], [1.5, -1.1], [0.7, -0.6]])
         y = [LOW] * 4 + [HIGH] * 4
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         n = 41
         grid = _grid(model, (-3.0, 3.0, -3.0, 3.0), n)
         cell = 6.0 / (n - 1)
@@ -264,7 +298,7 @@ class TestDecisionGrid:
 
     def test_requires_two_features(self):
         x, y = _two_class_1d()
-        model = fit_lda(x, y)
+        model = fit_lda(class_stats(x, y))
         with pytest.raises(ValueError, match="2-feature"):
             decision_grid(model, [0.0, 1.0], [0.0, 1.0])
 
@@ -295,6 +329,6 @@ class TestFeatureOrdering:
             y = [HIGH if row[j] > 0 else LOW for row in x]
             x[:, j] *= 5.0  # widen the separating direction
             y = [HIGH if row[j] > 0 else LOW for row in x]
-            model = fit_lda(x, y)
+            model = fit_lda(class_stats(x, y))
             contrast = np.abs(model.coef[1] - model.coef[0])
             assert int(np.argmax(contrast)) == j
