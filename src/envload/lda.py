@@ -7,7 +7,8 @@ Discriminant rule: predict argmax_k of
 with S the pooled within-class covariance (1/(n-K) scaling) and pi_k the
 empirical class priors. Ties go to the lower class in LOW < MEDIUM < HIGH
 order. A ridge ladder (0, 1e-8, 1e-6, 1e-4) handles near-singular pooled
-covariances, as happen for near-constant feature subsets.
+covariances, as happen for collinear feature subsets. A column that is
+constant within every class, up to rounding, fails the fit instead.
 
 Fitting runs from class statistics: `fit_lda(class_stats(x, y))`.
 `class_stats` checks the labels and computes the class means and the
@@ -27,6 +28,11 @@ from .dataset import ClassLabel
 from .numerics import CholeskyFactor, NotPositiveDefiniteError, symmetric
 
 RIDGE_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
+# A column whose pooled standard deviation is at most this fraction of its
+# largest class mean is constant up to rounding: the mean of n equal values
+# can be off by a few ulps, which leaves a pooled standard deviation near
+# 1e-16 of the value. Fitting such a column would treat that noise as signal.
+FLAT_RELATIVE_STD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,8 +105,15 @@ def fit_lda(stats: ClassStats) -> LdaModel:
     k = len(stats.classes)
     means = stats.means
     pooled = symmetric(stats.scatter / (stats.n - k))
-    if float(np.max(np.abs(pooled))) == 0.0:
-        raise ValueError("zero within-class covariance: all rows identical per class")
+    variances = pooled.diagonal()
+    scale = abs(means).max(axis=0)  # each column's largest class mean
+    flat = variances <= FLAT_RELATIVE_STD ** 2 * (scale * scale)
+    if flat.any():
+        col = int(np.flatnonzero(flat)[0])
+        raise ValueError(
+            f"zero within-class covariance: column {col} is constant within every "
+            f"class up to rounding (pooled variance {variances[col]:.3g})"
+        )
 
     priors = stats.counts / stats.n
     solver = _factor_with_ladder(pooled)

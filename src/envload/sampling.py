@@ -18,12 +18,43 @@ outside (0, 1)) are rejected and redrawn from the same stream.
 
 Each material gets its own stream derived from (seed, material_index), so
 materials can be sampled independently and in any order.
+
+Blocks of outputs. `Xoshiro256pp.next_u64` is the scalar reference; the
+samplers draw the same stream in blocks. The xoshiro256++ state transition
+is linear over GF(2), a 256x256 bit matrix T, and the ++ scrambler only
+reads the state, so the state after k outputs is s_k = T^k s_0 (Haramoto
+et al., "Efficient jump ahead for F2-linear random number generators",
+INFORMS J. Computing 20(3), 2008; Blackman & Vigna, "Scrambled linear
+pseudorandom number generators", ACM TOMS 47(4), 2021).
+
+* A block of count outputs is L lanes of M = 2^m steps, m =
+  floor(log2(count) / 2), so both are about sqrt(count). Lane j starts at
+  s_(jM): from lane 0 alone, each T^(2^k), k = m, m+1, ..., doubles the
+  lanes. All lanes then step M times together as numpy uint64 rows; read
+  lane by lane, their outputs are the serial stream. Every lane's state
+  after every step is kept, so the state after any prefix of the block is
+  read off, not recomputed.
+* T is built on first use by stepping the 256 basis states as lanes, and
+  T^(2^(k+1)) is T^(2^k) applied to its own rows. Each power is kept for
+  the life of the process as lookup tables (64 groups of 4 state bits, 16
+  XOR combinations each: 32 KiB), which turn a product into 64 lookups
+  per state. Nothing is computed at import.
+* Box-Muller runs on whole blocks with the formulas above. `math.log`,
+  `math.cos` and `math.sin` are applied element by element: numpy's
+  versions may differ from libm in the last bit, depending on the build
+  (`np.log` does on numpy 2.4 with AVX-512). The arithmetic around them
+  is IEEE-exact in numpy as in Python.
+* Rejection is a mask over the block: each feature keeps its first n
+  valid draws, and the next feature starts after the n-th. A pending
+  Box-Muller z1 is just the next position in the block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +68,7 @@ from .dataset import (
 )
 
 _MASK64 = (1 << 64) - 1
+_U64 = np.uint64
 
 
 class SplitMix64:
@@ -55,6 +87,99 @@ class SplitMix64:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _run_lanes(lanes: np.ndarray, steps: int) -> np.ndarray:
+    """Step every lane (a row of 4 state words) `steps` times together.
+
+    Returns the states as (4, steps + 1, L): [:, i, j] is lane j after i steps.
+    """
+    states = np.empty((4, steps + 1, len(lanes)), dtype=_U64)
+    states[:, 0] = lanes.T
+    t = np.empty(len(lanes), dtype=_U64)
+    u = np.empty_like(t)
+    k17, k45, k19 = _U64(17), _U64(45), _U64(19)
+    xor = np.bitwise_xor
+    w0, w1, w2, w3 = states
+    for a0, a1, a2, a3, b0, b1, b2, b3 in zip(w0, w1, w2, w3, w0[1:], w1[1:], w2[1:], w3[1:]):
+        np.left_shift(a1, k17, out=t)   # t = s1 << 17
+        xor(a2, a0, out=b2)             # s2 ^= s0
+        xor(a3, a1, out=u)              # s3 ^= s1
+        xor(a1, b2, out=b1)             # s1 ^= s2
+        xor(a0, u, out=b0)              # s0 ^= s3
+        xor(b2, t, out=b2)              # s2 ^= t
+        np.left_shift(u, k45, out=t)    # s3 = rotl(s3, 45)
+        np.right_shift(u, k19, out=u)
+        np.bitwise_or(u, t, out=b3)
+    return states
+
+
+def _scrambled(s0: np.ndarray, s3: np.ndarray) -> np.ndarray:
+    """The ++ output rotl(s0 + s3, 23) + s0, elementwise in uint64."""
+    x = s0 + s3
+    out = (x << _U64(23)) | (x >> _U64(41))
+    out += s0
+    return out
+
+
+# Bit-matrix products by table lookup (the "method of four Russians"): the
+# 256 state bits form 64 groups of 4, and a power of T is kept as, for each
+# group, the XOR of its rows for each of the 16 values of the group's bits.
+def _tables(rows: np.ndarray) -> np.ndarray:
+    """(64, 16, 4) lookup tables of a bit matrix given as (256, 4) uint64 rows,
+    row c the image of state bit c (bit c % 64 of word c // 64)."""
+    rows = rows.reshape(64, 1, 4, 4)  # group, -, bit in the group, word
+    bits_of_value = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
+    return np.bitwise_xor.reduce(np.where(bits_of_value[:, :, None], rows, _U64(0)), axis=2)
+
+
+def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The (L, 4) states times the bit matrix of tables over GF(2)."""
+    octets = states.astype("<u8", copy=False).view(np.uint8)  # bit c is in byte c // 8
+    nibbles = np.empty((len(states), 64), dtype=np.uint8)
+    nibbles[:, 0::2] = octets & 15
+    nibbles[:, 1::2] = octets >> 4
+    return np.bitwise_xor.reduce(tables[np.arange(64)[:, None], nibbles.T], axis=0)
+
+
+@functools.cache
+def _jump_tables(k: int) -> np.ndarray:
+    """T^(2^k) as read-only lookup tables (see _tables), 32 KiB each."""
+    if k == 0:
+        basis = np.zeros((256, 4), dtype=_U64)
+        basis[np.arange(256), np.arange(256) // 64] = _U64(1) << (np.arange(256) % 64).astype(_U64)
+        rows = np.ascontiguousarray(_run_lanes(basis, 1)[:, 1].T)
+    else:
+        half = _jump_tables(k - 1)
+        rows = _apply(half, half[:, [1, 2, 4, 8]].reshape(256, 4))  # row 4g + i is half[g, 2^i]
+    tables = _tables(rows)
+    tables.flags.writeable = False
+    return tables
+
+
+def _u64_block(state: list[int], count: int) -> tuple[np.ndarray, Callable[[int], list[int]]]:
+    """The next count outputs from state, as uint64, and a function that
+    gives the state after the first p of them, 0 <= p <= count.
+
+    Lanes of 2^m steps with m = floor(log2(count) / 2): the steps (a fixed
+    cost each) and the lanes (a share of a bit-matrix product each) are
+    both about sqrt(count).
+    """
+    steps = 1 << (count.bit_length() - 1) // 2
+    n_lanes = -(-count // steps)
+    lanes = np.array([state], dtype=_U64)
+    k = steps.bit_length() - 1
+    while len(lanes) < n_lanes:  # lane j starts at s_(j * steps)
+        lanes = np.concatenate([lanes, _apply(_jump_tables(k), lanes[: n_lanes - len(lanes)])])
+        k += 1
+    states = _run_lanes(lanes, steps)
+
+    def state_after(p: int) -> list[int]:
+        lane, step = divmod(p, steps) if p < n_lanes * steps else (n_lanes - 1, steps)
+        return states[:, step, lane].tolist()
+
+    out = _scrambled(states[0, :-1], states[3, :-1])
+    return out.T.ravel()[:count], state_after
 
 
 class Xoshiro256pp:
@@ -103,11 +228,24 @@ class Xoshiro256pp:
         self._pending_gauss = r * math.sin(theta)
         return r * math.cos(theta)
 
+    def next_u64_block(self, count: int) -> np.ndarray:
+        """The next count next_u64 outputs as a uint64 array, drawn in one block."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        out, state_after = _u64_block(self._s, count)
+        self._s = state_after(count)
+        return out
+
     def shuffled(self, items: list) -> list:
-        """Fisher-Yates shuffle (copy), consuming one draw per swap."""
+        """Fisher-Yates shuffle (copy), consuming one next_below draw per swap:
+        the draws come as one block, the swaps run in order."""
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        m = len(out) - 1
+        if m < 1:
+            return out
+        bounds = np.arange(m + 1, 1, -1, dtype=_U64)
+        draws = (self.next_u64_block(m) % bounds).tolist()
+        for i, j in zip(range(m, 0, -1), draws):
             out[i], out[j] = out[j], out[i]
         return out
 
@@ -146,28 +284,66 @@ def sample_material(
     """Draw n feature vectors for one material; returns an (n, 7) array.
 
     Raises ValueError when a component stays invalid for
-    max_rejections_per_draw consecutive draws.
+    max_rejections_per_draw consecutive draws. Either way the stream is left
+    as next_gaussian calls drawing the same values would leave it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    columns = np.empty((len(FeatureId), n), dtype=np.float64)
+    carried = [] if stream._pending_gauss is None else [stream._pending_gauss]
+    # room for every feature and a few rejections; a short block is extended
+    # by as many outputs again, and the last block holds where the stream ends
+    raw, state_after = _u64_block(stream._s, 2 * ((N_FEATURES * n + n // 16 + 16) // 2))
+    earlier = 0  # outputs before the last block
+    gauss = np.concatenate([carried, _box_muller(raw)])
+    columns = np.empty((N_FEATURES, n), dtype=np.float64)
+    used = 0  # gaussians consumed, the carried one included
+    exhausted = None
     for f in FeatureId:
         mean, std_dev = spec.dist[f].mean, spec.dist[f].std_dev
         upper = math.inf if f in POSITIVE_FEATURES else 1.0
-        values = []
-        for _ in range(n):
-            for _attempt in range(max_rejections_per_draw):
-                value = mean + std_dev * stream.next_gaussian()
-                if 0.0 < value < upper:
-                    values.append(value)
-                    break
-            else:
-                raise ValueError(
-                    f"material {spec.name!r}, feature {f.column_name!r}: "
-                    f"no valid draw in {max_rejections_per_draw} attempts"
-                )
-        columns[f] = values
+        while True:
+            values = mean + std_dev * gauss[used:]
+            kept = np.flatnonzero((0.0 < values) & (values < upper))[:n]
+            # a draw ends at its valid value, or unfinished at the end of the block
+            ends = kept if len(kept) == n else np.append(kept, len(values))
+            misses = ends - np.append(-1, ends[:-1]) - 1
+            failed = np.flatnonzero(misses >= max_rejections_per_draw)
+            if failed.size:
+                exhausted = f
+                used += (int(ends[failed[0] - 1]) + 1 if failed[0] else 0) + max_rejections_per_draw
+                break
+            if len(kept) == n:
+                columns[f] = values[kept]
+                used += int(kept[-1]) + 1
+                break
+            earlier = len(gauss) - len(carried)
+            raw, state_after = _u64_block(state_after(len(raw)), earlier)
+            gauss = np.concatenate([gauss, _box_muller(raw)])
+        if exhausted is not None:
+            break
+    # the pairs that fresh gaussians were taken from are consumed; an unread z1 is pending
+    fresh = used - len(carried)
+    stream._s = state_after(2 * (-(-fresh // 2)) - earlier)
+    stream._pending_gauss = float(gauss[used]) if fresh % 2 else None
+    if exhausted is not None:
+        raise ValueError(
+            f"material {spec.name!r}, feature {exhausted.column_name!r}: "
+            f"no valid draw in {max_rejections_per_draw} attempts"
+        )
     return columns.T.copy()
+
+
+def _box_muller(raw: np.ndarray) -> np.ndarray:
+    """z0, z1 of each pair of raw outputs, interleaved, as next_gaussian
+    computes them."""
+    u = (raw >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+    logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, len(u) // 2)
+    r = np.sqrt(-2.0 * logs)
+    theta = (2.0 * math.pi * u[1::2]).tolist()
+    z = np.empty(len(u))
+    z[0::2] = r * np.fromiter(map(math.cos, theta), np.float64, len(theta))
+    z[1::2] = r * np.fromiter(map(math.sin, theta), np.float64, len(theta))
+    return z
 
 
 def generate_dataset(library: MaterialLibrary, cfg: SamplerConfig) -> Dataset:

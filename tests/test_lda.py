@@ -62,8 +62,11 @@ class TestFit:
         rng = np.random.default_rng(3)
         x, y = _three_blobs(rng, n_per=10)
         assert fit_lda(class_stats(x, y)).ridge_used == 0.0
-        # a constant column gives the pooled covariance a zero row
-        singular = fit_lda(class_stats(np.column_stack([x, np.ones(len(y))]), y))
+        # a repeated column with pooled variance exactly 1 makes the pooled
+        # covariance exactly singular: the second Cholesky pivot is 1 - 1 = 0
+        col = np.array([-1.0, 0.0, 1.0, 9.0, 10.0, 11.0])
+        labels = [LOW, LOW, LOW, HIGH, HIGH, HIGH]
+        singular = fit_lda(class_stats(np.column_stack([col, col]), labels))
         assert singular.ridge_used == RIDGE_LADDER[1]
 
     def test_single_class_rejected(self):

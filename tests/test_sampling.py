@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from envload.dataset import FeatureId, MaterialSpec, PropertyDistribution
+from envload import sampling
+from envload.dataset import POSITIVE_FEATURES, FeatureId, MaterialSpec, PropertyDistribution
 from envload.sampling import (
     SamplerConfig,
     SplitMix64,
@@ -171,3 +176,155 @@ class TestGenerateDataset:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(n_per_material=0)
+
+
+def reference_sample(spec, n, stream, max_rejections_per_draw=1000):
+    """The per-draw loop: one next_gaussian call per attempt, in draw order."""
+    columns = np.empty((len(FeatureId), n))
+    for f in FeatureId:
+        mean, std_dev = spec.dist[f].mean, spec.dist[f].std_dev
+        upper = math.inf if f in POSITIVE_FEATURES else 1.0
+        values = []
+        for _ in range(n):
+            for _attempt in range(max_rejections_per_draw):
+                value = mean + std_dev * stream.next_gaussian()
+                if 0.0 < value < upper:
+                    values.append(value)
+                    break
+            else:
+                raise ValueError(
+                    f"material {spec.name!r}, feature {f.column_name!r}: "
+                    f"no valid draw in {max_rejections_per_draw} attempts"
+                )
+        columns[f] = values
+    return columns.T.copy()
+
+
+def reference_shuffled(rng, items):
+    """Fisher-Yates with one next_below call per swap."""
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_streams_continue_alike(a, b):
+    assert [a.next_gaussian() for _ in range(3)] == [b.next_gaussian() for _ in range(3)]
+    assert [a.next_u64() for _ in range(3)] == [b.next_u64() for _ in range(3)]
+
+
+class TestBlockSamplingMatchesPerDrawLoop:
+    @pytest.mark.parametrize("n", [1, 7, 100, 1000])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_builtin_materials(self, default_library, seed, n):
+        for index, spec in enumerate(default_library):
+            block, loop = material_stream(seed, index), material_stream(seed, index)
+            assert_same_bits(sample_material(spec, n, block), reference_sample(spec, n, loop))
+            assert_streams_continue_alike(block, loop)
+
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_pending_gaussian_carried_in(self, default_library, n):
+        for index, spec in enumerate(default_library):
+            block, loop = material_stream(3, index), material_stream(3, index)
+            assert block.next_gaussian() == loop.next_gaussian()  # leaves z1 pending
+            assert_same_bits(sample_material(spec, n, block), reference_sample(spec, n, loop))
+            assert_streams_continue_alike(block, loop)
+
+    @pytest.mark.parametrize("means, blocks_needed", [
+        ([0.1, 0.0, 0.5, 900.0, 0.5, 0.5, 0.5], 2),  # density N(0, 10): half are <= 0
+        ([0.1, -10.0, -0.05, -20.0, 0.5, 0.5, 0.5], 3),  # three features valid 16% of the time
+    ])
+    def test_rejections_extend_the_block(self, monkeypatch, means, blocks_needed):
+        spec = _spec("thin", means=means)
+        blocks = []
+        real_block = sampling._u64_block
+
+        def counted(state, count):
+            blocks.append(count)
+            return real_block(state, count)
+
+        monkeypatch.setattr(sampling, "_u64_block", counted)
+        most = 0
+        for n in (1, 50, 1000):
+            blocks.clear()
+            block, loop = Xoshiro256pp(n), Xoshiro256pp(n)
+            assert_same_bits(sample_material(spec, n, block), reference_sample(spec, n, loop))
+            assert_streams_continue_alike(block, loop)
+            most = max(most, len(blocks))
+        assert most >= blocks_needed
+
+    @pytest.mark.parametrize("max_rejections", [1, 10])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_exhaustion_raises_on_the_same_draw(self, max_rejections, pending):
+        means = [0.1, -1.0, 0.5, 900.0, 0.5, 0.5, 0.5]  # density N(-1, 1): valid 16% of the time
+        spec = _spec("sparse", means=means, stds=[0.01, 1.0, 0.05, 20.0, 0.05, 0.05, 0.05])
+        for seed in range(5):
+            block, loop = Xoshiro256pp(seed), Xoshiro256pp(seed)
+            if pending:
+                block.next_gaussian(), loop.next_gaussian()
+            with pytest.raises(ValueError) as expected:
+                reference_sample(spec, 200, loop, max_rejections)
+            with pytest.raises(ValueError) as got:
+                sample_material(spec, 200, block, max_rejections)
+            assert str(got.value) == str(expected.value)
+            assert_streams_continue_alike(block, loop)
+
+    def test_exhaustion_on_the_carried_gaussian(self):
+        # the pending z1 is the only draw made: the xoshiro state is untouched
+        spec = _spec("nothin", means=[-1.0] + [0.5] * 6, stds=[0.0] * 7)
+        block, loop = Xoshiro256pp(4), Xoshiro256pp(4)
+        block.next_gaussian(), loop.next_gaussian()
+        with pytest.raises(ValueError, match="nothin.*thickness.*in 1 attempts"):
+            reference_sample(spec, 1, loop, max_rejections_per_draw=1)
+        with pytest.raises(ValueError, match="nothin.*thickness.*in 1 attempts"):
+            sample_material(spec, 1, block, max_rejections_per_draw=1)
+        assert_streams_continue_alike(block, loop)
+
+
+class TestBlockGenerator:
+    @pytest.mark.parametrize("k", [0, 1, 5, 12])
+    def test_jump_by_power_of_two_matches_scalar_steps(self, k):
+        rng = Xoshiro256pp(17)
+        start = np.array([rng._s], dtype=np.uint64)
+        for _ in range(2 ** k):
+            rng.next_u64()
+        jumped = sampling._apply(sampling._jump_tables(k), start)
+        assert jumped[0].tolist() == rng._s
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 255, 4097, 70_001])
+    def test_block_equals_scalar_calls(self, count):
+        block, scalar = Xoshiro256pp(count), Xoshiro256pp(count)
+        out = block.next_u64_block(count)
+        assert out.dtype == np.uint64
+        assert out.tolist() == [scalar.next_u64() for _ in range(count)]
+        assert_streams_continue_alike(block, scalar)
+
+    def test_block_rejects_empty_count(self):
+        with pytest.raises(ValueError):
+            Xoshiro256pp(1).next_u64_block(0)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 2100, 60_001])
+    def test_shuffled_equals_fisher_yates(self, length):
+        items = [f"row{i}" for i in range(length)]
+        block, scalar = Xoshiro256pp(length), Xoshiro256pp(length)
+        assert block.shuffled(items) == reference_shuffled(scalar, items)
+        assert_streams_continue_alike(block, scalar)
+
+    def test_jump_powers_are_lazy_and_small(self):
+        code = (
+            "from envload import sampling\n"
+            "assert sampling._jump_tables.cache_info().currsize == 0\n"
+            "sampling.Xoshiro256pp(1).next_u64_block(80_000)\n"
+            "powers = [sampling._jump_tables(k) for k in range(sampling._jump_tables.cache_info().currsize)]\n"
+            "print(sum(m.nbytes for m in powers))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sampling.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, env=env)
+        assert 0 < int(result.stdout) <= 1_500_000
