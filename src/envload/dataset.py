@@ -13,7 +13,6 @@ did not change.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -51,17 +50,6 @@ POSITIVE_FEATURES = (
 )
 
 FEATURE_COLUMNS = tuple(f.column_name for f in FeatureId)
-
-FEATURE_UNITS = {
-    FeatureId.THICKNESS: "m",
-    FeatureId.DENSITY: "kg/m3",
-    FeatureId.THERMAL_CONDUCTIVITY: "W/mK",
-    FeatureId.SPECIFIC_HEAT_CAPACITY: "J/kgK",
-    FeatureId.SOLAR_ABSORPTANCE: "-",
-    FeatureId.VISUAL_ABSORPTANCE: "-",
-    FeatureId.THERMAL_ABSORPTANCE: "-",
-}
-
 
 class ClassLabel(IntEnum):
     """Thermal-load class, totally ordered LOW < MEDIUM < HIGH."""
@@ -133,10 +121,6 @@ class MaterialLibrary:
 
     def __getitem__(self, index: int) -> MaterialSpec:
         return self.materials[index]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.materials)
 
 
 @dataclass(frozen=True)
@@ -431,48 +415,7 @@ def _cell(where: str, column: str, text: str, parse, expected: str,
 
 
 # ---------------------------------------------------------------------------
-# JSON export/import, used for config overrides.
-
-def library_to_json(library: MaterialLibrary) -> dict:
-    return {
-        "materials": [
-            {
-                "name": m.name,
-                "distributions": {
-                    f.column_name: {
-                        "mean": m.dist[f].mean,
-                        "std_dev": m.dist[f].std_dev,
-                    }
-                    for f in FeatureId
-                },
-            }
-            for m in library
-        ]
-    }
-
-
-def library_from_json(data: Mapping) -> MaterialLibrary:
-    materials = []
-    for entry in data["materials"]:
-        dist = {}
-        for f in FeatureId:
-            d = entry["distributions"][f.column_name]
-            dist[f] = PropertyDistribution(float(d["mean"]), float(d["std_dev"]))
-        materials.append(MaterialSpec(str(entry["name"]), dist))
-    return MaterialLibrary(tuple(materials))
-
+# JSON export, for the config echo.
 
 def constants_to_json(constants: SystemConstants) -> dict:
     return dict(constants.__dict__)
-
-
-def constants_from_json(data: Mapping) -> SystemConstants:
-    known = set(SystemConstants().__dict__)
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown system constant fields: {sorted(unknown)}")
-    return SystemConstants(**{k: float(v) for k, v in data.items()})
-
-
-def save_json(data: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -19,11 +19,8 @@ from envload.dataset import (
     SystemConstants,
     builtin_material_library,
     builtin_system_constants,
-    constants_from_json,
     constants_to_json,
     format_rows,
-    library_from_json,
-    library_to_json,
     read_dataset,
     write_dataset,
 )
@@ -35,7 +32,7 @@ class TestBuiltinLibrary:
     def test_six_materials_with_unique_names(self):
         lib = builtin_material_library()
         assert len(lib) == 6
-        assert len(set(lib.names)) == 6
+        assert len({m.name for m in lib}) == 6
 
     def test_concrete_conductivity(self):
         lib = builtin_material_library()
@@ -61,11 +58,16 @@ class TestBuiltinLibrary:
                 assert (m.dist[f].mean, m.dist[f].std_dev) == (0.5, 0.05)
 
     def test_matches_checked_in_constants_file(self):
-        # string comparison against the frozen export
-        expected = (DATA_DIR / "builtin_library.json").read_text()
-        got = json.dumps(library_to_json(builtin_material_library()),
-                         indent=2, sort_keys=True) + "\n"
-        assert got == expected
+        # every mean and std_dev, against the frozen copy
+        frozen = json.loads((DATA_DIR / "builtin_library.json").read_text())
+        expected = MaterialLibrary(tuple(
+            MaterialSpec(entry["name"], {
+                f: PropertyDistribution(**entry["distributions"][f.column_name])
+                for f in FeatureId
+            })
+            for entry in frozen["materials"]
+        ))
+        assert builtin_material_library() == expected
 
 
 class TestSystemConstants:
@@ -315,17 +317,3 @@ class TestFormatRows:
         assert write_dataset(ds, path) == expected
         with open(path, newline="") as fh:
             assert fh.read() == ",".join(CSV_HEADER) + "\r\n" + "".join(expected)
-
-
-class TestJsonExport:
-    def test_library_roundtrip(self):
-        lib = builtin_material_library()
-        assert library_from_json(library_to_json(lib)) == lib
-
-    def test_constants_roundtrip(self):
-        c = builtin_system_constants()
-        assert constants_from_json(constants_to_json(c)) == c
-
-    def test_constants_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="boiler"):
-            constants_from_json({"boiler_efficiency": 0.9})

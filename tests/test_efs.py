@@ -237,6 +237,20 @@ class TestSharedStatisticsEquivalence:
         assert [cols for cols, (_, failed) in zip(subsets, expected) if failed] == [
             cols for cols in subsets if FeatureId.DENSITY in cols]
 
+    def test_column_flat_in_one_fold_fails_its_subsets(self):
+        # density is constant but for two rows of fold 0: only the fit that
+        # holds out fold 0 sees a flat column, and that one failure must stick
+        ds = _generated(0)
+        x = ds.features.copy()
+        x[:, FeatureId.DENSITY] = 3.25
+        x[np.flatnonzero(_cv_fold_ids(len(x), 42) == 0)[:2], FeatureId.DENSITY] = [1.0, 5.0]
+        ds = Dataset(ds.material_index, x, loads=ds.loads, labels=ds.labels)
+        expected = _brute_force_efs(ds, METRIC_CV5)
+        assert _swept(ds, METRIC_CV5) == expected
+        subsets = enumerate_subsets(7, 1, 7)
+        assert [cols for cols, (_, failed) in zip(subsets, expected) if failed] == [
+            cols for cols in subsets if FeatureId.DENSITY in cols]
+
     def test_fold_leaving_one_row_of_a_class_fails_every_subset(self):
         # one HIGH row: the four folds that train on it have a one-row class
         ds = _generated(0)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from envload.dataset import ClassLabel
+from envload.dataset import ClassLabel, builtin_material_library
+from envload import lda as lda_mod
 from envload.lda import (
     RIDGE_LADDER,
     accuracy,
@@ -16,6 +17,9 @@ from envload.lda import (
     predict,
     predict_many,
 )
+from envload.preprocess import label_dataset
+from envload.sampling import SamplerConfig, generate_dataset
+from envload.surrogate import SurrogateConfig, simulate_dataset
 
 LOW, MED, HIGH = ClassLabel.LOW, ClassLabel.MEDIUM, ClassLabel.HIGH
 
@@ -335,3 +339,106 @@ class TestFeatureOrdering:
             model = fit_lda(class_stats(x, y))
             contrast = np.abs(model.coef[1] - model.coef[0])
             assert int(np.argmax(contrast)) == j
+
+
+def _members_of_every_size(p=7):
+    return [np.array(list(itertools.combinations(range(p), size))) for size in range(1, p + 1)]
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestStacked:
+    """fit_lda and predict_many on a (C, s) column array: each member as if
+    fit and scored alone."""
+
+    @pytest.fixture(scope="class", params=range(5))
+    def stats(self, request):
+        ds = generate_dataset(builtin_material_library(),
+                              SamplerConfig(seed=request.param, n_per_material=30))
+        ds = label_dataset(simulate_dataset(ds, SurrogateConfig(q_base=0.0, r_wall=1.0)))
+        return class_stats(ds.features, ds.labels), ds.features
+
+    def test_every_member_equals_its_stack_of_one(self, stats):
+        full, _ = stats
+        for cols in _members_of_every_size():
+            model = fit_lda(full.subset(cols))
+            assert model.cols.tolist() == cols.tolist()
+            for i, member in enumerate(cols):
+                alone = fit_lda(full.subset(member))
+                assert not model.failed[i]
+                assert _same_bits(model.coef[i], alone.coef)
+                assert _same_bits(model.intercept[i], alone.intercept)
+                assert _same_bits(model.ridge_used[i], alone.ridge_used)
+                assert _same_bits(model.pooled_covariance[i], alone.pooled_covariance)
+
+    def test_predict_many_equals_each_member_alone(self, stats):
+        full, x = stats
+        rng = np.random.default_rng(0)
+        probes = np.vstack([x, x + rng.normal(size=x.shape) * x.std(axis=0)])
+        for cols in _members_of_every_size():
+            model = fit_lda(full.subset(cols))
+            codes = predict_many(model, probes)
+            assert codes.shape == (len(probes), len(cols))
+            for i, member in enumerate(cols):
+                alone = fit_lda(full.subset(member))
+                assert codes[:, i].tolist() == predict_many(alone, probes[:, member]).tolist()
+
+    def test_members_fail_and_retry_on_their_own(self):
+        # column 1 is flat; columns 2 and 3 are one column with pooled variance
+        # exactly 1, so (2, 3) factors only with the second ridge
+        col = np.array([-1.0, 0.0, 1.0, 9.0, 10.0, 11.0])
+        x = np.column_stack([[0.3, -1.2, 2.0, 5.1, 4.4, 7.0], np.full(6, 3.25), col, col])
+        stats = class_stats(x, [LOW, LOW, LOW, HIGH, HIGH, HIGH])
+        cols = np.array([[0, 1], [2, 3], [0, 2]])
+        model = fit_lda(stats.subset(cols))
+        assert model.failed.tolist() == [True, False, False]
+        assert math.isnan(model.ridge_used[0])
+        assert model.ridge_used[1:].tolist() == [RIDGE_LADDER[1], RIDGE_LADDER[0]]
+        assert not model.coef[0].any() and not model.intercept[0].any()
+        with pytest.raises(ValueError, match="column 1 is constant"):
+            fit_lda(stats.subset(cols[0]))
+        for i in (1, 2):
+            alone = fit_lda(stats.subset(cols[i]))
+            assert alone.ridge_used == model.ridge_used[i]
+            assert _same_bits(model.coef[i], alone.coef)
+            assert _same_bits(model.intercept[i], alone.intercept)
+
+    def test_every_member_failing_is_marked(self):
+        stats = class_stats(np.ones((6, 3)), [LOW, LOW, LOW, HIGH, HIGH, HIGH])
+        model = fit_lda(stats.subset(np.array([[0, 1], [1, 2]])))
+        assert model.failed.tolist() == [True, True]
+
+    def test_all_classes_tie_goes_to_the_lower_class(self):
+        # identical class distributions: every discriminant of every member ties
+        x = np.array([[0.0, 2.0], [1.0, 7.0]] * 3)
+        y = [LOW, LOW, MED, MED, HIGH, HIGH]
+        stats = class_stats(x, y)
+        model = fit_lda(stats.subset(np.array([[0], [1]])))
+        probes = np.array([[-5.0, 3.0], [0.5, 100.0], [9.0, -1.0]])
+        codes = predict_many(model, probes)
+        assert codes.tolist() == [[LOW, LOW]] * 3
+        for i in range(2):
+            alone = fit_lda(stats.subset([i]))
+            assert predict_many(alone, probes[:, [i]]).tolist() == [LOW] * 3
+
+    def test_chunks_do_not_change_codes(self, stats, monkeypatch):
+        full, x = stats
+        model = fit_lda(full.subset(_members_of_every_size()[3]))
+        whole = predict_many(model, x)
+        monkeypatch.setattr(lda_mod, "SCORE_CHUNK_BYTES", 8 * 35 * 3 * 7)  # 7 rows a chunk
+        assert predict_many(model, x).tolist() == whole.tolist()
+
+    def test_bad_stacks_rejected(self, stats):
+        full, x = stats
+        with pytest.raises(ValueError, match="repeats a column"):
+            full.subset(np.array([[0, 1], [2, 2]]))
+        stacked = full.subset(np.array([[0, 6]]))
+        with pytest.raises(ValueError, match="unstacked"):
+            stacked.subset(np.array([[0]]))
+        model = fit_lda(stacked)
+        with pytest.raises(ValueError, match="7 features"):
+            predict_many(model, x[:, :6])
+        with pytest.raises(ValueError, match="predict_many"):
+            discriminants(model, x)

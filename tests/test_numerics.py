@@ -6,8 +6,11 @@ from envload.numerics import (
     ConvergenceError,
     NotPositiveDefiniteError,
     jacobi_eigen,
+    ordered_dot,
     symmetric,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 def _random_symmetric(rng, n, scale=1.0):
@@ -193,3 +196,86 @@ class TestSpdSolve:
         a = np.eye(2)
         with pytest.raises(ValueError):
             CholeskyFactor(a).solve(np.zeros(3))
+
+
+def _spd_stack(rng, c, n):
+    """c well-conditioned SPD matrices: M M' + n I."""
+    m = rng.normal(size=(c, n, n))
+    return m @ m.swapaxes(1, 2) + n * np.eye(n)
+
+
+class TestStackedCholesky:
+    """CholeskyFactor on a (C, n, n) stack: each member as if alone."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_agrees_with_numpy(self, n):
+        rng = np.random.default_rng(60 + n)
+        a = _spd_stack(rng, 20, n)
+        b = rng.normal(size=(20, 3, n))
+        # backward-stable factor and solves: forward error within a small
+        # multiple of n * eps * cond(A), relative to the size of the result
+        tol = 16 * n * EPS * np.linalg.cond(a)
+        factor = CholeskyFactor(a)
+        assert factor.ok.all()
+        want_lower = np.linalg.cholesky(a)
+        want_x = np.linalg.solve(a[:, None], b[..., None])[..., 0]
+        got_x = factor.solve(b)
+        for i in range(20):
+            for got, want in ((factor.lower[i], want_lower[i]), (got_x[i], want_x[i])):
+                assert np.abs(got - want).max() <= tol[i] * np.abs(want).max()
+
+    def test_every_member_equals_a_stack_of_one(self):
+        rng = np.random.default_rng(8)
+        a = _spd_stack(rng, 12, 5)
+        a[3] = np.outer(np.arange(1.0, 6.0), np.arange(1.0, 6.0))  # rank 1
+        a[7, 2, 2] = -1.0 - a[7, 2, 2]                             # indefinite
+        b = rng.normal(size=(12, 2, 5))
+        for ridge in (0.0, 1e-8):
+            factor = CholeskyFactor(a, ridge)
+            x = factor.solve(b)
+            assert factor.ok.tolist() == [i not in (3, 7) or (i == 3 and ridge > 0)
+                                          for i in range(12)]
+            for i in range(12):
+                if not factor.ok[i]:
+                    with pytest.raises(NotPositiveDefiniteError) as err:
+                        CholeskyFactor(a[i], ridge)
+                    assert str(err.value) == str(factor.error(i))
+                    assert np.isfinite(x[i]).all()  # failed members stay finite
+                    continue
+                alone = CholeskyFactor(a[i], ridge)
+                assert alone.lower.tobytes() == factor.lower[i].tobytes()
+                for j in range(2):
+                    assert alone.solve(b[i, j]).tobytes() == x[i, j].tobytes()
+
+    def test_first_failing_pivot_is_reported(self):
+        a = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, -3.0]])])
+        factor = CholeskyFactor(a)
+        assert factor.ok.tolist() == [True, False]
+        assert str(factor.error(1)).startswith("pivot -3 at row 1 is not positive")
+
+    def test_stack_shapes_validated(self):
+        factor = CholeskyFactor(np.stack([np.eye(2)] * 3))
+        with pytest.raises(ValueError, match="shape"):
+            factor.solve(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            factor.solve(np.zeros((2, 1, 2)))
+        with pytest.raises(ValueError):
+            CholeskyFactor(np.zeros((1, 1, 2, 2)) + np.eye(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            CholeskyFactor(np.stack([np.eye(2), np.array([[1.0, 2.0], [3.0, 4.0]])]))
+
+
+class TestOrderedDot:
+    def test_sums_in_index_order(self):
+        # in index order 1e16 + 1 rounds the first 1 away; in reverse order
+        # -1e16 + 1 rounds the last one away; the exact sum is 2
+        a = np.array([1e16, 1.0, -1e16, 1.0])
+        assert ordered_dot(a, np.ones(4)) == 1.0
+        assert ordered_dot(np.zeros((3, 0)), np.zeros((3, 0))).tolist() == [0.0] * 3
+
+    def test_leading_shape_does_not_change_bits(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(50, 7)), rng.normal(size=(50, 7))
+        stacked = ordered_dot(a, b)
+        assert all(ordered_dot(a[i], b[i]).tobytes() == stacked[i].tobytes()
+                   for i in range(50))
