@@ -2,13 +2,10 @@
 
     generate -> simulate (or ingest) -> label -> split -> pca -> efs -> train
 
-Each stage is one function: it takes its inputs as objects (Dataset,
-Normalizer, PcaModel, EfsReport), returns its outputs and writes only the
-files it owns. `run` chains the stages in memory, so it writes each output
-file once and reads none of them back. Each subcommand runs one stage on
-the files in the output directory: it loads the stage's inputs, calls the
-same stage function and writes its outputs, so chaining the subcommands
-reproduces `run` byte for byte.
+`envload run` is the one command. Each stage is one function: it takes its
+inputs as objects (Dataset, Normalizer, PcaModel, EfsReport), returns its
+outputs and writes only the files it owns. `run` chains the stages in
+memory, so it writes each output file once and reads none of them back.
 
 Every stage records its parameters in <out>/config.json; the final
 summary.json embeds that echo so a run is fully reproducible from its
@@ -22,9 +19,7 @@ before any stage runs), 2 pipeline error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import sys
 from itertools import chain, combinations, product
 from pathlib import Path
@@ -40,13 +35,10 @@ from .dataset import (
     Dataset,
     FeatureId,
     LABEL_NAMES,
-    N_FEATURES,
-    _cell,
     builtin_material_library,
     builtin_system_constants,
     constants_to_json,
-    format_rows,
-    read_dataset,
+    read_dataset,  # unused here; bench/spans.py wraps it by this name, so it goes with that site
     write_dataset,
     write_lines,
 )
@@ -72,7 +64,6 @@ DEFAULT_GRID_RESOLUTION = 50
 GRID_MARGIN = 0.05  # fractional margin added around the training range
 
 _EFS_METRIC_FLAGS = {"train": efs_mod.METRIC_TRAIN, "cv5": efs_mod.METRIC_CV5}
-_BY_NAME = {f.column_name: f for f in FeatureId}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,9 +89,6 @@ class _Out:
         path = self.path / name
         self.created.append(path)
         return path
-
-    def load(self, name: str) -> Dataset:
-        return read_dataset(self.path / name)
 
     def dataset(self, name: str, dataset: Dataset) -> list[str]:
         return write_dataset(dataset, self._new(name))
@@ -163,11 +151,6 @@ def stage_split(
     return dataset.select(in_train), dataset.select(~in_train)
 
 
-def _split_from_file(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> None:
-    dataset = out.load("dataset.csv")
-    stage_split(out, dataset, np.array(format_rows(dataset), dtype=object), cfg.split)
-
-
 def _normalize(train: Dataset) -> tuple[Normalizer, Dataset]:
     norm = fit_normalizer(train)
     return norm, apply_normalizer(norm, train)
@@ -214,69 +197,6 @@ def stage_efs(out: _Out, train: Dataset, metric: str, cv_seed: int) -> efs_mod.E
         ],
     )
     return report
-
-
-def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[str, dict[str, str]]]:
-    """(place, cells by column name) for each non-blank body line of a CSV
-    that a stage wrote; place names the file and line (header = line 1)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ValueError(f"{path.name}, line 1: missing column {missing[0]!r}")
-        for cells in reader:
-            if not cells:
-                continue
-            place = f"{path.name}, line {reader.line_num}"
-            if len(cells) != len(header):
-                raise ValueError(f"{place}: expected {len(header)} cells, got {len(cells)}")
-            yield place, dict(zip(header, cells))
-
-
-def _number(place: str, row: dict[str, str], column: str) -> float:
-    return _cell(place, column, row[column], float, "a finite number", math.isfinite)
-
-
-def _read_pca(path: Path, n_fit: int) -> pca_mod.PcaModel:
-    """The model that `pca` wrote to scree.csv and loadings.csv. Those keep
-    only the variance ratios and |loadings|, so the eigenvalues come back as
-    the ratios and the loadings unsigned; ranking and the summary need no more."""
-    scree = np.array([[_number(place, row, c) for c in ("ratio", "cumulative")]
-                      for place, row in _csv_rows(path / "scree.csv", ["ratio", "cumulative"])
-                      ]).reshape(-1, 2)
-    pcs = [f"pc{j + 1}" for j in range(len(scree))]
-    loadings = np.zeros((N_FEATURES, len(scree)))
-    seen: set[FeatureId] = set()
-    for place, row in _csv_rows(path / "loadings.csv", ["feature", *pcs]):
-        feature = _cell(place, "feature", row["feature"], _BY_NAME.__getitem__,
-                        "a feature name not on an earlier line", lambda f: f not in seen)
-        seen.add(feature)
-        loadings[feature] = [_number(place, row, c) for c in pcs]
-    missing = [f.column_name for f in FeatureId if f not in seen]
-    if missing:
-        raise ValueError(f"loadings.csv: no line for feature {missing[0]!r}")
-    return pca_mod.PcaModel(scree[:, 0], scree[:, 0], scree[:, 1], loadings, n_fit)
-
-
-def _read_efs(path: Path, metric: str) -> efs_mod.EfsReport:
-    """The report that `efs` wrote to efs_accuracy.csv."""
-    results = []
-    for place, row in _csv_rows(path, ["subset", "size", "metric", "flag"]):
-        subset = _cell(place, "subset", row["subset"],
-                       lambda text: tuple(_BY_NAME[n] for n in text.split("+")),
-                       "feature names joined by '+'")
-        results.append(efs_mod.SubsetResult(
-            subset=subset,
-            size=_cell(place, "size", row["size"], int,
-                       f"{len(subset)}, the number of features in subset",
-                       lambda v: v == len(subset)),
-            metric_value=_number(place, row, "metric"),
-            metric_kind=metric,
-            fit_failed=bool(_cell(place, "flag", row["flag"], int, "0 or 1",
-                                  lambda v: v in (0, 1))),
-        ))
-    return efs_mod.build_report(results, metric)
 
 
 def _class_counts(labels: np.ndarray) -> dict[str, int]:
@@ -401,29 +321,24 @@ def stage_train(
 # command wiring
 
 def _configs(args: argparse.Namespace) -> argparse.Namespace:
-    """Every config object that the command's options describe, built before
-    any stage runs; a bad value raises ValueError (or OSError for a JSON file)."""
-    given = vars(args)
-    cfg = argparse.Namespace()
-    if "n_per_material" in given:
-        cfg.sampler = SamplerConfig(seed=args.seed, n_per_material=args.n_per_material)
-    if "surrogate_config" in given:
-        cfg.surrogate = (load_config(args.surrogate_config) if args.surrogate_config
-                         else SurrogateConfig())
-    if "low_max" in given:
-        cfg.thresholds = Thresholds(low_max=args.low_max, high_min=args.high_min)
-    if "train_frac" in given:
-        cfg.split = SplitConfig(train_fraction=args.train_frac, seed=args.split_seed,
-                                stratified=not args.no_stratify)
-    if "efs_metric" in given:
-        cfg.metric = _EFS_METRIC_FLAGS[args.efs_metric]
-    if given.get("grid_resolution", 2) < 2:
+    """Every config object that the options describe, built before any stage
+    runs; a bad value raises ValueError (or OSError for a JSON file)."""
+    cfg = argparse.Namespace(
+        sampler=SamplerConfig(seed=args.seed, n_per_material=args.n_per_material),
+        surrogate=(load_config(args.surrogate_config) if args.surrogate_config
+                   else SurrogateConfig()),
+        thresholds=Thresholds(low_max=args.low_max, high_min=args.high_min),
+        split=SplitConfig(train_fraction=args.train_frac, seed=args.split_seed,
+                          stratified=not args.no_stratify),
+        metric=_EFS_METRIC_FLAGS[args.efs_metric],
+    )
+    if args.grid_resolution < 2:
         raise ValueError(f"--grid-resolution must be >= 2, got {args.grid_resolution}")
     return cfg
 
 
 def _pipeline(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> Iterator[str]:
-    """`run`: every stage in memory. Yields each stage's name before running it;
+    """Every stage in memory. Yields each stage's name before running it;
     each dataset is dropped once the next stage has replaced it."""
     yield "generate"
     dataset = stage_generate(out, cfg.sampler)
@@ -447,83 +362,32 @@ def _pipeline(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> I
     stage_train(out, train, test, norm, train_n, pca_model, report, args.grid_resolution)
 
 
-def _train_from_files(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> None:
-    train, test = out.load("train.csv"), out.load("test.csv")
-    norm, train_n = _normalize(train)
-    pca_model = _read_pca(out.path, len(train))
-    metric = out.echo.get("efs", {}).get("metric")
-    if metric not in _EFS_METRIC_FLAGS.values():
-        raise ValueError(f"config.json, key efs.metric: expected one of "
-                         f"{sorted(_EFS_METRIC_FLAGS.values())}, got {metric!r}")
-    report = _read_efs(out.path / "efs_accuracy.csv", metric)
-    stage_train(out, train, test, norm, train_n, pca_model, report, args.grid_resolution)
-
-
-def _subcommand(name: str, action):
-    """Steps of a one-stage subcommand: continue the config echo in --out, then act."""
-    def steps(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> Iterator[str]:
-        yield name
-        path = out.path / "config.json"
-        out.echo = json.loads(path.read_text()) if path.exists() else {}
-        action(args, cfg, out)
-    return steps
-
-
-# each subcommand's options (argparse keywords by flag); `run` takes them all
-# and makes --ingest-loads optional
+# `run`'s options: argparse keywords by flag
 _OPTIONS = {
-    "generate": {"--seed": dict(type=int, default=42, help="sampler seed"),
-                 "--n-per-material": dict(type=int, default=100)},
-    "simulate": {"--surrogate-config": dict(
-        default=None, metavar="JSON", help="JSON file overriding surrogate constants")},
-    "ingest": {"--ingest-loads": dict(required=True, metavar="CSV")},
-    "label": {"--low-max": dict(type=float, default=75.0),
-              "--high-min": dict(type=float, default=90.0)},
-    "split": {"--train-frac": dict(type=float, default=0.35),
-              "--split-seed": dict(type=int, default=42),
-              "--no-stratify": dict(action="store_true")},
-    "efs": {"--efs-metric": dict(choices=sorted(_EFS_METRIC_FLAGS), default="train"),
-            "--cv-seed": dict(type=int, default=42)},
-    "train": {"--grid-resolution": dict(type=int, default=DEFAULT_GRID_RESOLUTION)},
+    "--seed": dict(type=int, default=42, help="sampler seed"),
+    "--n-per-material": dict(type=int, default=100),
+    "--surrogate-config": dict(default=None, metavar="JSON",
+                               help="JSON file overriding surrogate constants"),
+    "--ingest-loads": dict(default=None, metavar="CSV",
+                           help="attach externally computed loads instead of simulating"),
+    "--low-max": dict(type=float, default=75.0),
+    "--high-min": dict(type=float, default=90.0),
+    "--train-frac": dict(type=float, default=0.35),
+    "--split-seed": dict(type=int, default=42),
+    "--no-stratify": dict(action="store_true"),
+    "--efs-metric": dict(choices=sorted(_EFS_METRIC_FLAGS), default="train"),
+    "--cv-seed": dict(type=int, default=42),
+    "--grid-resolution": dict(type=int, default=DEFAULT_GRID_RESOLUTION),
+    "--out": dict(default="out", help="output directory"),
 }
-_RUN_INGEST = dict(default=None, metavar="CSV",
-                   help="attach externally computed loads instead of simulating")
-
-# name, help, and the action that loads the stage's inputs from --out, runs
-# the stage and writes what `run` keeps in memory
-_SUBCOMMANDS = (
-    ("generate", "sample the material library",
-     lambda a, c, o: o.dataset("dataset.csv", stage_generate(o, c.sampler))),
-    ("simulate", "attach surrogate loads",
-     lambda a, c, o: o.dataset("dataset.csv", stage_simulate(
-         o, o.load("dataset.csv"), c.surrogate))),
-    ("ingest", "attach externally computed loads",
-     lambda a, c, o: o.dataset("dataset.csv", stage_ingest(
-         o, o.load("dataset.csv"), a.ingest_loads))),
-    ("label", "label loads into classes",
-     lambda a, c, o: stage_label(o, o.load("dataset.csv"), c.thresholds)),
-    ("split", "train/test split", _split_from_file),
-    ("pca", "scree, loadings, and PC scores",
-     lambda a, c, o: stage_pca(o, _normalize(o.load("train.csv"))[1])),
-    ("efs", "exhaustive feature-subset sweep",
-     lambda a, c, o: stage_efs(o, o.load("train.csv"), c.metric, a.cv_seed)),
-    ("train", "fit final models, grids, and summary", _train_from_files),
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="envload", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="full pipeline")
-    run.set_defaults(steps=_pipeline)
-    for name, help_text, action in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(steps=_subcommand(name, action))
-        for flag, kwargs in _OPTIONS.get(name, {}).items():
-            p.add_argument(flag, **kwargs)
-            run.add_argument(flag, **(_RUN_INGEST if flag == "--ingest-loads" else kwargs))
-    for p in sub.choices.values():
-        p.add_argument("--out", default="out", help="output directory")
+    run = parser.add_subparsers(dest="command", required=True).add_parser(
+        "run", help="full pipeline")
+    for flag, kwargs in _OPTIONS.items():
+        run.add_argument(flag, **kwargs)
     return parser
 
 
@@ -538,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     out.path.mkdir(parents=True, exist_ok=True)
     stage = args.command
     try:
-        for stage in args.steps(args, cfg, out):
+        for stage in _pipeline(args, cfg, out):
             pass
         out.json("config.json", out.echo)
     except Exception as exc:

@@ -18,8 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky hit a non-positive pivot; try a larger ridge."""
+    """Cholesky hit a pivot that is not positive up to rounding; try a larger ridge."""
 
 
 class ConvergenceError(RuntimeError):
@@ -145,10 +148,11 @@ def ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CholeskyFactor:
     """Lower-triangular factor of (A + ridge*I); reusable solver context.
 
-    A is one (n, n) matrix or a stack of them, shape (C, n, n). One matrix
-    that does not factor raises NotPositiveDefiniteError. A stack factors
-    every member and reports which did in `ok`; a member that hits a
-    non-positive pivot continues with unit pivots, so its factor and its
+    A is one (n, n) matrix or a stack of them, shape (C, n, n). A pivot at
+    or below n * eps times its diagonal entry is zero up to rounding, so the
+    matrix does not factor: one matrix raises NotPositiveDefiniteError. A
+    stack factors every member and reports which did in `ok`; a member that
+    hits such a pivot continues with unit pivots, so its factor and its
     solves stay finite but mean nothing. One matrix is a stack of one.
     """
 
@@ -172,7 +176,7 @@ class CholeskyFactor:
         self._row = np.zeros(c, dtype=np.int64)
         for j in range(n):
             pivot = a[:, j, j] - ordered_dot(lower[:, j, :j], lower[:, j, :j])
-            bad = self.ok & ~(pivot > 0.0)
+            bad = self.ok & ~(pivot > n * _EPS * a[:, j, j])
             self._pivot[bad], self._row[bad] = pivot[bad], j
             self.ok &= ~bad
             lower[:, j, j] = np.sqrt(np.where(self.ok, pivot, 1.0))
@@ -191,7 +195,8 @@ class CholeskyFactor:
     def error(self, member: int) -> NotPositiveDefiniteError:
         """Why the stack member did not factor."""
         return NotPositiveDefiniteError(
-            f"pivot {self._pivot[member]:g} at row {self._row[member]} is not positive; "
+            f"pivot {self._pivot[member]:g} at row {self._row[member]} is not positive "
+            f"up to rounding; "
             f"increase the ridge (current {self.ridge:g})"
         )
 

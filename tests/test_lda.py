@@ -73,6 +73,17 @@ class TestFit:
         singular = fit_lda(class_stats(np.column_stack([col, col]), labels))
         assert singular.ridge_used == RIDGE_LADDER[1]
 
+    def test_collinear_member_takes_the_first_ridge(self):
+        # column 2 copies column 1; with 4 rows per class the scatter is exact,
+        # and the last Cholesky pivot of (0, 1, 2) rounds to a tiny positive
+        # value rather than 0, which must not pass for a factor at ridge 0
+        u = [5.0, 9.0, -4.0, -6.0, 6.0, 6.0, 0.0, -7.0]
+        v = [6.0, 0.0, -7.0, -7.0, -2.0, 4.0, -2.0, 6.0]
+        stats = class_stats(np.column_stack([u, v, v]), [LOW] * 4 + [HIGH] * 4)
+        assert fit_lda(stats).ridge_used == RIDGE_LADDER[1]
+        stacked = fit_lda(stats.subset(np.array([[0, 1, 2]])))
+        assert stacked.ridge_used.tolist() == [RIDGE_LADDER[1]]
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
             class_stats(np.array([[1.0], [2.0], [3.0]]), [LOW, LOW, LOW])

@@ -253,6 +253,17 @@ class TestStackedCholesky:
         assert factor.ok.tolist() == [True, False]
         assert str(factor.error(1)).startswith("pivot -3 at row 1 is not positive")
 
+    def test_pivot_of_rounding_size_fails(self):
+        # the pooled scatter of a column and its copy over 6 degrees of freedom:
+        # singular, yet the last pivot rounds to a tiny positive value, not 0
+        a = np.array([[268.75, 70.5, 70.5], [70.5, 169.0, 169.0], [70.5, 169.0, 169.0]]) / 6
+        factor = CholeskyFactor(np.stack([a, np.eye(3)]))
+        assert factor.ok.tolist() == [False, True]
+        assert str(factor.error(0)).startswith("pivot 3.55271e-15 at row 2 is not positive")
+        with pytest.raises(NotPositiveDefiniteError):
+            CholeskyFactor(a)
+        assert CholeskyFactor(np.stack([a]), 1e-8).ok.all()
+
     def test_stack_shapes_validated(self):
         factor = CholeskyFactor(np.stack([np.eye(2)] * 3))
         with pytest.raises(ValueError, match="shape"):
