@@ -6,11 +6,8 @@ from .dataset import (
     Dataset,
     FeatureId,
     MaterialLibrary,
-    MaterialSpec,
-    PropertyDistribution,
-    SystemConstants,
+    SYSTEM_CONSTANTS,
     builtin_material_library,
-    builtin_system_constants,
     read_dataset,
     write_dataset,
 )
@@ -47,22 +44,19 @@ __all__ = [
     "FeatureId",
     "LdaModel",
     "MaterialLibrary",
-    "MaterialSpec",
     "Normalizer",
     "PcaModel",
-    "PropertyDistribution",
     "SamplerConfig",
     "SplitConfig",
     "SubsetResult",
     "SurrogateConfig",
-    "SystemConstants",
+    "SYSTEM_CONSTANTS",
     "Thresholds",
     "accuracy",
     "annual_thermal_load",
     "apply_normalizer",
     "areal_heat_capacity",
     "builtin_material_library",
-    "builtin_system_constants",
     "class_stats",
     "decision_grid",
     "enumerate_subsets",

@@ -35,9 +35,8 @@ from .dataset import (
     Dataset,
     FeatureId,
     LABEL_NAMES,
+    SYSTEM_CONSTANTS,
     builtin_material_library,
-    builtin_system_constants,
-    constants_to_json,
     read_dataset,  # unused here; bench/spans.py wraps it by this name, so it goes with that site
     write_dataset,
     write_lines,
@@ -117,7 +116,7 @@ def stage_generate(out: _Out, cfg: SamplerConfig) -> Dataset:
 def stage_simulate(out: _Out, dataset: Dataset, cfg: SurrogateConfig) -> Dataset:
     out.echo["surrogate"] = {
         "config": config_to_json(cfg),
-        "system_constants": constants_to_json(builtin_system_constants()),
+        "system_constants": SYSTEM_CONSTANTS,
     }
     return simulate_dataset(dataset, cfg)
 

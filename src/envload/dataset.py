@@ -2,7 +2,13 @@
 
 The canonical feature order (thickness, density, thermal conductivity,
 specific heat capacity, solar/visual/thermal absorptance) is fixed here and
-used everywhere: dataset columns, PCA loading rows, LDA coefficients.
+used everywhere: dataset columns, PCA loading rows, LDA coefficients, and
+the material library.
+
+A MaterialLibrary is a tuple of names and two read-only (M, 7) arrays, the
+mean and the std dev of each material's feature distributions. The paper's
+fixed system design assumptions are the SYSTEM_CONSTANTS dict, which only
+the config echo reads.
 
 A Dataset holds one read-only numpy column per field: material index, the
 (n, 7) feature matrix, loads and int8 ClassLabel codes. Each pipeline stage
@@ -18,7 +24,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,78 +73,60 @@ class ClassLabel(IntEnum):
 LABEL_NAMES = tuple(lbl.csv_value for lbl in ClassLabel)
 
 
-@dataclass(frozen=True)
-class PropertyDistribution:
-    """Normal distribution N(mean, std_dev^2) of one material property."""
-
-    mean: float
-    std_dev: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (math.isfinite(self.std_dev) and self.std_dev >= 0.0):
-            raise ValueError(f"std_dev must be finite and >= 0, got {self.std_dev}")
-
-
-@dataclass(frozen=True)
-class MaterialSpec:
-    """A named material with one distribution per feature (all seven)."""
-
-    name: str
-    dist: Mapping[FeatureId, PropertyDistribution]
-
-    def __post_init__(self) -> None:
-        missing = [f.column_name for f in FeatureId if f not in self.dist]
-        if missing or len(self.dist) != N_FEATURES:
-            raise ValueError(
-                f"material {self.name!r}: need exactly one distribution per "
-                f"feature, missing {missing}"
-            )
-        object.__setattr__(self, "dist", dict(self.dist))
-
-    def mean_vector(self) -> tuple[float, ...]:
-        return tuple(self.dist[f].mean for f in FeatureId)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaterialLibrary:
-    """Ordered collection of materials with unique names."""
+    """Named materials, each with one normal distribution N(mean, std_dev^2)
+    per feature: material i is names[i], and means[i, f] and std_devs[i, f]
+    give its feature f. Both are read-only (M, 7) float64 arrays in
+    canonical feature order.
 
-    materials: tuple[MaterialSpec, ...]
+    Construction rejects duplicate names, a wrong shape, and names the
+    material and feature of the first non-finite mean or of a std_dev that
+    is negative or not finite.
+    """
+
+    names: tuple[str, ...]
+    means: np.ndarray
+    std_devs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "materials", tuple(self.materials))
-        names = [m.name for m in self.materials]
+        names = tuple(self.names)
         if len(set(names)) != len(names):
-            raise ValueError(f"material names must be unique, got {names}")
+            raise ValueError(f"material names must be unique, got {list(names)}")
+        object.__setattr__(self, "names", names)
+        for attr in ("means", "std_devs"):
+            array = np.array(getattr(self, attr), dtype=np.float64)
+            if array.shape != (len(names), N_FEATURES):
+                raise ValueError(
+                    f"{attr}: expected shape {(len(names), N_FEATURES)}, got {array.shape}"
+                )
+            array.setflags(write=False)
+            object.__setattr__(self, attr, array)
+        bad = np.argwhere(~(np.isfinite(self.means) & np.isfinite(self.std_devs)
+                            & (self.std_devs >= 0.0)))
+        if len(bad):
+            i, f = bad[0]
+            raise ValueError(
+                f"material {names[i]!r}, feature {FEATURE_COLUMNS[f]}: need a finite "
+                f"mean and a finite std_dev >= 0, got mean {self.means[i, f]}, "
+                f"std_dev {self.std_devs[i, f]}"
+            )
 
     def __len__(self) -> int:
-        return len(self.materials)
-
-    def __iter__(self) -> Iterator[MaterialSpec]:
-        return iter(self.materials)
-
-    def __getitem__(self, index: int) -> MaterialSpec:
-        return self.materials[index]
+        return len(self.names)
 
 
-@dataclass(frozen=True)
-class SystemConstants:
-    """Fixed system design assumptions (not varied by the sampler)."""
-
-    equipment_load: float = 10.98          # W/m2
-    infiltration_rate: float = 0.0003      # m3/s m2
-    lighting_density: float = 9.36         # W/m2
-    people_density: float = 0.25           # ppl/m2
-    ventilation_per_area: float = 0.0006   # m3/s m2
-    ventilation_per_person: float = 0.005  # m3/s person
-    glazing_u_value: float = 0.6           # W/m2K
-
-    def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+# The paper's fixed system design assumptions. Nothing computes with them;
+# the config echo records them beside the surrogate constants.
+SYSTEM_CONSTANTS = {
+    "equipment_load": 10.98,          # W/m2
+    "infiltration_rate": 0.0003,      # m3/s m2
+    "lighting_density": 9.36,         # W/m2
+    "people_density": 0.25,           # ppl/m2
+    "ventilation_per_area": 0.0006,   # m3/s m2
+    "ventilation_per_person": 0.005,  # m3/s person
+    "glazing_u_value": 0.6,           # W/m2K
+}
 
 
 # Each Dataset column: its dtype, its name in errors and CSV files, the test
@@ -263,19 +251,9 @@ _BUILTIN_MATERIALS: tuple[tuple[str, tuple[tuple[float, float], ...]], ...] = (
 
 def builtin_material_library() -> MaterialLibrary:
     """The six built-in wall materials with their property distributions."""
-    materials = []
-    for name, dists in _BUILTIN_MATERIALS:
-        dist = {
-            f: PropertyDistribution(mean, std)
-            for f, (mean, std) in zip(FeatureId, dists)
-        }
-        materials.append(MaterialSpec(name, dist))
-    return MaterialLibrary(tuple(materials))
-
-
-def builtin_system_constants() -> SystemConstants:
-    """The fixed system design assumptions."""
-    return SystemConstants()
+    names, dists = zip(*_BUILTIN_MATERIALS)
+    params = np.array(dists)  # (material, feature, (mean, std))
+    return MaterialLibrary(names, params[..., 0], params[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +390,3 @@ def _cell(where: str, column: str, text: str, parse, expected: str,
             f"{where}, column {column}: expected {expected}, got {text!r}"
         )
     return value
-
-
-# ---------------------------------------------------------------------------
-# JSON export, for the config echo.
-
-def constants_to_json(constants: SystemConstants) -> dict:
-    return dict(constants.__dict__)

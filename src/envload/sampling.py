@@ -17,7 +17,9 @@ thickness, then all n of density, and so on. Physically invalid draws
 outside (0, 1)) are rejected and redrawn from the same stream.
 
 Each material gets its own stream derived from (seed, material_index), so
-materials can be sampled independently and in any order.
+materials can be sampled independently and in any order. The sampler owns
+that stream: sample_material makes it, draws from it in blocks and drops
+it, so no draw is shared with another caller.
 
 Blocks of outputs. `Xoshiro256pp.next_u64` is the scalar reference; the
 samplers draw the same stream in blocks. The xoshiro256++ state transition
@@ -31,9 +33,8 @@ pseudorandom number generators", ACM TOMS 47(4), 2021).
   floor(log2(count) / 2), so both are about sqrt(count). Lane j starts at
   s_(jM): from lane 0 alone, each T^(2^k), k = m, m+1, ..., doubles the
   lanes. All lanes then step M times together as numpy uint64 rows; read
-  lane by lane, their outputs are the serial stream. Every lane's state
-  after every step is kept, so the state after any prefix of the block is
-  read off, not recomputed.
+  lane by lane, their outputs are the serial stream, and the stream
+  continues from the state of the lane that made the last output.
 * T is built on first use by stepping the 256 basis states as lanes, and
   T^(2^(k+1)) is T^(2^k) applied to its own rows. Each power is kept for
   the life of the process as lookup tables (64 groups of 4 state bits, 16
@@ -45,8 +46,8 @@ pseudorandom number generators", ACM TOMS 47(4), 2021).
   (`np.log` does on numpy 2.4 with AVX-512). The arithmetic around them
   is IEEE-exact in numpy as in Python.
 * Rejection is a mask over the block: each feature keeps its first n
-  valid draws, and the next feature starts after the n-th. A pending
-  Box-Muller z1 is just the next position in the block.
+  valid draws, and the next feature starts after the n-th. A short block
+  is extended by as many outputs again.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -64,8 +64,10 @@ from .dataset import (
     Dataset,
     FeatureId,
     MaterialLibrary,
-    MaterialSpec,
 )
+
+# A draw fails after this many consecutive invalid values.
+MAX_REJECTIONS_PER_DRAW = 1000
 
 _MASK64 = (1 << 64) - 1
 _U64 = np.uint64
@@ -157,9 +159,8 @@ def _jump_tables(k: int) -> np.ndarray:
     return tables
 
 
-def _u64_block(state: list[int], count: int) -> tuple[np.ndarray, Callable[[int], list[int]]]:
-    """The next count outputs from state, as uint64, and a function that
-    gives the state after the first p of them, 0 <= p <= count.
+def _u64_block(state: list[int], count: int) -> tuple[np.ndarray, list[int]]:
+    """The next count outputs from state, as uint64, and the state after them.
 
     Lanes of 2^m steps with m = floor(log2(count) / 2): the steps (a fixed
     cost each) and the lanes (a share of a bit-matrix product each) are
@@ -173,13 +174,9 @@ def _u64_block(state: list[int], count: int) -> tuple[np.ndarray, Callable[[int]
         lanes = np.concatenate([lanes, _apply(_jump_tables(k), lanes[: n_lanes - len(lanes)])])
         k += 1
     states = _run_lanes(lanes, steps)
-
-    def state_after(p: int) -> list[int]:
-        lane, step = divmod(p, steps) if p < n_lanes * steps else (n_lanes - 1, steps)
-        return states[:, step, lane].tolist()
-
     out = _scrambled(states[0, :-1], states[3, :-1])
-    return out.T.ravel()[:count], state_after
+    lane, step = divmod(count - 1, steps)  # where the last output was made
+    return out.T.ravel()[:count], states[:, step + 1, lane].tolist()
 
 
 class Xoshiro256pp:
@@ -232,8 +229,7 @@ class Xoshiro256pp:
         """The next count next_u64 outputs as a uint64 array, drawn in one block."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        out, state_after = _u64_block(self._s, count)
-        self._s = state_after(count)
+        out, self._s = _u64_block(self._s, count)
         return out
 
     def shuffled(self, items: list) -> list:
@@ -266,70 +262,45 @@ def material_stream(seed: int, material_index: int) -> Xoshiro256pp:
 class SamplerConfig:
     seed: int = 42
     n_per_material: int = 100
-    max_rejections_per_draw: int = 1000
 
     def __post_init__(self) -> None:
         if self.n_per_material < 1:
             raise ValueError(f"n_per_material must be >= 1, got {self.n_per_material}")
-        if self.max_rejections_per_draw < 1:
-            raise ValueError("max_rejections_per_draw must be >= 1")
 
 
-def sample_material(
-    spec: MaterialSpec,
-    n: int,
-    stream: Xoshiro256pp,
-    max_rejections_per_draw: int = 1000,
-) -> np.ndarray:
-    """Draw n feature vectors for one material; returns an (n, 7) array.
+def sample_material(library: MaterialLibrary, index: int, n: int, seed: int) -> np.ndarray:
+    """Draw n feature vectors of material `index` from its own stream,
+    material_stream(seed, index); returns an (n, 7) array.
 
     Raises ValueError when a component stays invalid for
-    max_rejections_per_draw consecutive draws. Either way the stream is left
-    as next_gaussian calls drawing the same values would leave it.
+    MAX_REJECTIONS_PER_DRAW consecutive draws.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    carried = [] if stream._pending_gauss is None else [stream._pending_gauss]
-    # room for every feature and a few rejections; a short block is extended
-    # by as many outputs again, and the last block holds where the stream ends
-    raw, state_after = _u64_block(stream._s, 2 * ((N_FEATURES * n + n // 16 + 16) // 2))
-    earlier = 0  # outputs before the last block
-    gauss = np.concatenate([carried, _box_muller(raw)])
+    stream = material_stream(seed, index)
+    means, std_devs = library.means[index], library.std_devs[index]
+    # room for every feature and a few rejections
+    gauss = _box_muller(stream.next_u64_block(2 * ((N_FEATURES * n + n // 16 + 16) // 2)))
     columns = np.empty((N_FEATURES, n), dtype=np.float64)
-    used = 0  # gaussians consumed, the carried one included
-    exhausted = None
+    used = 0  # gaussians consumed
     for f in FeatureId:
-        mean, std_dev = spec.dist[f].mean, spec.dist[f].std_dev
         upper = math.inf if f in POSITIVE_FEATURES else 1.0
         while True:
-            values = mean + std_dev * gauss[used:]
+            values = means[f] + std_devs[f] * gauss[used:]
             kept = np.flatnonzero((0.0 < values) & (values < upper))[:n]
             # a draw ends at its valid value, or unfinished at the end of the block
             ends = kept if len(kept) == n else np.append(kept, len(values))
             misses = ends - np.append(-1, ends[:-1]) - 1
-            failed = np.flatnonzero(misses >= max_rejections_per_draw)
-            if failed.size:
-                exhausted = f
-                used += (int(ends[failed[0] - 1]) + 1 if failed[0] else 0) + max_rejections_per_draw
-                break
+            if np.any(misses >= MAX_REJECTIONS_PER_DRAW):
+                raise ValueError(
+                    f"material {library.names[index]!r}, feature {f.column_name!r}: "
+                    f"no valid draw in {MAX_REJECTIONS_PER_DRAW} attempts"
+                )
             if len(kept) == n:
                 columns[f] = values[kept]
                 used += int(kept[-1]) + 1
                 break
-            earlier = len(gauss) - len(carried)
-            raw, state_after = _u64_block(state_after(len(raw)), earlier)
-            gauss = np.concatenate([gauss, _box_muller(raw)])
-        if exhausted is not None:
-            break
-    # the pairs that fresh gaussians were taken from are consumed; an unread z1 is pending
-    fresh = used - len(carried)
-    stream._s = state_after(2 * (-(-fresh // 2)) - earlier)
-    stream._pending_gauss = float(gauss[used]) if fresh % 2 else None
-    if exhausted is not None:
-        raise ValueError(
-            f"material {spec.name!r}, feature {exhausted.column_name!r}: "
-            f"no valid draw in {max_rejections_per_draw} attempts"
-        )
+            gauss = np.concatenate([gauss, _box_muller(stream.next_u64_block(len(gauss)))])
     return columns.T.copy()
 
 
@@ -349,11 +320,8 @@ def _box_muller(raw: np.ndarray) -> np.ndarray:
 def generate_dataset(library: MaterialLibrary, cfg: SamplerConfig) -> Dataset:
     """Sample cfg.n_per_material rows per material, grouped in library order."""
     blocks = [
-        sample_material(
-            spec, cfg.n_per_material, material_stream(cfg.seed, index),
-            cfg.max_rejections_per_draw,
-        )
-        for index, spec in enumerate(library)
+        sample_material(library, index, cfg.n_per_material, cfg.seed)
+        for index in range(len(library))
     ]
     return Dataset(
         np.repeat(np.arange(len(library)), cfg.n_per_material),

@@ -23,11 +23,11 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import POSITIVE_FEATURES, Dataset, FeatureId
+from .dataset import POSITIVE_FEATURES, Dataset, FeatureId, _cell
 
 # Default q_base is calibrated against the default-seed pipeline so that the
 # 75/90 kWh/m2 label thresholds partition the outputs into three usable
@@ -128,7 +128,7 @@ def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
     """Attach externally computed loads from a (row_index, load) CSV.
 
     The file must cover every dataset row exactly once. Errors name the
-    line of the file, the header being line 1.
+    file, the physical line (the header is line 1) and the column.
     """
     n = len(dataset)
     loads: list[float | None] = [None] * n
@@ -136,28 +136,23 @@ def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["row_index", "load"]:
-            raise ValueError("expected header 'row_index,load'")
+            raise ValueError(f"{path}, line 1: expected header 'row_index,load'")
         for cells in reader:
             if not cells:
                 continue
-            lineno = reader.line_num
-            if len(cells) < 2:
-                raise ValueError(f"line {lineno}: expected 2 columns")
-            try:
-                idx = int(cells[0])
-                load = float(cells[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed row {cells!r}") from None
+            where = f"{path}, line {reader.line_num}"
+            if len(cells) != 2:
+                raise ValueError(f"{where}: expected 2 cells, got {len(cells)}")
+            idx = _cell(where, "row_index", cells[0], int, "an integer")
             if not 0 <= idx < n:
-                raise ValueError(f"line {lineno}: row index {idx} out of range 0..{n - 1}")
+                raise ValueError(f"{where}, column row_index: {idx} out of range 0..{n - 1}")
             if loads[idx] is not None:
-                raise ValueError(f"line {lineno}: duplicate row index {idx}")
-            if not math.isfinite(load) or load < 0.0:
-                raise ValueError(f"line {lineno}: load must be finite and >= 0, got {load}")
-            loads[idx] = load
+                raise ValueError(f"{where}, column row_index: duplicate row index {idx}")
+            loads[idx] = _cell(where, "load", cells[1], float, "a finite number >= 0",
+                               lambda v: math.isfinite(v) and v >= 0.0)
     for idx, q in enumerate(loads):
         if q is None:
-            raise ValueError(f"row {idx} missing")
+            raise ValueError(f"{path}: row {idx} missing")
     return dataset.with_loads(loads)
 
 
@@ -165,14 +160,22 @@ def config_to_json(cfg: SurrogateConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(SurrogateConfig)}
 
 
-def config_from_json(data: Mapping) -> SurrogateConfig:
+def config_from_json(data: object) -> SurrogateConfig:
+    """A SurrogateConfig from a parsed JSON object that overrides any subset
+    of its fields; every value must be a JSON number."""
+    if not isinstance(data, dict):
+        raise ValueError(f"surrogate config must be a JSON object, got {type(data).__name__}")
     known = {f.name for f in fields(SurrogateConfig)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown surrogate config fields: {sorted(unknown)}")
+    for name, value in data.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
     return SurrogateConfig(**{k: float(v) for k, v in data.items()})
 
 
 def load_config(path: str | Path) -> SurrogateConfig:
-    """Read a JSON file overriding any subset of SurrogateConfig fields."""
-    return config_from_json(json.loads(Path(path).read_text()))
+    """Read a JSON file overriding any subset of SurrogateConfig fields.
+    Integers are read as floats, so one too large for a float is inf."""
+    return config_from_json(json.loads(Path(path).read_text(), parse_int=float))

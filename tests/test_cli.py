@@ -299,6 +299,24 @@ class TestErrorHandling:
         assert "envload: error: hdd must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"q_base": null}', "q_base must be a number, got null"),
+        ('{"q_base": [1]}', "q_base must be a number, got [1.0]"),
+        ('{"hdd": true}', "hdd must be a number, got true"),
+        ('{"r_wall": "5"}', 'r_wall must be a number, got "5"'),
+        ('[{"q_base": 1}]', "surrogate config must be a JSON object, got list"),
+        ('{"cdd": 1' + "0" * 400 + "}", "cdd must be finite, got inf"),
+    ], ids=["null", "list", "bool", "string", "top-level-list", "huge-int"])
+    def test_non_number_surrogate_value_is_usage_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "surrogate.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", str(out), "--surrogate-config", str(cfg)])
+        assert excinfo.value.code == 1
+        assert f"envload: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

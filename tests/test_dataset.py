@@ -12,14 +12,10 @@ from envload.dataset import (
     CSV_HEADER,
     ClassLabel,
     Dataset,
+    SYSTEM_CONSTANTS,
     FeatureId,
     MaterialLibrary,
-    MaterialSpec,
-    PropertyDistribution,
-    SystemConstants,
     builtin_material_library,
-    builtin_system_constants,
-    constants_to_json,
     format_rows,
     read_dataset,
     write_dataset,
@@ -32,64 +28,55 @@ class TestBuiltinLibrary:
     def test_six_materials_with_unique_names(self):
         lib = builtin_material_library()
         assert len(lib) == 6
-        assert len({m.name for m in lib}) == 6
+        assert len(set(lib.names)) == 6
+        assert lib.means.shape == lib.std_devs.shape == (6, 7)
 
     def test_concrete_conductivity(self):
         lib = builtin_material_library()
-        concrete = lib[2]
-        assert concrete.name == "concrete"
-        d = concrete.dist[FeatureId.THERMAL_CONDUCTIVITY]
-        assert (d.mean, d.std_dev) == (1.13, 0.1)
+        assert lib.names[2] == "concrete"
+        f = FeatureId.THERMAL_CONDUCTIVITY
+        assert (lib.means[2, f], lib.std_devs[2, f]) == (1.13, 0.1)
 
     def test_aluminum_density(self):
         lib = builtin_material_library()
-        aluminum = lib[4]
-        assert aluminum.name == "aluminum"
-        d = aluminum.dist[FeatureId.DENSITY]
-        assert (d.mean, d.std_dev) == (6278.0, 2876.0)
+        assert lib.names[4] == "aluminum"
+        f = FeatureId.DENSITY
+        assert (lib.means[4, f], lib.std_devs[4, f]) == (6278.0, 2876.0)
 
     def test_all_absorptances_identical(self):
-        for m in builtin_material_library():
-            for f in (
-                FeatureId.SOLAR_ABSORPTANCE,
-                FeatureId.VISUAL_ABSORPTANCE,
-                FeatureId.THERMAL_ABSORPTANCE,
-            ):
-                assert (m.dist[f].mean, m.dist[f].std_dev) == (0.5, 0.05)
+        lib = builtin_material_library()
+        absorptances = [FeatureId.SOLAR_ABSORPTANCE, FeatureId.VISUAL_ABSORPTANCE,
+                        FeatureId.THERMAL_ABSORPTANCE]
+        assert np.all(lib.means[:, absorptances] == 0.5)
+        assert np.all(lib.std_devs[:, absorptances] == 0.05)
 
     def test_matches_checked_in_constants_file(self):
         # every mean and std_dev, against the frozen copy
-        frozen = json.loads((DATA_DIR / "builtin_library.json").read_text())
-        expected = MaterialLibrary(tuple(
-            MaterialSpec(entry["name"], {
-                f: PropertyDistribution(**entry["distributions"][f.column_name])
-                for f in FeatureId
-            })
-            for entry in frozen["materials"]
-        ))
-        assert builtin_material_library() == expected
+        frozen = json.loads((DATA_DIR / "builtin_library.json").read_text())["materials"]
+        lib = builtin_material_library()
+        assert lib.names == tuple(entry["name"] for entry in frozen)
+        for key, got in (("mean", lib.means), ("std_dev", lib.std_devs)):
+            expected = [[entry["distributions"][f.column_name][key] for f in FeatureId]
+                        for entry in frozen]
+            assert got.tolist() == expected
+            assert not got.flags.writeable
 
 
 class TestSystemConstants:
     def test_values(self):
-        c = builtin_system_constants()
-        assert c.equipment_load == 10.98
-        assert c.infiltration_rate == 0.0003
-        assert c.lighting_density == 9.36
-        assert c.people_density == 0.25
-        assert c.ventilation_per_area == 0.0006
-        assert c.ventilation_per_person == 0.005
-        assert c.glazing_u_value == 0.6
+        assert SYSTEM_CONSTANTS == {
+            "equipment_load": 10.98,
+            "infiltration_rate": 0.0003,
+            "lighting_density": 9.36,
+            "people_density": 0.25,
+            "ventilation_per_area": 0.0006,
+            "ventilation_per_person": 0.005,
+            "glazing_u_value": 0.6,
+        }
 
     def test_matches_checked_in_constants_file(self):
         expected = (DATA_DIR / "system_constants.json").read_text()
-        got = json.dumps(constants_to_json(builtin_system_constants()),
-                         indent=2, sort_keys=True) + "\n"
-        assert got == expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SystemConstants(equipment_load=-1.0)
+        assert json.dumps(SYSTEM_CONSTANTS, indent=2, sort_keys=True) + "\n" == expected
 
 
 class TestFeatureOrder:
@@ -119,24 +106,39 @@ class TestFeatureOrder:
 
 class TestDomainTypes:
     def test_distribution_rejects_negative_std(self):
-        with pytest.raises(ValueError):
-            PropertyDistribution(1.0, -0.1)
+        for std in (-0.1, math.nan, math.inf):
+            stds = np.full((2, 7), 0.1)
+            stds[1, FeatureId.DENSITY] = std
+            with pytest.raises(ValueError, match=(
+                    f"^material 'b', feature density: need a finite mean and a finite "
+                    f"std_dev >= 0, got mean 1.0, std_dev {std}$")):
+                MaterialLibrary(("a", "b"), np.ones((2, 7)), stds)
 
     def test_distribution_rejects_non_finite_mean(self):
-        with pytest.raises(ValueError):
-            PropertyDistribution(math.inf, 0.1)
+        for mean in (math.nan, math.inf):
+            means = np.ones((2, 7))
+            means[0, FeatureId.THERMAL_ABSORPTANCE] = mean
+            means[1, FeatureId.THICKNESS] = mean  # not the first bad value
+            with pytest.raises(ValueError, match="^material 'a', feature thermal_absorptance: "):
+                MaterialLibrary(("a", "b"), means, np.full((2, 7), 0.1))
 
     def test_material_needs_all_seven_features(self):
-        dist = {f: PropertyDistribution(1.0, 0.1) for f in FeatureId}
-        del dist[FeatureId.DENSITY]
-        with pytest.raises(ValueError, match="density"):
-            MaterialSpec("incomplete", dist)
+        for attr, shape in (("means", (1, 6)), ("std_devs", (2, 7))):
+            arrays = {"means": np.ones((1, 7)), "std_devs": np.ones((1, 7)), attr: np.ones(shape)}
+            with pytest.raises(ValueError, match=rf"^{attr}: expected shape \(1, 7\), got"):
+                MaterialLibrary(("one",), **arrays)
 
     def test_library_rejects_duplicate_names(self):
-        dist = {f: PropertyDistribution(1.0, 0.1) for f in FeatureId}
-        m = MaterialSpec("dup", dist)
+        with pytest.raises(ValueError, match="unique"):
+            MaterialLibrary(("dup", "dup"), np.ones((2, 7)), np.ones((2, 7)))
+
+    def test_library_copies_and_freezes_its_arrays(self):
+        means = np.ones((1, 7))
+        lib = MaterialLibrary(["one"], means, np.zeros((1, 7)))
+        means[0, 0] = 2.0
+        assert lib.names == ("one",) and lib.means[0, 0] == 1.0
         with pytest.raises(ValueError):
-            MaterialLibrary((m, m))
+            lib.std_devs[0, 0] = 1.0
 
     def test_row_needs_seven_features(self):
         with pytest.raises(ValueError):

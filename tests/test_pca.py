@@ -11,6 +11,8 @@ from envload.pca import (
     project,
     top_features,
 )
+from envload.preprocess import apply_normalizer, fit_normalizer
+from envload.sampling import SamplerConfig, generate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +148,17 @@ class TestTopFeatures:
             n_fit=10,
         )
         assert top_features(model, 7) == list(FeatureId)
+
+
+    @pytest.mark.parametrize("n_per_material", [30, 100, 1000])
+    def test_top4_comes_from_the_material_library_alone(self, default_library, n_per_material):
+        # no loads, no labels, no split: every sampled row, normalised
+        expected = {FeatureId.THICKNESS, FeatureId.DENSITY, FeatureId.THERMAL_CONDUCTIVITY,
+                    FeatureId.SPECIFIC_HEAT_CAPACITY}
+        for seed in range(20):
+            ds = generate_dataset(default_library, SamplerConfig(seed, n_per_material))
+            model = fit_pca(apply_normalizer(fit_normalizer(ds), ds))
+            assert set(top_features(model, 4)) == expected, seed
 
 
 class TestProject:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from envload import sampling
-from envload.dataset import POSITIVE_FEATURES, FeatureId, MaterialSpec, PropertyDistribution
+from envload.dataset import POSITIVE_FEATURES, FeatureId, MaterialLibrary
 from envload.sampling import (
+    MAX_REJECTIONS_PER_DRAW,
     SamplerConfig,
     SplitMix64,
     Xoshiro256pp,
@@ -19,13 +20,11 @@ from envload.sampling import (
 )
 
 
-def _spec(name="toy", means=None, stds=None):
+def _library(name="toy", means=None, stds=None):
+    """A one-material library."""
     means = means or [0.1, 500.0, 0.5, 900.0, 0.5, 0.5, 0.5]
     stds = stds if stds is not None else [0.01, 10.0, 0.05, 20.0, 0.05, 0.05, 0.05]
-    return MaterialSpec(
-        name,
-        {f: PropertyDistribution(means[f], stds[f]) for f in FeatureId},
-    )
+    return MaterialLibrary((name,), [means], [stds])
 
 
 class TestPrng:
@@ -95,37 +94,35 @@ class TestReferenceVectors:
 
 class TestSampleMaterial:
     def test_sigma_zero_gives_mean_vector(self):
-        spec = _spec(stds=[0.0] * 7)
-        out = sample_material(spec, 5, Xoshiro256pp(1))
-        expected = np.array([spec.mean_vector()] * 5)
-        assert np.array_equal(out, expected)
+        library = _library(stds=[0.0] * 7)
+        out = sample_material(library, 0, 5, 1)
+        assert np.array_equal(out, np.repeat(library.means, 5, axis=0))
 
     def test_same_seed_bit_identical(self):
-        spec = _spec()
-        a = sample_material(spec, 100, material_stream(42, 0))
-        b = sample_material(spec, 100, material_stream(42, 0))
+        library = _library()
+        a = sample_material(library, 0, 100, 42)
+        b = sample_material(library, 0, 100, 42)
         assert np.array_equal(a, b)
 
     def test_concrete_sample_mean(self, default_library):
         # sample mean of conductivity within mu +/- 3 sigma/sqrt(n)
-        concrete = default_library[2]
-        out = sample_material(concrete, 10000, material_stream(42, 2))
+        assert default_library.names[2] == "concrete"
+        out = sample_material(default_library, 2, 10000, 42)
         mean_k = out[:, FeatureId.THERMAL_CONDUCTIVITY].mean()
         assert abs(mean_k - 1.13) < 3.0 * 0.1 / math.sqrt(10000)
 
     def test_marginal_mean_and_std_100k(self):
         # unconstrained feature: rejection never triggers for N(0.5, 0.05)
-        spec = _spec()
         n = 100_000
-        out = sample_material(spec, n, Xoshiro256pp(5))
+        out = sample_material(_library(), 0, n, 5)
         col = out[:, FeatureId.SOLAR_ABSORPTANCE]
         assert abs(col.mean() - 0.5) < 4.0 * 0.05 / math.sqrt(n)
         assert abs(col.std() - 0.05) < 0.05 * 0.05
 
     def test_validity_bounds_enforced(self, default_library):
         # aluminum density has mu - 2.18 sigma < 0, so rejection is active
-        aluminum = default_library[4]
-        out = sample_material(aluminum, 5000, material_stream(0, 4))
+        assert default_library.names[4] == "aluminum"
+        out = sample_material(default_library, 4, 5000, 0)
         for f in (FeatureId.THICKNESS, FeatureId.DENSITY,
                   FeatureId.THERMAL_CONDUCTIVITY, FeatureId.SPECIFIC_HEAT_CAPACITY):
             assert np.all(out[:, f] > 0.0)
@@ -135,9 +132,9 @@ class TestSampleMaterial:
 
     def test_rejection_exhaustion_names_material_and_feature(self):
         means = [0.1, -5.0, 0.5, 900.0, 0.5, 0.5, 0.5]  # density can never be valid
-        spec = _spec("leadfoam", means=means, stds=[0.0] * 7)
-        with pytest.raises(ValueError, match="leadfoam.*density"):
-            sample_material(spec, 1, Xoshiro256pp(1), max_rejections_per_draw=10)
+        library = _library("leadfoam", means=means, stds=[0.0] * 7)
+        with pytest.raises(ValueError, match="leadfoam.*density.*in 1000 attempts"):
+            sample_material(library, 0, 1, 1)
 
 
 class TestGenerateDataset:
@@ -170,7 +167,7 @@ class TestGenerateDataset:
         # each material's block depends only on (seed, material_index)
         full = generate_dataset(default_library, SamplerConfig(seed=8, n_per_material=20))
         block = full.features[40:60]  # concrete
-        alone = sample_material(default_library[2], 20, material_stream(8, 2))
+        alone = sample_material(default_library, 2, 20, 8)
         assert np.array_equal(block, alone)
 
     def test_config_validation(self):
@@ -178,23 +175,26 @@ class TestGenerateDataset:
             SamplerConfig(n_per_material=0)
 
 
-def reference_sample(spec, n, stream, max_rejections_per_draw=1000):
-    """The per-draw loop: one next_gaussian call per attempt, in draw order."""
+def reference_sample(library, index, n, seed):
+    """The per-draw loop: one next_gaussian call per attempt, in draw order,
+    from material_stream(seed, index)."""
+    stream = material_stream(seed, index)
+    limit = sampling.MAX_REJECTIONS_PER_DRAW
     columns = np.empty((len(FeatureId), n))
     for f in FeatureId:
-        mean, std_dev = spec.dist[f].mean, spec.dist[f].std_dev
+        mean, std_dev = library.means[index, f], library.std_devs[index, f]
         upper = math.inf if f in POSITIVE_FEATURES else 1.0
         values = []
         for _ in range(n):
-            for _attempt in range(max_rejections_per_draw):
+            for _attempt in range(limit):
                 value = mean + std_dev * stream.next_gaussian()
                 if 0.0 < value < upper:
                     values.append(value)
                     break
             else:
                 raise ValueError(
-                    f"material {spec.name!r}, feature {f.column_name!r}: "
-                    f"no valid draw in {max_rejections_per_draw} attempts"
+                    f"material {library.names[index]!r}, feature {f.column_name!r}: "
+                    f"no valid draw in {limit} attempts"
                 )
         columns[f] = values
     return columns.T.copy()
@@ -219,29 +219,34 @@ def assert_streams_continue_alike(a, b):
     assert [a.next_u64() for _ in range(3)] == [b.next_u64() for _ in range(3)]
 
 
+def assert_same_outcome(library, n, seed):
+    """sample_material and the reference return the same bits or raise the
+    same error."""
+    try:
+        expected = reference_sample(library, 0, n, seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            sample_material(library, 0, n, seed)
+        assert str(got.value) == str(exc)
+        return False
+    assert_same_bits(sample_material(library, 0, n, seed), expected)
+    return True
+
+
 class TestBlockSamplingMatchesPerDrawLoop:
     @pytest.mark.parametrize("n", [1, 7, 100, 1000])
     @pytest.mark.parametrize("seed", range(20))
     def test_builtin_materials(self, default_library, seed, n):
-        for index, spec in enumerate(default_library):
-            block, loop = material_stream(seed, index), material_stream(seed, index)
-            assert_same_bits(sample_material(spec, n, block), reference_sample(spec, n, loop))
-            assert_streams_continue_alike(block, loop)
-
-    @pytest.mark.parametrize("n", [1, 2, 100])
-    def test_pending_gaussian_carried_in(self, default_library, n):
-        for index, spec in enumerate(default_library):
-            block, loop = material_stream(3, index), material_stream(3, index)
-            assert block.next_gaussian() == loop.next_gaussian()  # leaves z1 pending
-            assert_same_bits(sample_material(spec, n, block), reference_sample(spec, n, loop))
-            assert_streams_continue_alike(block, loop)
+        for index in range(len(default_library)):
+            assert_same_bits(sample_material(default_library, index, n, seed),
+                             reference_sample(default_library, index, n, seed))
 
     @pytest.mark.parametrize("means, blocks_needed", [
         ([0.1, 0.0, 0.5, 900.0, 0.5, 0.5, 0.5], 2),  # density N(0, 10): half are <= 0
         ([0.1, -10.0, -0.05, -20.0, 0.5, 0.5, 0.5], 3),  # three features valid 16% of the time
     ])
     def test_rejections_extend_the_block(self, monkeypatch, means, blocks_needed):
-        spec = _spec("thin", means=means)
+        library = _library("thin", means=means)
         blocks = []
         real_block = sampling._u64_block
 
@@ -253,38 +258,25 @@ class TestBlockSamplingMatchesPerDrawLoop:
         most = 0
         for n in (1, 50, 1000):
             blocks.clear()
-            block, loop = Xoshiro256pp(n), Xoshiro256pp(n)
-            assert_same_bits(sample_material(spec, n, block), reference_sample(spec, n, loop))
-            assert_streams_continue_alike(block, loop)
+            assert assert_same_outcome(library, n, n)
             most = max(most, len(blocks))
         assert most >= blocks_needed
 
-    @pytest.mark.parametrize("max_rejections", [1, 10])
-    @pytest.mark.parametrize("pending", [False, True])
-    def test_exhaustion_raises_on_the_same_draw(self, max_rejections, pending):
+    @pytest.mark.parametrize("limit", [1, 10])
+    def test_exhaustion_raises_on_the_same_draw(self, monkeypatch, limit):
+        # a smaller limit, read by both samplers, makes exhaustion common
+        monkeypatch.setattr(sampling, "MAX_REJECTIONS_PER_DRAW", limit)
         means = [0.1, -1.0, 0.5, 900.0, 0.5, 0.5, 0.5]  # density N(-1, 1): valid 16% of the time
-        spec = _spec("sparse", means=means, stds=[0.01, 1.0, 0.05, 20.0, 0.05, 0.05, 0.05])
-        for seed in range(5):
-            block, loop = Xoshiro256pp(seed), Xoshiro256pp(seed)
-            if pending:
-                block.next_gaussian(), loop.next_gaussian()
-            with pytest.raises(ValueError) as expected:
-                reference_sample(spec, 200, loop, max_rejections)
-            with pytest.raises(ValueError) as got:
-                sample_material(spec, 200, block, max_rejections)
-            assert str(got.value) == str(expected.value)
-            assert_streams_continue_alike(block, loop)
+        library = _library("sparse", means=means, stds=[0.01, 1.0, 0.05, 20.0, 0.05, 0.05, 0.05])
+        outcomes = {assert_same_outcome(library, n, seed) for seed in range(5) for n in (1, 200)}
+        assert False in outcomes
 
-    def test_exhaustion_on_the_carried_gaussian(self):
-        # the pending z1 is the only draw made: the xoshiro state is untouched
-        spec = _spec("nothin", means=[-1.0] + [0.5] * 6, stds=[0.0] * 7)
-        block, loop = Xoshiro256pp(4), Xoshiro256pp(4)
-        block.next_gaussian(), loop.next_gaussian()
-        with pytest.raises(ValueError, match="nothin.*thickness.*in 1 attempts"):
-            reference_sample(spec, 1, loop, max_rejections_per_draw=1)
-        with pytest.raises(ValueError, match="nothin.*thickness.*in 1 attempts"):
-            sample_material(spec, 1, block, max_rejections_per_draw=1)
-        assert_streams_continue_alike(block, loop)
+    def test_exhaustion_at_the_default_limit(self):
+        assert MAX_REJECTIONS_PER_DRAW == 1000
+        means = [0.1, -3.0, 0.5, 900.0, 0.5, 0.5, 0.5]  # density N(-3, 1): valid 0.13% of the time
+        library = _library("scarce", means=means, stds=[0.01, 1.0, 0.05, 20.0, 0.05, 0.05, 0.05])
+        outcomes = [assert_same_outcome(library, 3, seed) for seed in range(8)]
+        assert True in outcomes and False in outcomes
 
 
 class TestBlockGenerator:

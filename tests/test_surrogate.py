@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -214,7 +215,20 @@ class TestIngest:
     def test_error_names_the_physical_line(self, tmp_path, default_dataset, second_line):
         path = tmp_path / "loads.csv"
         path.write_text("row_index,load\n" + second_line + "1,abc\n")
-        with pytest.raises(ValueError, match=r"^line 3: malformed row \['1', 'abc'\]$"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 3, column load: expected a finite number >= 0, got 'abc'")):
+            ingest_external_loads(default_dataset, path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,80.0,junk", ": expected 2 cells, got 3"),
+        ("0", ": expected 2 cells, got 1"),
+        ("x,80.0", ", column row_index: expected an integer, got 'x'"),
+        ("0,nan", ", column load: expected a finite number >= 0, got 'nan'"),
+    ], ids=["three-cells", "one-cell", "bad-index", "nan-load"])
+    def test_bad_row_names_file_line_and_column(self, tmp_path, default_dataset, row, message):
+        path = tmp_path / "loads.csv"
+        path.write_text(f"row_index,load\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 2{message}')}$"):
             ingest_external_loads(default_dataset, path)
 
     def test_bad_header_rejected(self, tmp_path, default_dataset):
@@ -228,6 +242,12 @@ class TestConfig:
     def test_json_roundtrip(self):
         cfg = SurrogateConfig(q_base=12.0, hdd=900.0)
         assert config_from_json(config_to_json(cfg)) == cfg
+
+    def test_integers_read_as_floats(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"hdd": 900, "q_base": 9007199254740993}')
+        cfg = load_config(path)
+        assert cfg.hdd == 900.0 and cfg.q_base == float(9007199254740993)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="window_area"):
