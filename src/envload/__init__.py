@@ -12,7 +12,7 @@ from .dataset import (
     write_dataset,
 )
 from .efs import EfsReport, SubsetResult, enumerate_subsets, run_efs
-from .lda import ClassStats, LdaModel, accuracy, class_stats, decision_grid, fit_lda, predict
+from .lda import ClassStats, LdaModel, accuracy, class_stats, decision_grid, fit_lda
 from .pca import PcaModel, fit_pca, loading_report, project, top_features
 from .preprocess import (
     Normalizer,
@@ -68,7 +68,6 @@ __all__ = [
     "label_dataset",
     "label_load",
     "loading_report",
-    "predict",
     "project",
     "read_dataset",
     "run_efs",

@@ -211,36 +211,39 @@ def _subset_entry(result: efs_mod.SubsetResult) -> dict:
     }
 
 
-def _fit_on_features(
-    features: list[FeatureId], train_n: Dataset, test_n: Dataset
-) -> tuple[float, float]:
-    cols = [int(f) for f in features]
-    x_train = train_n.features[:, cols]
-    x_test = test_n.features[:, cols]
-    model = lda_mod.fit_lda(lda_mod.class_stats(x_train, train_n.labels))
-    return (
-        lda_mod.accuracy(model, x_train, train_n.labels),
-        lda_mod.accuracy(model, x_test, test_n.labels),
-    )
+def _fit_stack(
+    stats: lda_mod.ClassStats, members: dict[str, list[FeatureId]]
+) -> lda_mod.LdaModel:
+    """One stacked LDA fit of the named feature subsets. The CLI scores and
+    writes every member, so a member whose fit failed is an error."""
+    model = lda_mod.fit_lda(stats.subset([[int(f) for f in fs] for fs in members.values()]))
+    for name, failed in zip(members, model.failed.tolist()):
+        if failed:
+            raise ValueError(
+                f"the {name} LDA model did not fit: a column is constant within every "
+                f"class, or the pooled covariance is singular up to ridge "
+                f"{lda_mod.RIDGE_LADDER[-1]:g}")
+    return model
 
 
 def _emit_decision_grids(
     out: _Out,
     features: list[FeatureId],
     train: Dataset,
-    train_n: Dataset,
+    stats: lda_mod.ClassStats,
     norm: Normalizer,
     resolution: int,
 ) -> None:
     """Six pairwise decision-region grids over the selected features, in raw
-    feature units. The model works in normalized space, so each axis is
-    z-scored as apply_normalizer does before predicting; a constant feature
-    (sigma = 0) has zero-width bounds, which grid_axes rejects."""
+    feature units, each a stack of one sliced from `stats`. The model works in
+    normalized space, so each axis is z-scored as apply_normalizer does before
+    predicting; a constant feature (sigma = 0) has zero-width bounds, which
+    grid_axes rejects."""
     raw = train.features
     # canonical order keeps the file names stable
     for f1, f2 in combinations(sorted(features, key=int), 2):
-        cols = [int(f1), int(f2)]
-        model = lda_mod.fit_lda(lda_mod.class_stats(train_n.features[:, cols], train_n.labels))
+        pair = f"{f1.column_name}_{f2.column_name}"
+        model = _fit_stack(stats, {f"decision grid {pair}": [f1, f2]})
         bounds = []
         for f in (f1, f2):
             lo, hi = float(raw[:, f].min()), float(raw[:, f].max())
@@ -248,11 +251,11 @@ def _emit_decision_grids(
             bounds.extend([lo - margin, hi + margin])
         axes = lda_mod.grid_axes(tuple(bounds), resolution)
         xs_z, ys_z = ((np.array(axis) - norm.means[f]) / norm.std_devs[f]
-                      for axis, f in zip(axes, cols))
+                      for axis, f in zip(axes, (f1, f2)))
         codes = lda_mod.decision_grid(model, xs_z, ys_z)
         xs, ys = (list(map(repr, axis)) for axis in axes)
         out.csv(
-            f"decision_grid_{f1.column_name}_{f2.column_name}.csv",
+            f"decision_grid_{pair}.csv",
             ["x", "y", "label"],
             ((x, y, LABEL_NAMES[c]) for (y, x), c in zip(product(ys, xs), codes.tolist())),
         )
@@ -274,9 +277,11 @@ def stage_train(
         raise ValueError("the EFS report has no size-4 subsets")
     pca_features = pca_mod.top_features(pca_model, 4)
     efs_features = list(report.best_per_size[4].subset)
-    pca_train_acc, pca_test_acc = _fit_on_features(pca_features, train_n, test_n)
-    efs_train_acc, efs_test_acc = _fit_on_features(efs_features, train_n, test_n)
-    _emit_decision_grids(out, pca_features, train, train_n, norm, grid_resolution)
+    stats = lda_mod.class_stats(train_n.features, train_n.labels)
+    final = _fit_stack(stats, {"PCA-4": pca_features, "EFS-4": efs_features})
+    train_acc = lda_mod.accuracy(final, train_n.features, train_n.labels).tolist()
+    test_acc = lda_mod.accuracy(final, test_n.features, test_n.labels).tolist()
+    _emit_decision_grids(out, pca_features, train, stats, norm, grid_resolution)
 
     # train and test partition the labelled dataset, so its counts are their sums
     train_counts = _class_counts(train.labels)
@@ -303,13 +308,13 @@ def stage_train(
         "lda": {
             "pca_selected": {
                 "features": [f.column_name for f in pca_features],
-                "train_accuracy": pca_train_acc,
-                "test_accuracy": pca_test_acc,
+                "train_accuracy": train_acc[0],
+                "test_accuracy": test_acc[0],
             },
             "efs_selected": {
                 "features": [f.column_name for f in efs_features],
-                "train_accuracy": efs_train_acc,
-                "test_accuracy": efs_test_acc,
+                "train_accuracy": train_acc[1],
+                "test_accuracy": test_acc[1],
             },
         },
     }

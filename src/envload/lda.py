@@ -10,16 +10,14 @@ order. A ridge ladder (0, 1e-8, 1e-6, 1e-4) handles near-singular pooled
 covariances, as happen for collinear feature subsets. A column that is
 constant within every class, up to rounding, fails the fit instead.
 
-Fitting runs from class statistics: `fit_lda(class_stats(x, y))`.
-`class_stats` checks the labels and computes the class means and the
-within-class scatter once; `ClassStats.subset(cols)` slices them for a
-feature subset without touching the rows again.
-
-Many subsets fit as one stacked model: `subset` of a (C, s) array of columns
-gives stacked statistics, `fit_lda` fits all C members in one pass and marks
-a member that fails instead of raising, and `predict_many` scores full-width
-rows for every member with one matrix product per chunk of rows. One model
-is the stack-of-one case of the same fit, to the bit.
+Every model is a stack of C feature subsets, fit in one pass.
+`class_stats(x, y)` checks the labels and computes the class means and the
+within-class scatter of the full (n, p) matrix once; `ClassStats.subset` of
+a (C, s) array of columns slices them for C subsets without touching the
+rows again. `fit_lda` fits all C members and marks a member that fails
+instead of raising, and `predict_many` scores full-width rows for every
+member with one matrix product per chunk of rows. One subset is a stack of
+one, and each member of a stack equals its own stack of one, to the bit.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import ClassLabel
-from .numerics import CholeskyFactor, NotPositiveDefiniteError, ordered_dot, symmetric
+from .numerics import CholeskyFactor, ordered_dot, symmetric
 
 RIDGE_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 # A column whose pooled standard deviation is at most this fraction of its
@@ -39,27 +37,26 @@ RIDGE_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 # can be off by a few ulps, which leaves a pooled standard deviation near
 # 1e-16 of the value. Fitting such a column would treat that noise as signal.
 FLAT_RELATIVE_STD = 1e-10
-# predict_many on a stacked model scores this many bytes of rows at a time
+# predict_many scores this many bytes of rows at a time
 SCORE_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
 class LdaModel:
+    """C models in one, the fit of ClassStats.subset of a (C, s) column
+    array: member i reads columns cols[i] of full-width rows. A member whose
+    fit failed has ridge_used nan and coef and intercept 0."""
+
     classes: tuple[ClassLabel, ...]
-    means: np.ndarray        # (K, p)
-    pooled_covariance: np.ndarray  # (p, p), symmetric and read-only
-    ridge_used: float        # the RIDGE_LADDER step that made S factorizable
+    means: np.ndarray        # (C, K, s)
+    pooled_covariance: np.ndarray  # (C, s, s), symmetric and read-only
+    ridge_used: np.ndarray   # (C,) the RIDGE_LADDER step that made S factorizable
     log_priors: np.ndarray   # (K,)
-    p: int
-    # cached discriminant parameters: delta_k(x) = coef[k] . x + intercept[k]
-    coef: np.ndarray         # (K, p) rows are S^-1 mu_k
-    intercept: np.ndarray    # (K,)
-    # A stacked model (fit_lda of ClassStats.subset of a (C, p) column array)
-    # is C models in one: means, pooled_covariance, coef and intercept gain a
-    # leading member axis and ridge_used is a (C,) array. A member whose fit
-    # failed has ridge_used nan and coef and intercept 0.
-    cols: np.ndarray | None = None    # (C, p) each member's columns of the full matrix
-    failed: np.ndarray | None = None  # (C,) bool
+    # cached discriminant parameters: delta_k(x) = coef[i, k] . x[cols[i]] + intercept[i, k]
+    coef: np.ndarray         # (C, K, s) rows are S^-1 mu_k
+    intercept: np.ndarray    # (C, K)
+    cols: np.ndarray         # (C, s) each member's columns of the full matrix
+    failed: np.ndarray       # (C,) bool
 
 
 @dataclass(frozen=True)
@@ -70,23 +67,24 @@ class ClassStats:
 
     classes: tuple[ClassLabel, ...]
     counts: np.ndarray       # (K,) rows per class
-    means: np.ndarray        # (K, p), or (C, K, p) when stacked
+    means: np.ndarray        # (K, p), or (C, K, s) when stacked
     scatter: np.ndarray      # (p, p) within-class scatter, sum of centered outer
-                             # products; (C, p, p) when stacked
+                             # products; (C, s, s) when stacked
     n: int
-    cols: np.ndarray | None = None  # (C, p) when stacked: each member's columns
+    cols: np.ndarray | None = None  # (C, s) when stacked: each member's columns
 
-    def subset(self, cols: Sequence[int] | np.ndarray) -> ClassStats:
-        """The statistics of the columns cols, in that order. A (C, s) array
-        of distinct columns per row gives stacked statistics, one member per
-        row, which fit_lda fits all at once."""
+    def subset(self, cols: Sequence[Sequence[int]] | np.ndarray) -> ClassStats:
+        """Stacked statistics of a (C, s) array of columns: one member per
+        row, of the distinct columns in that row, in that order. fit_lda fits
+        all members at once."""
         cols = np.asarray(cols, dtype=np.intp)
-        if cols.ndim == 1:
-            return ClassStats(self.classes, self.counts, self.means[:, cols],
-                              self.scatter[np.ix_(cols, cols)], self.n)
         if cols.ndim != 2 or self.cols is not None:
             raise ValueError(
                 f"need a (C, s) column array of unstacked statistics, got {cols.shape}")
+        p = self.means.shape[1]
+        outside = cols[(cols < 0) | (cols >= p)]
+        if outside.size:
+            raise ValueError(f"column {outside[0]} is outside 0..{p - 1}")
         if (np.diff(np.sort(cols, axis=1), axis=1) == 0).any():
             raise ValueError("a member of a stacked subset repeats a column")
         return ClassStats(self.classes, self.counts, self.means[:, cols].swapaxes(0, 1),
@@ -128,22 +126,20 @@ def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassSta
 
 
 def fit_lda(stats: ClassStats) -> LdaModel:
-    """Fit from the class statistics of the training rows (see class_stats).
-
-    Unstacked statistics give one model, or raise ValueError (the
-    NotPositiveDefiniteError of the ridge ladder is one). Stacked statistics
-    give a stacked model in which each failed member is marked in `failed`.
-    Both are the same computation: one set of statistics is a stack of one.
-    """
-    stacked = stats.cols is not None
-    means = stats.means if stacked else stats.means[None]
+    """Fit every member of stacked class statistics (ClassStats.subset) in
+    one pass. A member with a column that is constant within every class,
+    or whose pooled covariance does not factor at any ridge of the ladder,
+    is marked in `failed`."""
+    if stats.means.ndim != 3:
+        raise ValueError("fit_lda needs stacked statistics: ClassStats.subset of a "
+                         "(C, s) column array")
+    means = stats.means
     k = len(stats.classes)
-    pooled = (stats.scatter if stacked else stats.scatter[None]) / (stats.n - k)
+    pooled = stats.scatter / (stats.n - k)
     pooled.setflags(write=False)
     variances = np.diagonal(pooled, axis1=1, axis2=2)
     scale = abs(means).max(axis=1)  # each column's largest class mean
-    flat = variances <= FLAT_RELATIVE_STD ** 2 * (scale * scale)
-    failed = flat.any(axis=1)
+    failed = (variances <= FLAT_RELATIVE_STD ** 2 * (scale * scale)).any(axis=1)
 
     # the ladder retries only the members that no smaller ridge factored
     coef = np.zeros(means.shape)
@@ -161,52 +157,16 @@ def fit_lda(stats: ClassStats) -> LdaModel:
     log_priors = np.array([math.log(count / stats.n) for count in stats.counts])
     intercept = -0.5 * ordered_dot(means, coef) + log_priors
     intercept[failed] = 0.0
-    if stacked:
-        return LdaModel(stats.classes, means, pooled, ridge_used, log_priors,
-                        means.shape[2], coef, intercept, stats.cols, failed)
-    if flat[0].any():
-        col = int(np.flatnonzero(flat[0])[0])
-        raise ValueError(
-            f"zero within-class covariance: column {col} is constant within every "
-            f"class up to rounding (pooled variance {variances[0, col]:.3g})"
-        )
-    if failed[0]:
-        raise NotPositiveDefiniteError(
-            f"pooled covariance not factorizable up to ridge {RIDGE_LADDER[-1]:g}: "
-            f"{factor.error(0)}"
-        )
-    return LdaModel(stats.classes, means[0], pooled[0], float(ridge_used[0]),
-                    log_priors, means.shape[2], coef[0], intercept[0])
-
-
-def discriminants(model: LdaModel, x: np.ndarray) -> np.ndarray:
-    """delta_k values for one p-vector or an (n, p) matrix."""
-    if model.cols is not None:
-        raise ValueError("a stacked model is scored with predict_many")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.p:
-        raise ValueError(f"expected {model.p} features, got {x.shape[-1]}")
-    return x @ model.coef.T + model.intercept
-
-
-def predict(model: LdaModel, x: np.ndarray) -> ClassLabel:
-    """Label for a single p-vector; ties break to the lower class."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.p,):
-        raise ValueError(f"expected shape ({model.p},), got {x.shape}")
-    return model.classes[int(np.argmax(discriminants(model, x)))]
+    return LdaModel(stats.classes, means, pooled, ridge_used, log_priors, coef, intercept,
+                    stats.cols, failed)
 
 
 def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
-    """ClassLabel codes (int8), one per row; ties break to the lower class.
-
-    A stacked model scores full-width rows, of which each member reads its
-    own columns, and gives an (n, C) array: one code per row and member.
-    """
+    """ClassLabel codes (int8) of full-width rows, of which each member reads
+    its own columns: an (n, C) array, one code per row and member. Ties
+    break to the lower class."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     codes = np.asarray(model.classes, dtype=np.int8)
-    if model.cols is None:
-        return codes[np.argmax(discriminants(model, x), axis=1)]
     c, k, _ = model.coef.shape
     if x.ndim != 2 or x.shape[1] <= model.cols.max():
         raise ValueError(f"expected rows of at least {model.cols.max() + 1} features, "
@@ -225,15 +185,18 @@ def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def accuracy(model: LdaModel, x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> float:
-    """Fraction of rows where predict matches the label."""
+def accuracy(
+    model: LdaModel, x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]
+) -> np.ndarray:
+    """Each member's fraction of full-width rows where predict_many matches
+    the label: a (C,) array."""
     y = np.asarray(y, dtype=np.int8)
     if len(y) == 0:
         raise ValueError("cannot score an empty dataset")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != len(y):
         raise ValueError(f"got {x.shape[0]} rows but {len(y)} labels")
-    return int(np.count_nonzero(predict_many(model, x) == y)) / len(y)
+    return np.count_nonzero(predict_many(model, x) == y[:, None], axis=0) / len(y)
 
 
 def grid_axes(
@@ -254,13 +217,16 @@ def grid_axes(
 
 
 def decision_grid(model: LdaModel, xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
-    """ClassLabel codes (int8) of a 2-feature model over the grid of points
-    (x, y), x from xs and y from ys, such as the grid_axes values.
+    """ClassLabel codes (int8) of a model with one 2-column member over the
+    grid of points (x, y), x from xs in its first column and y from ys in
+    its second, such as the grid_axes values.
 
     Points are in row-major order, y outer, x inner: code k is at
     (xs[k % len(xs)], ys[k // len(xs)]).
     """
-    if model.p != 2:
-        raise ValueError(f"decision grid needs a 2-feature model, got p={model.p}")
-    points = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
-    return predict_many(model, points)
+    if model.cols.shape != (1, 2):
+        raise ValueError(f"decision grid needs one 2-column member, got columns "
+                         f"of shape {model.cols.shape}")
+    points = np.zeros((len(xs) * len(ys), model.cols.max() + 1))
+    points[:, model.cols[0]] = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+    return predict_many(model, points)[:, 0]

@@ -4,10 +4,11 @@ that an array is a symmetric matrix, or a stack of them; both solvers take
 their input through it. Matrices here are tiny (p <= 7), so the
 implementations favor being explicit and portable over being fast.
 
-`CholeskyFactor` factors and solves a whole stack of matrices at once, one
-elementwise step per matrix entry across the stack. Its sums go through
+`CholeskyFactor` factors and solves a (C, n, n) stack of matrices at once,
+one elementwise step per matrix entry across the stack, and marks each
+member that does not factor instead of raising. Its sums go through
 `ordered_dot`, which adds in index order, so each member gets the same bits
-as it would alone, on any BLAS build. One matrix is a stack of one.
+as in a stack of one, on any BLAS build.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ import numpy as np
 
 
 _EPS = float(np.finfo(np.float64).eps)
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Cholesky hit a pivot that is not positive up to rounding; try a larger ridge."""
 
 
 class ConvergenceError(RuntimeError):
@@ -146,25 +143,21 @@ def ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class CholeskyFactor:
-    """Lower-triangular factor of (A + ridge*I); reusable solver context.
+    """Lower-triangular factors of a (C, n, n) stack of matrices A, each plus
+    ridge*I; a reusable solver context.
 
-    A is one (n, n) matrix or a stack of them, shape (C, n, n). A pivot at
-    or below n * eps times its diagonal entry is zero up to rounding, so the
-    matrix does not factor: one matrix raises NotPositiveDefiniteError. A
-    stack factors every member and reports which did in `ok`; a member that
-    hits such a pivot continues with unit pivots, so its factor and its
-    solves stay finite but mean nothing. One matrix is a stack of one.
+    A pivot at or below n * eps times its diagonal entry is zero up to
+    rounding, so that member does not factor: `ok` marks the members that
+    did. A member that hits such a pivot continues with unit pivots, so its
+    factor and its solves stay finite but mean nothing.
     """
 
     def __init__(self, matrix: np.ndarray, ridge: float = 0.0) -> None:
         if ridge < 0.0:
             raise ValueError(f"ridge must be >= 0, got {ridge}")
         a = symmetric(matrix)
-        if a.ndim > 3:
-            raise ValueError(f"need a matrix or a stack of matrices, got shape {a.shape}")
-        self._single = a.ndim == 2
-        self.ridge = ridge
-        a = a[None] if self._single else a
+        if a.ndim != 3:
+            raise ValueError(f"need a (C, n, n) stack of matrices, got shape {a.shape}")
         c, n, _ = a.shape
         if ridge > 0.0:
             a = a.copy()
@@ -172,52 +165,28 @@ class CholeskyFactor:
         # Cholesky-Crout, one column at a time for every member at once
         lower = np.zeros((c, n, n))
         self.ok = np.ones(c, dtype=bool)
-        self._pivot = np.zeros(c)  # first non-positive pivot of each failed member
-        self._row = np.zeros(c, dtype=np.int64)
         for j in range(n):
             pivot = a[:, j, j] - ordered_dot(lower[:, j, :j], lower[:, j, :j])
-            bad = self.ok & ~(pivot > n * _EPS * a[:, j, j])
-            self._pivot[bad], self._row[bad] = pivot[bad], j
-            self.ok &= ~bad
+            self.ok &= pivot > n * _EPS * a[:, j, j]
             lower[:, j, j] = np.sqrt(np.where(self.ok, pivot, 1.0))
             below = a[:, j + 1 :, j] - ordered_dot(lower[:, j + 1 :, :j], lower[:, j, None, :j])
             lower[:, j + 1 :, j] = below / lower[:, j, j, None]
-        if self._single and not self.ok[0]:
-            raise self.error(0)
-        self._lower = lower
-        self._dim = n
-
-    @property
-    def lower(self) -> np.ndarray:
-        """The factor L: (n, n) for one matrix, (C, n, n) for a stack."""
-        return self._lower[0] if self._single else self._lower
-
-    def error(self, member: int) -> NotPositiveDefiniteError:
-        """Why the stack member did not factor."""
-        return NotPositiveDefiniteError(
-            f"pivot {self._pivot[member]:g} at row {self._row[member]} is not positive "
-            f"up to rounding; "
-            f"increase the ridge (current {self.ridge:g})"
-        )
+        self.lower = lower
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with (A + ridge*I) x = b. For one matrix b has shape (n,); for a
-        stack of C, shape (C, m, n): m right-hand sides per member."""
+        """x with (A + ridge*I) x = b, member by member: b has shape (C, m, n),
+        m right-hand sides per member."""
         b = np.asarray(b, dtype=np.float64)
-        stack = b[None, None] if self._single else b
-        c, n = len(self._lower), self._dim
-        if stack.ndim != 3 or stack.shape[0] != c or stack.shape[2] != n:
-            want = f"({n},)" if self._single else f"({c}, m, {n})"
-            raise ValueError(f"b must have shape {want}, got {b.shape}")
-        lower = self._lower[:, None]  # broadcast over the right-hand sides
-        y = np.zeros(stack.shape)
+        c, n, _ = self.lower.shape
+        if b.ndim != 3 or b.shape[0] != c or b.shape[2] != n:
+            raise ValueError(f"b must have shape ({c}, m, {n}), got {b.shape}")
+        lower = self.lower[:, None]  # broadcast over the right-hand sides
+        y = np.zeros(b.shape)
         for i in range(n):
-            y[..., i] = (
-                stack[..., i] - ordered_dot(lower[..., i, :i], y[..., :i])
-            ) / lower[..., i, i]
-        x = np.zeros(stack.shape)
+            y[..., i] = (b[..., i] - ordered_dot(lower[..., i, :i], y[..., :i])) / lower[..., i, i]
+        x = np.zeros(b.shape)
         for i in range(n - 1, -1, -1):
             x[..., i] = (
                 y[..., i] - ordered_dot(lower[..., i + 1 :, i], x[..., i + 1 :])
             ) / lower[..., i, i]
-        return x[0, 0] if self._single else x
+        return x

@@ -12,7 +12,7 @@ import pytest
 from envload.cli import main
 from envload.dataset import ClassLabel, FeatureId, builtin_material_library
 from envload.efs import run_efs
-from envload.lda import accuracy, class_stats, fit_lda, predict_many
+from envload.lda import accuracy, predict_many
 from envload.numerics import jacobi_eigen
 from envload.pca import fit_pca, project, top_features
 from envload.preprocess import (
@@ -26,7 +26,7 @@ from envload.preprocess import (
 from envload.sampling import SamplerConfig, generate_dataset
 from envload.surrogate import SurrogateConfig, simulate_dataset
 
-from test_efs import make_single_informative
+from test_efs import fit_all_columns, make_single_informative
 
 # Frozen before the PCA module was built: the |PC1 loading| ranking of the
 # default-seed 210-row training matrix, computed with numpy's eigensolver
@@ -123,27 +123,27 @@ def test_criterion_6_lda_correctness_suite():
     centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
     x = np.vstack([rng.normal(size=(30, 2)) * 0.2 + c for c in centers])
     y = [low] * 30 + [med] * 30 + [high] * 30
-    assert accuracy(fit_lda(class_stats(x, y)), x, y) == 1.0
+    assert accuracy(fit_all_columns(x, y), x, y).tolist() == [1.0]
 
     # (b) identity pooled covariance + equal priors = nearest centroid
     a = np.sqrt(1.5)
     residuals = np.array([[a, 0.0], [-a, 0.0], [0.0, a], [0.0, -a]])
     xb = np.vstack([c + residuals for c in centers])
     yb = [low] * 4 + [med] * 4 + [high] * 4
-    model_b = fit_lda(class_stats(xb, yb))
+    model_b = fit_all_columns(xb, yb)
     probes = rng.uniform(-2.0, 8.0, size=(1000, 2))
     nearest = [
         model_b.classes[int(np.argmin(np.sum((centers - p) ** 2, axis=1)))]
         for p in probes
     ]
-    assert predict_many(model_b, probes).tolist() == nearest
+    assert predict_many(model_b, probes)[:, 0].tolist() == nearest
 
     # (c) affine invariance of decisions
-    base = fit_lda(class_stats(x, y))
+    base = fit_all_columns(x, y)
     points = rng.uniform(-2.0, 8.0, size=(200, 2))
     m = np.array([[1.3, -0.7], [0.4, 2.1]])
     shift = np.array([5.0, -3.0])
-    transformed = fit_lda(class_stats(x @ m.T + shift, y))
+    transformed = fit_all_columns(x @ m.T + shift, y)
     assert (predict_many(transformed, points @ m.T + shift).tolist()
             == predict_many(base, points).tolist())
 
@@ -153,9 +153,9 @@ def test_criterion_6_lda_correctness_suite():
         spread = float(rng.uniform(0.2, 5.0))
         xd = np.vstack([rng.normal(size=(n_per, 2)) * spread + c for c in centers])
         yd = [low] * n_per + [med] * n_per + [high] * n_per
-        model_d = fit_lda(class_stats(xd, yd))
+        model_d = fit_all_columns(xd, yd)
         majority = max(yd.count(c) for c in (low, med, high)) / len(yd)
-        assert accuracy(model_d, xd, yd) >= majority
+        assert accuracy(model_d, xd, yd)[0] >= majority
     _report("criterion 6 - LDA correctness suite", time.perf_counter() - start, 5.0)
 
 

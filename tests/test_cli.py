@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -79,12 +80,12 @@ class TestRunAll:
         train_n = apply_normalizer(norm, train)
         test_n = apply_normalizer(norm, test)
         by_name = {f.column_name: f for f in FeatureId}
+        stats = class_stats(train_n.features, train_n.labels)
         for key in ("pca_selected", "efs_selected"):
             entry = summary["lda"][key]
-            cols = [int(by_name[n]) for n in entry["features"]]
-            model = fit_lda(class_stats(train_n.features[:, cols], train_n.labels))
-            train_acc = accuracy(model, train_n.features[:, cols], train_n.labels)
-            test_acc = accuracy(model, test_n.features[:, cols], test_n.labels)
+            model = fit_lda(stats.subset([[int(by_name[n]) for n in entry["features"]]]))
+            [train_acc] = accuracy(model, train_n.features, train_n.labels)
+            [test_acc] = accuracy(model, test_n.features, test_n.labels)
             assert entry["train_accuracy"] == train_acc
             assert entry["test_accuracy"] == test_acc
 
@@ -213,11 +214,12 @@ class TestFormattedOnce:
                  for a in FeatureId for b in FeatureId}
         written = sorted(out.glob("decision_grid_*.csv"))
         assert len(grids) == len(written) == 6
+        stats = class_stats(train_n.features, train_n.labels)
         for path in written:
             cols = names[path.name]
-            model = fit_lda(class_stats(train_n.features[:, cols], train_n.labels))
-            coef = model.coef / [norm.std_devs[f] for f in cols]
-            intercept = model.intercept - coef @ [norm.means[f] for f in cols]
+            model = fit_lda(stats.subset([cols]))
+            coef = model.coef[0] / [norm.std_devs[f] for f in cols]
+            intercept = model.intercept[0] - coef @ [norm.means[f] for f in cols]
             bounds = []
             for f in cols:
                 lo, hi = train.features[:, f].min(), train.features[:, f].max()
@@ -274,6 +276,33 @@ class TestErrorHandling:
                      "--ingest-loads", str(loads)])
         assert code == 2
         assert "error in stage split" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("members, member, name", [
+        (2, 0, "PCA-4"), (2, 1, "EFS-4"), (1, 0, "decision grid density_thermal_conductivity"),
+    ], ids=["pca-4", "efs-4", "grid"])
+    def test_failed_lda_member_is_a_train_error(
+        self, tmp_path, capsys, monkeypatch, members, member, name
+    ):
+        # the first stack of `members` members comes back with `member` failed
+        fit = lda_mod.fit_lda
+        todo = [True]
+
+        def failing_fit(stats):
+            model = fit(stats)
+            if todo[0] and len(model.failed) == members:
+                todo[0] = False
+                failed = model.failed.copy()
+                failed[member] = True
+                model = dataclasses.replace(model, failed=failed)
+            return model
+
+        monkeypatch.setattr(lda_mod, "fit_lda", failing_fit)
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--n-per-material", "10"]) == 2
+        assert (f"error in stage train: the {name} LDA model did not fit"
+                in capsys.readouterr().err)
+        assert not todo[0]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("option, value, message", [

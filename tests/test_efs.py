@@ -20,6 +20,12 @@ from envload.surrogate import SurrogateConfig, simulate_dataset
 LOW, HIGH = ClassLabel.LOW, ClassLabel.HIGH
 
 
+def fit_all_columns(x: np.ndarray, y):
+    """LDA on every column of x, in order: a stack of one, from the class
+    statistics of x itself."""
+    return fit_lda(class_stats(x, y).subset([range(x.shape[1])]))
+
+
 def _dataset(x: np.ndarray, y) -> Dataset:
     n = len(y)
     return Dataset(np.zeros(n, dtype=np.int64), x, loads=np.ones(n), labels=y)
@@ -91,7 +97,7 @@ class TestRunEfs:
         y = single_informative.labels
         for f in FeatureId:
             xs = x[:, [int(f)]]
-            acc = accuracy(fit_lda(class_stats(xs, y)), xs, y)
+            [acc] = accuracy(fit_all_columns(xs, y), xs, y)
             if f is FeatureId.SPECIFIC_HEAT_CAPACITY:
                 assert acc == 1.0
             else:
@@ -192,18 +198,21 @@ def _brute_force_efs(ds: Dataset, metric: str, cv_seed: int = 42) -> list[tuple[
         xs = x[:, cols]
         try:
             if metric == METRIC_TRAIN:
-                value = accuracy(fit_lda(class_stats(xs, y)), xs, y)
+                model = fit_all_columns(xs, y)
+                failed = model.failed[0]
+                [value] = accuracy(model, xs, y)
             else:
-                correct = 0
+                correct, failed = 0, False
                 for fold in range(CV_FOLDS):
                     held = fold_of == fold
-                    model = fit_lda(class_stats(xs[~held], y[~held]))
-                    correct += int(np.count_nonzero(predict_many(model, xs[held]) == y[held]))
+                    model = fit_all_columns(xs[~held], y[~held])
+                    failed |= model.failed[0]
+                    hits = predict_many(model, xs[held])[:, 0] == y[held]
+                    correct += int(np.count_nonzero(hits))
                 value = correct / len(y)
-        except ValueError:
-            out.append((0.0, True))
-            continue
-        out.append((value, False))
+        except ValueError:  # class_stats: a fold without enough rows of a class
+            failed = True
+        out.append((0.0, True) if failed else (value, False))
     return out
 
 

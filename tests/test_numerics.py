@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from envload.numerics import (
     CholeskyFactor,
     ConvergenceError,
-    NotPositiveDefiniteError,
     jacobi_eigen,
     ordered_dot,
     symmetric,
@@ -34,7 +35,7 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             jacobi_eigen(a)
         with pytest.raises(ValueError, match="symmetric"):
-            CholeskyFactor(a)
+            CholeskyFactor(a[None])
 
     def test_non_square_rejected(self):
         for shape in [(2, 3), (0, 0), (4,)]:
@@ -143,17 +144,18 @@ class TestJacobiEigen:
 
 
 class TestSpdSolve:
-    """Solving (A + ridge*I) x = b with CholeskyFactor(A, ridge).solve(b)."""
+    """Solving (A + ridge*I) x = b with CholeskyFactor(A, ridge).solve(b), one
+    matrix as a stack of one."""
 
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        x = CholeskyFactor(np.eye(3)).solve(b)
-        assert np.array_equal(x, b)
+        x = CholeskyFactor(np.eye(3)[None]).solve(b[None, None])
+        assert np.array_equal(x[0, 0], b)
 
     def test_diagonal(self):
         a = np.diag([2.0, 4.0])
-        x = CholeskyFactor(a).solve(np.array([2.0, 8.0]))
-        assert x == pytest.approx([1.0, 2.0], rel=1e-15)
+        x = CholeskyFactor(a[None]).solve(np.array([[[2.0, 8.0]]]))
+        assert x[0, 0] == pytest.approx([1.0, 2.0], rel=1e-15)
 
     def test_random_spd_residual(self):
         rng = np.random.default_rng(41)
@@ -161,41 +163,41 @@ class TestSpdSolve:
             m = rng.normal(size=(5, 5))
             a = m.T @ m + np.eye(5)
             b = rng.normal(size=5)
-            x = CholeskyFactor(a).solve(b)
+            x = CholeskyFactor(a[None]).solve(b[None, None])[0, 0]
             residual = np.max(np.abs(a @ x - b))
             assert residual <= 1e-8 * max(1.0, np.max(np.abs(b)))
 
-    def test_not_positive_definite_advises_ridge(self):
-        a = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(NotPositiveDefiniteError, match="ridge"):
-            CholeskyFactor(a)
-
     def test_ridge_rescues_singular_matrix(self):
         v = np.array([1.0, 2.0, 3.0])
-        a = np.outer(v, v)  # rank 1
-        with pytest.raises(NotPositiveDefiniteError):
-            CholeskyFactor(a)
-        x = CholeskyFactor(a, ridge=1e-8).solve(v)
-        assert np.all(np.isfinite(x))
+        a = np.outer(v, v)[None]  # rank 1
+        assert CholeskyFactor(a).ok.tolist() == [False]
+        factor = CholeskyFactor(a, ridge=1e-8)
+        assert factor.ok.tolist() == [True]
+        assert np.all(np.isfinite(factor.solve(v[None, None])))
 
     def test_factor_reuse(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(4, 4))
         a = m.T @ m + np.eye(4)
-        factor = CholeskyFactor(a)
+        factor = CholeskyFactor(a[None])
         for _ in range(5):
             b = rng.normal(size=4)
-            assert np.max(np.abs(a @ factor.solve(b) - b)) <= 1e-8
+            assert np.max(np.abs(a @ factor.solve(b[None, None])[0, 0] - b)) <= 1e-8
 
     def test_negative_ridge_rejected(self):
-        a = np.eye(2)
+        a = np.eye(2)[None]
         with pytest.raises(ValueError):
             CholeskyFactor(a, ridge=-1.0)
 
     def test_b_shape_validated(self):
-        a = np.eye(2)
-        with pytest.raises(ValueError):
-            CholeskyFactor(a).solve(np.zeros(3))
+        factor = CholeskyFactor(np.eye(2)[None])
+        for b in (np.zeros(2), np.zeros(3), np.zeros((1, 1, 3))):
+            with pytest.raises(ValueError, match=r"shape \(1, m, 2\)"):
+                factor.solve(b)
+
+    def test_single_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"\(C, n, n\) stack"):
+            CholeskyFactor(np.eye(2))
 
 
 def _spd_stack(rng, c, n):
@@ -236,32 +238,27 @@ class TestStackedCholesky:
             assert factor.ok.tolist() == [i not in (3, 7) or (i == 3 and ridge > 0)
                                           for i in range(12)]
             for i in range(12):
+                alone = CholeskyFactor(a[i : i + 1], ridge)
+                assert alone.ok.tolist() == [factor.ok[i]]
                 if not factor.ok[i]:
-                    with pytest.raises(NotPositiveDefiniteError) as err:
-                        CholeskyFactor(a[i], ridge)
-                    assert str(err.value) == str(factor.error(i))
                     assert np.isfinite(x[i]).all()  # failed members stay finite
                     continue
-                alone = CholeskyFactor(a[i], ridge)
-                assert alone.lower.tobytes() == factor.lower[i].tobytes()
+                assert alone.lower[0].tobytes() == factor.lower[i].tobytes()
                 for j in range(2):
-                    assert alone.solve(b[i, j]).tobytes() == x[i, j].tobytes()
-
-    def test_first_failing_pivot_is_reported(self):
-        a = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, -3.0]])])
-        factor = CholeskyFactor(a)
-        assert factor.ok.tolist() == [True, False]
-        assert str(factor.error(1)).startswith("pivot -3 at row 1 is not positive")
+                    assert alone.solve(b[i : i + 1, j : j + 1]).tobytes() == x[i, j].tobytes()
 
     def test_pivot_of_rounding_size_fails(self):
         # the pooled scatter of a column and its copy over 6 degrees of freedom:
         # singular, yet the last pivot rounds to a tiny positive value, not 0
         a = np.array([[268.75, 70.5, 70.5], [70.5, 169.0, 169.0], [70.5, 169.0, 169.0]]) / 6
+        # the last pivot by hand, in index order: positive, and at most n * eps
+        # times its diagonal entry
+        l10, l20 = a[1, 0] / math.sqrt(a[0, 0]), a[2, 0] / math.sqrt(a[0, 0])
+        l21 = (a[2, 1] - l20 * l10) / math.sqrt(a[1, 1] - l10 * l10)
+        pivot = a[2, 2] - (l20 * l20 + l21 * l21)
+        assert 0.0 < pivot <= 3 * EPS * a[2, 2]
         factor = CholeskyFactor(np.stack([a, np.eye(3)]))
         assert factor.ok.tolist() == [False, True]
-        assert str(factor.error(0)).startswith("pivot 3.55271e-15 at row 2 is not positive")
-        with pytest.raises(NotPositiveDefiniteError):
-            CholeskyFactor(a)
         assert CholeskyFactor(np.stack([a]), 1e-8).ok.all()
 
     def test_stack_shapes_validated(self):

@@ -53,12 +53,6 @@ class TestPrng:
             assert z0 == r * math.cos(2.0 * math.pi * u2)
             assert z1 == r * math.sin(2.0 * math.pi * u2)
 
-    def test_next_below_bounds(self):
-        rng = Xoshiro256pp(3)
-        assert all(0 <= rng.next_below(7) < 7 for _ in range(1000))
-        with pytest.raises(ValueError):
-            rng.next_below(0)
-
     def test_shuffle_is_permutation_and_deterministic(self):
         items = list(range(50))
         a = Xoshiro256pp(11).shuffled(items)
@@ -200,11 +194,16 @@ def reference_sample(library, index, n, seed):
     return columns.T.copy()
 
 
+def next_below(rng, bound):
+    """Uniform integer in [0, bound) by modulo of one next_u64 draw."""
+    return rng.next_u64() % bound
+
+
 def reference_shuffled(rng, items):
     """Fisher-Yates with one next_below call per swap."""
     out = list(items)
     for i in range(len(out) - 1, 0, -1):
-        j = rng.next_below(i + 1)
+        j = next_below(rng, i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 
