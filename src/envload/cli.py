@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -97,9 +97,9 @@ class _Out:
 
     def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
         # no cell of these files needs quoting, so each line is its cells
-        # joined by commas, as csv.writer would write it
+        # joined by commas and ended by "\r\n", as csv.writer would write it
         with open(self._new(name), "w", newline="") as fh:
-            fh.writelines(",".join(cells) + "\r\n" for cells in chain([header], rows))
+            fh.write("\r\n".join(map(",".join, chain([header], rows))) + "\r\n")
 
     def json(self, name: str, data: dict) -> None:
         self._new(name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -176,7 +176,7 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
     )
     # each PC's scores are formatted once and shared by the two files that show it
     pcs = [list(map(repr, col)) for col in pca_mod.project(model, train_n, [1, 2, 3]).T.tolist()]
-    labels = [LABEL_NAMES[c] for c in train_n.labels.tolist()]
+    labels = list(map(LABEL_NAMES.__getitem__, train_n.labels.tolist()))
     for i, j in ((1, 2), (1, 3), (2, 3)):
         out.csv(f"scores_{i}_{j}.csv", [f"pc{i}", f"pc{j}", "label"],
                 zip(pcs[i - 1], pcs[j - 1], labels))
@@ -212,7 +212,7 @@ def _subset_entry(result: efs_mod.SubsetResult) -> dict:
 
 
 def _fit_stack(
-    stats: lda_mod.ClassStats, members: dict[str, list[FeatureId]]
+    stats: lda_mod.ClassStats, members: dict[str, Sequence[FeatureId]]
 ) -> lda_mod.LdaModel:
     """One stacked LDA fit of the named feature subsets. The CLI scores and
     writes every member, so a member whose fit failed is an error."""
@@ -235,15 +235,16 @@ def _emit_decision_grids(
     resolution: int,
 ) -> None:
     """Six pairwise decision-region grids over the selected features, in raw
-    feature units, each a stack of one sliced from `stats`. The model works in
-    normalized space, so each axis is z-scored as apply_normalizer does before
-    predicting; a constant feature (sigma = 0) has zero-width bounds, which
-    grid_axes rejects."""
+    feature units, fit as one stack of six sliced from `stats` and scored one
+    member at a time. The model works in normalized space, so each axis is
+    z-scored as apply_normalizer does before predicting; a constant feature
+    (sigma = 0) has zero-width bounds, which grid_axes rejects."""
     raw = train.features
     # canonical order keeps the file names stable
-    for f1, f2 in combinations(sorted(features, key=int), 2):
-        pair = f"{f1.column_name}_{f2.column_name}"
-        model = _fit_stack(stats, {f"decision grid {pair}": [f1, f2]})
+    pairs = {f"{f1.column_name}_{f2.column_name}": (f1, f2)
+             for f1, f2 in combinations(sorted(features, key=int), 2)}
+    model = _fit_stack(stats, {f"decision grid {pair}": fs for pair, fs in pairs.items()})
+    for i, (pair, (f1, f2)) in enumerate(pairs.items()):
         bounds = []
         for f in (f1, f2):
             lo, hi = float(raw[:, f].min()), float(raw[:, f].max())
@@ -252,13 +253,12 @@ def _emit_decision_grids(
         axes = lda_mod.grid_axes(tuple(bounds), resolution)
         xs_z, ys_z = ((np.array(axis) - norm.means[f]) / norm.std_devs[f]
                       for axis, f in zip(axes, (f1, f2)))
-        codes = lda_mod.decision_grid(model, xs_z, ys_z)
+        codes = lda_mod.decision_grid(lda_mod.member(model, i), xs_z, ys_z)
         xs, ys = (list(map(repr, axis)) for axis in axes)
-        out.csv(
-            f"decision_grid_{pair}.csv",
-            ["x", "y", "label"],
-            ((x, y, LABEL_NAMES[c]) for (y, x), c in zip(product(ys, xs), codes.tolist())),
-        )
+        # points in decision_grid's order: y outer, x inner
+        out.csv(f"decision_grid_{pair}.csv", ["x", "y", "label"],
+                zip(xs * len(ys), [y for y in ys for _ in xs],
+                    map(LABEL_NAMES.__getitem__, codes.tolist())))
 
 
 def stage_train(

@@ -271,24 +271,24 @@ CSV_HEADER = ("material_index",) + FEATURE_COLUMNS + ("load", "label")
 # Rows per .tolist() in format_rows: Python floats of one chunk at a time
 # live beside the lines, never those of the whole feature matrix.
 _FORMAT_CHUNK = 4096
+# The last cell of a line, by label code: the label and the line end.
+_LABEL_ENDS = tuple(name + "\r\n" for name in LABEL_NAMES)
 
 
 def format_rows(dataset: Dataset) -> list[str]:
     """The CSV body lines of a dataset, one per row, each ending in "\r\n".
 
     No cell needs quoting, so each line is its cells joined by commas, as
-    csv.writer would write it."""
+    csv.writer would write it; the label cell carries the line end."""
     lines: list[str] = []
     for start in range(0, len(dataset), _FORMAT_CHUNK):
         rows = slice(start, start + _FORMAT_CHUNK)
         loads = repeat("") if dataset.loads is None else map(repr, dataset.loads[rows].tolist())
-        labels = (repeat("") if dataset.labels is None
-                  else (LABEL_NAMES[c] for c in dataset.labels[rows].tolist()))
-        lines.extend(
-            ",".join([str(m), *map(repr, f), load, label]) + "\r\n"
-            for m, f, load, label in zip(dataset.material_index[rows].tolist(),
-                                         dataset.features[rows].tolist(), loads, labels)
-        )
+        ends = (repeat("\r\n") if dataset.labels is None
+                else map(_LABEL_ENDS.__getitem__, dataset.labels[rows].tolist()))
+        features = [map(repr, col) for col in dataset.features[rows].T.tolist()]
+        lines.extend(map(",".join, zip(map(str, dataset.material_index[rows].tolist()),
+                                       *features, loads, ends)))
     return lines
 
 

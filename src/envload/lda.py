@@ -17,13 +17,14 @@ a (C, s) array of columns slices them for C subsets without touching the
 rows again. `fit_lda` fits all C members and marks a member that fails
 instead of raising, and `predict_many` scores full-width rows for every
 member with one matrix product per chunk of rows. One subset is a stack of
-one, and each member of a stack equals its own stack of one, to the bit.
+one, and each member of a stack equals its own stack of one, to the bit,
+which `member(model, i)` returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -77,10 +78,13 @@ class ClassStats:
         """Stacked statistics of a (C, s) array of columns: one member per
         row, of the distinct columns in that row, in that order. fit_lda fits
         all members at once."""
-        cols = np.asarray(cols, dtype=np.intp)
+        cols = np.asarray(cols)
         if cols.ndim != 2 or self.cols is not None:
             raise ValueError(
                 f"need a (C, s) column array of unstacked statistics, got {cols.shape}")
+        if cols.dtype.kind not in "iu":
+            raise ValueError(f"columns must be integers, got dtype {cols.dtype}")
+        cols = cols.astype(np.intp)
         p = self.means.shape[1]
         outside = cols[(cols < 0) | (cols >= p)]
         if outside.size:
@@ -159,6 +163,14 @@ def fit_lda(stats: ClassStats) -> LdaModel:
     intercept[failed] = 0.0
     return LdaModel(stats.classes, means, pooled, ridge_used, log_priors, coef, intercept,
                     stats.cols, failed)
+
+
+def member(model: LdaModel, i: int) -> LdaModel:
+    """Member i of a stacked model as a stack of one: the same fit, bit for bit."""
+    at = slice(i, i + 1)
+    return replace(model, means=model.means[at], pooled_covariance=model.pooled_covariance[at],
+                   ridge_used=model.ridge_used[at], coef=model.coef[at],
+                   intercept=model.intercept[at], cols=model.cols[at], failed=model.failed[at])
 
 
 def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:

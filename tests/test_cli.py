@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -233,6 +234,28 @@ class TestFormattedOnce:
             ), path.name
 
 
+class TestWriters:
+    def test_csv_files_are_csv_writer_output_in_grid_order(self, tmp_path):
+        # off the pinned default: tiny grids, cv5, unstratified split
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--n-per-material", "7",
+                     "--grid-resolution", "3", "--efs-metric", "cv5", "--no-stratify"]) == 0
+        written = sorted(out.glob("*.csv"))
+        assert len(written) == 15
+        for path in written:
+            rows = list(csv.reader(io.StringIO(_text(path), newline="")))
+            expected = io.StringIO(newline="")
+            csv.writer(expected).writerows(rows)
+            assert _text(path) == expected.getvalue(), path.name
+            if path.name.startswith("decision_grid_"):
+                points = [(x, y) for x, y, _ in rows[1:]]
+                xs = [x for x, _ in points[:3]]
+                ys = [y for _, y in points[::3]]
+                assert sorted(xs, key=float) == xs and len(set(xs)) == 3, path.name
+                assert sorted(ys, key=float) == ys and len(set(ys)) == 3, path.name
+                assert points == [(x, y) for y in ys for x in xs], path.name
+
+
 class TestIngestPath:
     def test_ingested_loads_land_in_dataset(self, tmp_path):
         loads = tmp_path / "loads.csv"
@@ -279,12 +302,15 @@ class TestErrorHandling:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("members, member, name", [
-        (2, 0, "PCA-4"), (2, 1, "EFS-4"), (1, 0, "decision grid density_thermal_conductivity"),
-    ], ids=["pca-4", "efs-4", "grid"])
+        (2, 0, "PCA-4"), (2, 1, "EFS-4"),
+        (6, 0, "decision grid density_thermal_conductivity"),
+        (6, 5, "decision grid specific_heat_capacity_thermal_absorptance"),
+    ], ids=["pca-4", "efs-4", "grid", "grid-last"])
     def test_failed_lda_member_is_a_train_error(
         self, tmp_path, capsys, monkeypatch, members, member, name
     ):
-        # the first stack of `members` members comes back with `member` failed
+        # the first stack of `members` members comes back with `member` failed:
+        # PCA-4 and EFS-4 are one stack of two, the six grid pairs one of six
         fit = lda_mod.fit_lda
         todo = [True]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,11 +9,13 @@ from envload.dataset import ClassLabel, builtin_material_library
 from envload import lda as lda_mod
 from envload.lda import (
     RIDGE_LADDER,
+    LdaModel,
     accuracy,
     class_stats,
     decision_grid,
     fit_lda,
     grid_axes,
+    member,
     predict_many,
 )
 from envload.preprocess import label_dataset
@@ -160,6 +163,14 @@ class TestClassStats:
         full = class_stats(*data)
         with pytest.raises(ValueError, match=f"column {col} is outside 0..6"):
             full.subset([[0, 1], [col, 0]])
+
+    @pytest.mark.parametrize("cols", [[[1.7, 2.2]], [[True, False]], [[1.0, 2.0]]],
+                             ids=["float", "bool", "whole-float"])
+    def test_columns_that_are_not_integers_rejected(self, data, cols):
+        full = class_stats(*data)
+        dtype = np.asarray(cols).dtype
+        with pytest.raises(ValueError, match=f"columns must be integers, got dtype {dtype}"):
+            full.subset(cols)
 
     def test_counts_follow_classes(self):
         x = np.arange(7.0).reshape(7, 1)
@@ -420,17 +431,20 @@ class TestStacked:
         return class_stats(ds.features, ds.labels), ds.features
 
     def test_every_member_equals_its_stack_of_one(self, stats):
+        # member(model, i) takes member i out as a stack of one: every field
+        # has the bits of fitting that member alone
         full, _ = stats
         for cols in _members_of_every_size():
             model = fit_lda(full.subset(cols))
             assert model.cols.tolist() == cols.tolist()
-            for i, member in enumerate(cols):
-                alone = fit_lda(full.subset([member]))
-                assert not model.failed[i]
-                assert _same_bits(model.coef[i], alone.coef[0])
-                assert _same_bits(model.intercept[i], alone.intercept[0])
-                assert _same_bits(model.ridge_used[i], alone.ridge_used[0])
-                assert _same_bits(model.pooled_covariance[i], alone.pooled_covariance[0])
+            for i, columns in enumerate(cols):
+                alone = fit_lda(full.subset([columns]))
+                one = member(model, i)
+                assert one.failed.tolist() == [False]
+                for field in dataclasses.fields(LdaModel):
+                    a, b = getattr(one, field.name), getattr(alone, field.name)
+                    assert np.shape(a) == np.shape(b), field.name
+                    assert _same_bits(a, b), field.name
 
     def test_predict_many_equals_each_member_alone(self, stats):
         full, x = stats

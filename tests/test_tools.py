@@ -1,6 +1,9 @@
 """The scripts under tools/ run against the current library."""
 
 import importlib.util
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,8 @@ from envload.preprocess import (
 from envload.surrogate import DEFAULT_Q_BASE, SurrogateConfig, simulate_dataset
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SRC = TOOLS.parent / "src"
+TINY_RUN = ["--n-per-material", "10", "--grid-resolution", "3"]
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +50,29 @@ def test_numpy_pc1_ranking_matches_package_pca(calibrate, default_dataset):
     model = fit_pca(apply_normalizer(fit_normalizer(train), train))
     assert (info["n_train"], info["n_test"]) == (len(train), len(test))
     assert info["ranking"] == [f.column_name for f in top_features(model, 7)]
+
+
+def _ab_runs(a: Path, b: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOLS / "ab_runs.py"), str(a), str(b), "--pairs", "2",
+         "--", *TINY_RUN],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_ab_runs_of_the_checkout_against_itself():
+    proc = _ab_runs(SRC, SRC)
+    assert proc.returncode == 0, proc.stderr
+    assert "B faster in" in proc.stdout and "of 2 pairs" in proc.stdout
+
+
+def test_ab_runs_fails_when_outputs_differ(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cli = changed / "envload" / "cli.py"
+    text = cli.read_text()
+    assert "GRID_MARGIN = 0.05" in text
+    cli.write_text(text.replace("GRID_MARGIN = 0.05", "GRID_MARGIN = 0.06"))
+    proc = _ab_runs(SRC, changed)
+    assert proc.returncode == 1
+    assert "outputs differ: decision_grid_" in proc.stderr
