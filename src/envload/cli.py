@@ -4,8 +4,10 @@
 
 `envload run` is the one command. Each stage is one function: it takes its
 inputs as objects (Dataset, Normalizer, PcaModel, EfsReport), returns its
-outputs and writes only the files it owns. `run` chains the stages in
-memory, so it writes each output file once and reads none of them back.
+outputs and writes only the files it owns; stage_split owns dataset.csv,
+train.csv and test.csv. `run` chains the stages in memory, so it writes each
+output file once and reads none of them back. The dataset and score CSVs are
+written a chunk of rows at a time, so no file's text is ever held whole.
 
 Every stage records its parameters in <out>/config.json; the final
 summary.json embeds that echo so a run is fully reproducible from its
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -34,12 +37,13 @@ from .dataset import (
     ClassLabel,
     Dataset,
     FeatureId,
+    LABEL_ENDS,
     LABEL_NAMES,
     SYSTEM_CONSTANTS,
     builtin_material_library,
     read_dataset,  # unused here; bench/spans.py wraps it by this name, so it goes with that site
+    write_csvs,
     write_dataset,
-    write_lines,
 )
 from .preprocess import (
     Normalizer,
@@ -84,25 +88,20 @@ class _Out:
         self.created: list[Path] = []
         self.echo: dict = {}
 
-    def _new(self, name: str) -> Path:
+    def new(self, name: str) -> Path:
+        """The path of a file about to be written, recorded before it is opened."""
         path = self.path / name
         self.created.append(path)
         return path
 
-    def dataset(self, name: str, dataset: Dataset) -> list[str]:
-        return write_dataset(dataset, self._new(name))
-
-    def dataset_lines(self, name: str, lines: Iterable[str]) -> None:
-        write_lines(self._new(name), lines)
-
     def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
         # no cell of these files needs quoting, so each line is its cells
         # joined by commas and ended by "\r\n", as csv.writer would write it
-        with open(self._new(name), "w", newline="") as fh:
+        with open(self.new(name), "w", newline="") as fh:
             fh.write("\r\n".join(map(",".join, chain([header], rows))) + "\r\n")
 
     def json(self, name: str, data: dict) -> None:
-        self._new(name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        self.new(name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -126,33 +125,23 @@ def stage_ingest(out: _Out, dataset: Dataset, loads_path: str) -> Dataset:
     return ingest_external_loads(dataset, loads_path)
 
 
-def stage_label(
-    out: _Out, dataset: Dataset, thresholds: Thresholds
-) -> tuple[Dataset, np.ndarray]:
-    """The labelled dataset and its dataset.csv body lines, as an object array."""
+def stage_label(out: _Out, dataset: Dataset, thresholds: Thresholds) -> Dataset:
     out.echo["thresholds"] = {"low_max": thresholds.low_max, "high_min": thresholds.high_min}
-    labeled = label_dataset(dataset, thresholds)
-    return labeled, np.array(out.dataset("dataset.csv", labeled), dtype=object)
+    return label_dataset(dataset, thresholds)
 
 
-def stage_split(
-    out: _Out, dataset: Dataset, lines: np.ndarray, cfg: SplitConfig
-) -> tuple[Dataset, Dataset]:
-    """Split a dataset; train.csv and test.csv are subsets of its body `lines`."""
+def stage_split(out: _Out, dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
+    """Split a dataset, and write it as dataset.csv with its two parts as
+    train.csv and test.csv, each row formatted once."""
     out.echo["split"] = {
         "train_fraction": cfg.train_fraction,
         "seed": cfg.seed,
         "stratified": cfg.stratified,
     }
     in_train = split(dataset, cfg)
-    out.dataset_lines("train.csv", lines[in_train])
-    out.dataset_lines("test.csv", lines[~in_train])
+    write_dataset(dataset, out.new("dataset.csv"),
+                  {out.new("train.csv"): in_train, out.new("test.csv"): ~in_train})
     return dataset.select(in_train), dataset.select(~in_train)
-
-
-def _normalize(train: Dataset) -> tuple[Normalizer, Dataset]:
-    norm = fit_normalizer(train)
-    return norm, apply_normalizer(norm, train)
 
 
 def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
@@ -174,12 +163,17 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
             for name, row in pca_mod.loading_report(model)
         ],
     )
-    # each PC's scores are formatted once and shared by the two files that show it
-    pcs = [list(map(repr, col)) for col in pca_mod.project(model, train_n, [1, 2, 3]).T.tolist()]
-    labels = list(map(LABEL_NAMES.__getitem__, train_n.labels.tolist()))
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        out.csv(f"scores_{i}_{j}.csv", [f"pc{i}", f"pc{j}", "label"],
-                zip(pcs[i - 1], pcs[j - 1], labels))
+    scores = pca_mod.project(model, train_n, [1, 2, 3])
+    pairs = ((1, 2), (1, 3), (2, 3))
+
+    def chunk_lines(rows: slice) -> list:
+        # each PC's scores are formatted once and shared by the two files that show it
+        pcs = [list(map(repr, col)) for col in scores[rows].T.tolist()]
+        ends = list(map(LABEL_ENDS.__getitem__, train_n.labels[rows].tolist()))
+        return [map(",".join, zip(pcs[i - 1], pcs[j - 1], ends)) for i, j in pairs]
+
+    write_csvs([(out.new(f"scores_{i}_{j}.csv"), f"pc{i},pc{j},label") for i, j in pairs],
+               len(scores), chunk_lines)
     return model
 
 
@@ -353,12 +347,13 @@ def _pipeline(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> I
         yield "simulate"
         dataset = stage_simulate(out, dataset, cfg.surrogate)
     yield "label"
-    dataset, lines = stage_label(out, dataset, cfg.thresholds)
+    dataset = stage_label(out, dataset, cfg.thresholds)
     yield "split"
-    train, test = stage_split(out, dataset, lines, cfg.split)
-    del dataset, lines
+    train, test = stage_split(out, dataset, cfg.split)
+    del dataset
     yield "pca"
-    norm, train_n = _normalize(train)
+    norm = fit_normalizer(train)
+    train_n = apply_normalizer(norm, train)
     pca_model = stage_pca(out, train_n)
     yield "efs"
     report = stage_efs(out, train, cfg.metric, args.cv_seed)
@@ -410,8 +405,9 @@ def main(argv: list[str] | None = None) -> int:
             pass
         out.json("config.json", out.echo)
     except Exception as exc:
-        for path in out.created:
-            path.unlink(missing_ok=True)
+        for path in out.created:  # never raises; a directory a failed open met stays
+            with suppress(OSError):
+                path.unlink(missing_ok=True)
         print(f"error in stage {stage}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -263,49 +264,51 @@ def builtin_material_library() -> MaterialLibrary:
 #   material_index, <7 features in canonical order>, load, label
 # load and label cells are empty when unset. '.' decimal separator, no
 # locale dependence. Floats are written with repr() so read(write(d)) == d
-# bit-exactly.
+# bit-exactly. Writers format a chunk of rows at a time and write it to
+# every file that shows those rows, so no file's text is ever held whole.
 
 CSV_HEADER = ("material_index",) + FEATURE_COLUMNS + ("load", "label")
 
 
-# Rows per .tolist() in format_rows: Python floats of one chunk at a time
-# live beside the lines, never those of the whole feature matrix.
-_FORMAT_CHUNK = 4096
+# Rows per chunk of write_csvs: only one chunk's Python floats and line
+# strings are alive at a time, never those of a whole file.
+_FORMAT_CHUNK = 1024
 # The last cell of a line, by label code: the label and the line end.
-_LABEL_ENDS = tuple(name + "\r\n" for name in LABEL_NAMES)
+LABEL_ENDS = tuple(name + "\r\n" for name in LABEL_NAMES)
 
 
-def format_rows(dataset: Dataset) -> list[str]:
-    """The CSV body lines of a dataset, one per row, each ending in "\r\n".
+def write_csvs(files: Sequence[tuple[str | Path, str]], n_rows: int,
+               chunk_lines: Callable[[slice], Iterable[Iterable[str]]]) -> None:
+    """Write CSV files in one pass over chunks of n_rows rows: files gives
+    each path and its header, and chunk_lines(rows) each file's body lines
+    of a slice of rows, every line ending in "\r\n"."""
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", newline="")) for path, _ in files]
+        for fh, (_, header) in zip(handles, files):
+            fh.write(header + "\r\n")
+        for start in range(0, n_rows, _FORMAT_CHUNK):
+            for fh, lines in zip(handles, chunk_lines(slice(start, start + _FORMAT_CHUNK))):
+                fh.write("".join(lines))  # one write per chunk: writelines costs a call per line
+
+
+def write_dataset(dataset: Dataset, path: str | Path,
+                  parts: Mapping[str | Path, np.ndarray] = {}) -> None:
+    """Write a dataset as CSV; see module docs for the layout. parts maps
+    more paths to boolean row masks, and each gets the rows where its mask
+    is true, from the same lines.
 
     No cell needs quoting, so each line is its cells joined by commas, as
     csv.writer would write it; the label cell carries the line end."""
-    lines: list[str] = []
-    for start in range(0, len(dataset), _FORMAT_CHUNK):
-        rows = slice(start, start + _FORMAT_CHUNK)
+    def chunk_lines(rows: slice) -> list:
         loads = repeat("") if dataset.loads is None else map(repr, dataset.loads[rows].tolist())
         ends = (repeat("\r\n") if dataset.labels is None
-                else map(_LABEL_ENDS.__getitem__, dataset.labels[rows].tolist()))
+                else map(LABEL_ENDS.__getitem__, dataset.labels[rows].tolist()))
         features = [map(repr, col) for col in dataset.features[rows].T.tolist()]
-        lines.extend(map(",".join, zip(map(str, dataset.material_index[rows].tolist()),
+        lines = list(map(",".join, zip(map(str, dataset.material_index[rows].tolist()),
                                        *features, loads, ends)))
-    return lines
+        return [lines, *(compress(lines, mask[rows].tolist()) for mask in parts.values())]
 
-
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write a dataset CSV from body lines made by format_rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.writelines(lines)
-
-
-def write_dataset(dataset: Dataset, path: str | Path) -> list[str]:
-    """Write a dataset as CSV; see module docs for the layout. Returns the
-    body lines, so that subsets of the rows can be written with write_lines
-    without formatting them again."""
-    lines = format_rows(dataset)
-    write_lines(path, lines)
-    return lines
+    write_csvs([(p, ",".join(CSV_HEADER)) for p in (path, *parts)], len(dataset), chunk_lines)
 
 
 def read_dataset(path: str | Path) -> Dataset:

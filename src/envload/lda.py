@@ -192,7 +192,8 @@ def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
     out = np.empty((len(x), c), dtype=np.int8)
     rows = max(1, SCORE_CHUNK_BYTES // (8 * c * k))
     for start in range(0, len(x), rows):
-        scores = x[start : start + rows] @ weights + intercept
+        scores = x[start : start + rows] @ weights
+        scores += intercept
         out[start : start + rows] = codes[np.argmax(scores.reshape(-1, c, k), axis=2)]
     return out
 

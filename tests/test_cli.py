@@ -18,6 +18,7 @@ from envload.pca import fit_pca, project
 from envload.preprocess import SplitConfig, apply_normalizer, fit_normalizer, split
 
 PINNED_DIGESTS = Path(__file__).parent / "data" / "default_run_sha256.json"
+BENCH_SURROGATE = Path(__file__).resolve().parents[1] / "bench" / "surrogate.json"
 
 EXPECTED_FILES = {
     "config.json",
@@ -137,21 +138,18 @@ class TestDeterminismAndComposition:
         def no_read(path):
             raise AssertionError(f"run read back {path}")
 
-        written = []
-        write = dataset_mod.write_lines
+        calls = []
 
-        def recording_write(path, lines):
-            written.append(Path(path).name)
-            write(path, lines)
+        def recording_write(dataset, path, parts):
+            calls.append((Path(path).name, [Path(p).name for p in parts]))
+            write_dataset(dataset, path, parts)
 
         # the loader at its source, and the name that cli imports
         monkeypatch.setattr(dataset_mod, "read_dataset", no_read)
         monkeypatch.setattr(cli, "read_dataset", no_read)
-        # write_dataset writes through write_lines; the CLI also calls it directly
-        monkeypatch.setattr(dataset_mod, "write_lines", recording_write)
-        monkeypatch.setattr(cli, "write_lines", recording_write)
+        monkeypatch.setattr(cli, "write_dataset", recording_write)
         assert main(["run", "--out", str(tmp_path / "out"), "--n-per-material", "10"]) == 0
-        assert sorted(written) == ["dataset.csv", "test.csv", "train.csv"]
+        assert calls == [("dataset.csv", ["train.csv", "test.csv"])]
 
 
 @pytest.fixture(scope="module", params=[["--grid-resolution", "2"],
@@ -300,6 +298,22 @@ class TestErrorHandling:
         assert code == 2
         assert "error in stage split" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name, stage", [("train.csv", "split"),
+                                             ("summary.json", "train")])
+    def test_output_path_that_is_a_directory_is_a_stage_error(
+        self, tmp_path, capsys, name, stage
+    ):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        (out / name / "kept.txt").write_text("kept\n")
+        code = main(["run", "--out", str(out), "--n-per-material", "10",
+                     "--surrogate-config", str(BENCH_SURROGATE)])
+        assert code == 2
+        assert f"error in stage {stage}: " in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [name]  # no output file of the run
+        assert [p.name for p in (out / name).iterdir()] == ["kept.txt"]
+        assert (out / name / "kept.txt").read_text() == "kept\n"
 
     @pytest.mark.parametrize("members, member, name", [
         (2, 0, "PCA-4"), (2, 1, "EFS-4"),

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from envload.dataset import (
     FeatureId,
     MaterialLibrary,
     builtin_material_library,
-    format_rows,
     read_dataset,
     write_dataset,
 )
@@ -306,6 +306,11 @@ def _row_line(ds: Dataset, i: int) -> str:
     return buf.getvalue()
 
 
+def _text(path: Path) -> str:
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
 class TestFormatRows:
     @pytest.mark.parametrize("columns", ["features", "loads", "labels"])
     @pytest.mark.parametrize("edge", [-1, 0, 1])
@@ -314,8 +319,29 @@ class TestFormatRows:
         if columns == "features":
             ds = Dataset(ds.material_index, ds.features)
         expected = [_row_line(ds, i) for i in range(len(ds))]
-        assert format_rows(ds) == expected
+        every = np.ones(len(ds), dtype=bool)
+        parts = {tmp_path / "all.csv": every, tmp_path / "none.csv": ~every,
+                 tmp_path / "third.csv": np.arange(len(ds)) % 3 == 0}
         path = tmp_path / "ds.csv"
-        assert write_dataset(ds, path) == expected
-        with open(path, newline="") as fh:
-            assert fh.read() == ",".join(CSV_HEADER) + "\r\n" + "".join(expected)
+        write_dataset(ds, path, parts)
+        header = ",".join(CSV_HEADER) + "\r\n"
+        assert _text(path) == header + "".join(expected)
+        for part, mask in parts.items():
+            kept = [line for line, keep in zip(expected, mask) if keep]
+            assert _text(part) == header + "".join(kept), part.name
+
+    def test_peak_memory_is_bounded_by_a_chunk(self, tmp_path):
+        # the writer holds one chunk's text, so 8x the rows must not raise
+        # its allocation peak beyond noise
+        peaks = []
+        for n in (3000, 24000):
+            ds = _synthetic_dataset(n)
+            third = np.arange(n) % 3
+            parts = {tmp_path / f"part{k}.csv": third == k for k in range(3)}
+            tracemalloc.start()
+            try:
+                write_dataset(ds, tmp_path / "ds.csv", parts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks

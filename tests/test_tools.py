@@ -76,3 +76,27 @@ def test_ab_runs_fails_when_outputs_differ(tmp_path):
     proc = _ab_runs(SRC, changed)
     assert proc.returncode == 1
     assert "outputs differ: decision_grid_" in proc.stderr
+
+
+def _peak_rss(a: Path, b: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOLS / "peak_rss.py"), str(a), str(b), "--procs", "2",
+         "--runs", "1", "--", *TINY_RUN],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_peak_rss_of_the_checkout_against_itself():
+    proc = _peak_rss(SRC, SRC)
+    assert proc.returncode == 0, proc.stderr
+    assert "MiB (quartiles" in proc.stdout and "of 2 processes, 1 runs each" in proc.stdout
+
+
+def test_peak_rss_fails_when_outputs_differ(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cli = changed / "envload" / "cli.py"
+    cli.write_text(cli.read_text().replace("GRID_MARGIN = 0.05", "GRID_MARGIN = 0.06"))
+    proc = _peak_rss(SRC, changed)
+    assert proc.returncode == 1
+    assert "outputs differ: decision_grid_" in proc.stderr
