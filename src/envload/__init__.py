@@ -11,7 +11,7 @@ from .dataset import (
     read_dataset,
     write_dataset,
 )
-from .efs import EfsReport, SubsetResult, enumerate_subsets, run_efs
+from .efs import EfsReport, SubsetResult, run_efs
 from .lda import ClassStats, LdaModel, accuracy, class_stats, decision_grid, fit_lda
 from .pca import PcaModel, fit_pca, loading_report, project, top_features
 from .preprocess import (
@@ -21,18 +21,10 @@ from .preprocess import (
     apply_normalizer,
     fit_normalizer,
     label_dataset,
-    label_load,
     split,
 )
 from .sampling import SamplerConfig, generate_dataset, sample_material
-from .surrogate import (
-    SurrogateConfig,
-    annual_thermal_load,
-    areal_heat_capacity,
-    ingest_external_loads,
-    simulate_dataset,
-    wall_u_value,
-)
+from .surrogate import SurrogateConfig, ingest_external_loads, simulate_dataset
 
 __version__ = "0.1.0"
 
@@ -53,20 +45,16 @@ __all__ = [
     "SYSTEM_CONSTANTS",
     "Thresholds",
     "accuracy",
-    "annual_thermal_load",
     "apply_normalizer",
-    "areal_heat_capacity",
     "builtin_material_library",
     "class_stats",
     "decision_grid",
-    "enumerate_subsets",
     "fit_lda",
     "fit_normalizer",
     "fit_pca",
     "generate_dataset",
     "ingest_external_loads",
     "label_dataset",
-    "label_load",
     "loading_report",
     "project",
     "read_dataset",
@@ -75,6 +63,5 @@ __all__ = [
     "simulate_dataset",
     "split",
     "top_features",
-    "wall_u_value",
     "write_dataset",
 ]

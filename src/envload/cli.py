@@ -145,7 +145,7 @@ def stage_split(out: _Out, dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset,
 
 
 def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
-    model = pca_mod.fit_pca(train_n)
+    model = pca_mod.fit_pca(train_n.features)
     out.csv(
         "scree.csv",
         ["pc", "ratio", "cumulative"],
@@ -163,7 +163,7 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
             for name, row in pca_mod.loading_report(model)
         ],
     )
-    scores = pca_mod.project(model, train_n, [1, 2, 3])
+    scores = pca_mod.project(model, train_n.features, [1, 2, 3])
     pairs = ((1, 2), (1, 3), (2, 3))
 
     def chunk_lines(rows: slice) -> list:
@@ -184,7 +184,7 @@ def stage_efs(out: _Out, train: Dataset, metric: str, cv_seed: int) -> efs_mod.E
         "efs_accuracy.csv",
         ["subset", "size", "metric", "flag"],
         [
-            [r.subset_names(), str(r.size), _float_cell(r.metric_value),
+            [r.subset_names(), str(len(r.subset)), _float_cell(r.metric_value),
              str(int(r.fit_failed))]
             for r in report.all_results
         ],
@@ -267,8 +267,6 @@ def stage_train(
 ) -> None:
     out.echo["train"] = {"grid_resolution": grid_resolution}
     test_n = apply_normalizer(norm, test)
-    if 4 not in report.best_per_size:
-        raise ValueError("the EFS report has no size-4 subsets")
     pca_features = pca_mod.top_features(pca_model, 4)
     efs_features = list(report.best_per_size[4].subset)
     stats = lda_mod.class_stats(train_n.features, train_n.labels)

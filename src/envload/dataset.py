@@ -197,7 +197,11 @@ class Dataset:
         rows = np.asarray(rows)
         if rows.dtype != np.bool_:
             rows = rows.astype(np.intp)
-        return Dataset(*(None if c is None else c[rows] for c in self._columns()))
+        picked = [None if c is None else c[rows] for c in self._columns()]
+        for c in picked:  # fresh arrays, frozen in place so that _column shares them
+            if c is not None:
+                c.setflags(write=False)
+        return Dataset(*picked)
 
 
 def _column(values, dtype, shape: tuple, column: str, bad, rule: str) -> np.ndarray:
@@ -206,7 +210,8 @@ def _column(values, dtype, shape: tuple, column: str, bad, rule: str) -> np.ndar
     hold, or naming the first row (and, in the features matrix, the first
     feature of that row) where bad holds."""
     given = np.asarray(values)
-    array = given.astype(dtype, copy=False)
+    with np.errstate(invalid="ignore"):  # a value that does not fit is the error below
+        array = given.astype(dtype, copy=False)
     if array.shape != shape:
         raise ValueError(f"column {column}: expected shape {shape}, got {array.shape}")
     if not np.can_cast(given.dtype, dtype) and not np.array_equal(array, given):

@@ -1,13 +1,13 @@
 """Exhaustive wrapper feature selection over an LDA classifier.
 
-Every feature subset is scored in enumeration order (size ascending, then
-lexicographic). The class means and within-class scatter of all 7 features
-are computed once per training matrix: once for the train metric, once per
-fold for cv5. Each subset's LDA is fit from a slice of them, so no subset
-re-reads the training rows. The subsets of one size are fit as one stacked
-LDA and scored in one pass, so a training matrix takes 7 fits, not 127. A
-subset whose LDA fit fails scores 0 with a diagnostic flag instead of
-aborting the sweep.
+Every feature subset is scored in enumeration order, that of SUBSETS: size
+ascending, then lexicographic. The class means and within-class scatter of
+all 7 features are computed once per training matrix: once for the train
+metric, once per fold for cv5. Each subset's LDA is fit from a slice of
+them, so no subset re-reads the training rows. The subsets of one size are
+fit as one stacked LDA and scored in one pass, so a training matrix takes 7
+fits, not 127. A subset whose LDA fit fails scores 0 with a diagnostic flag
+instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -25,15 +25,16 @@ from .sampling import Xoshiro256pp
 METRIC_TRAIN = "train_accuracy"
 METRIC_CV5 = "cv5"
 CV_FOLDS = 5
+# Every non-empty subset of the feature indices, in enumeration order.
+SUBSETS = tuple(cols for size in range(1, N_FEATURES + 1)
+                for cols in combinations(range(N_FEATURES), size))
 
 
 @dataclass(frozen=True)
 class SubsetResult:
     subset: tuple[FeatureId, ...]   # in canonical order
-    size: int
-    metric_value: float
-    metric_kind: str
-    fit_failed: bool = False
+    metric_value: float             # of EfsReport.metric_kind
+    fit_failed: bool
 
     def subset_names(self) -> str:
         return "+".join(f.column_name for f in self.subset)
@@ -45,19 +46,6 @@ class EfsReport:
     best_per_size: dict[int, SubsetResult]
     overall_best: SubsetResult
     metric_kind: str
-
-
-def enumerate_subsets(p: int, min_size: int, max_size: int) -> list[tuple[int, ...]]:
-    """All index subsets with sizes in [min_size, max_size], size ascending
-    then lexicographic."""
-    if not 1 <= min_size <= max_size <= p:
-        raise ValueError(
-            f"need 1 <= min_size <= max_size <= {p}, got ({min_size}, {max_size})"
-        )
-    out: list[tuple[int, ...]] = []
-    for size in range(min_size, max_size + 1):
-        out.extend(combinations(range(p), size))
-    return out
 
 
 def _cv_fold_ids(n: int, seed: int) -> np.ndarray:
@@ -125,16 +113,9 @@ def run_efs(
     else:
         fold_of = _cv_fold_ids(len(y), cv_seed)
         folds = [(fold_of != f, fold_of == f) for f in range(CV_FOLDS)]
-    subsets = enumerate_subsets(N_FEATURES, 1, N_FEATURES)
     results = [
-        SubsetResult(
-            subset=tuple(FeatureId(i) for i in cols),
-            size=len(cols),
-            metric_value=value,
-            metric_kind=metric,
-            fit_failed=failed,
-        )
-        for cols, (value, failed) in zip(subsets, _pooled_accuracies(subsets, x, y, folds))
+        SubsetResult(tuple(FeatureId(i) for i in cols), value, failed)
+        for cols, (value, failed) in zip(SUBSETS, _pooled_accuracies(SUBSETS, x, y, folds))
     ]
     return build_report(results, metric)
 
@@ -145,9 +126,9 @@ def build_report(results: Sequence[SubsetResult], metric: str) -> EfsReport:
     best_per_size: dict[int, SubsetResult] = {}
     overall_best: SubsetResult | None = None
     for result in results:
-        current = best_per_size.get(result.size)
+        current = best_per_size.get(len(result.subset))
         if current is None or result.metric_value > current.metric_value:
-            best_per_size[result.size] = result
+            best_per_size[len(result.subset)] = result
         if overall_best is None or result.metric_value > overall_best.metric_value:
             overall_best = result
     if overall_best is None:

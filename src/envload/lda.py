@@ -213,20 +213,19 @@ def accuracy(
 
 
 def grid_axes(
-    bounds: tuple[float, float, float, float], resolution: int | tuple[int, int]
+    bounds: tuple[float, float, float, float], resolution: int
 ) -> tuple[list[float], list[float]]:
     """The x and y values of a regular grid, each axis from its min to its max.
 
     bounds is (x_min, x_max, y_min, y_max); resolution is points per axis.
     """
-    nx, ny = (resolution, resolution) if isinstance(resolution, int) else resolution
-    if nx < 2 or ny < 2:
-        raise ValueError(f"resolution must be >= 2 per axis, got ({nx}, {ny})")
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
     x_min, x_max, y_min, y_max = bounds
     if not (x_min < x_max and y_min < y_max):
         raise ValueError(f"bad bounds {bounds}")
-    return tuple([lo + i * (hi - lo) / (n - 1) for i in range(n)]
-                 for lo, hi, n in ((x_min, x_max, nx), (y_min, y_max, ny)))
+    return tuple([lo + i * (hi - lo) / (resolution - 1) for i in range(resolution)]
+                 for lo, hi in ((x_min, x_max), (y_min, y_max)))
 
 
 def decision_grid(model: LdaModel, xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:

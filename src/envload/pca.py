@@ -1,5 +1,8 @@
 """Principal component analysis of normalized training features.
 
+fit_pca and project take (n, p) feature matrices, normalized beforehand:
+apply_normalizer(norm, dataset).features.
+
 Loadings are raw eigenvector components (signed, unit-norm columns); reports
 print their absolute values. Covariance uses 1/(n-1) scaling about the
 column means. Loading rows follow the canonical feature order; the report
@@ -13,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, FeatureId, N_FEATURES
+from .dataset import FeatureId, N_FEATURES
 from .numerics import jacobi_eigen
 
 # Row order used by loading_report, chosen for side-by-side comparison with
@@ -42,8 +45,8 @@ class PcaModel:
         return len(self.eigenvalues)
 
 
-def fit_pca_matrix(x: np.ndarray) -> PcaModel:
-    """Fit on a raw (n, p) matrix; callers normalize beforehand."""
+def fit_pca(x: np.ndarray) -> PcaModel:
+    """Fit on an (n, p) matrix of normalized features."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"need a 2-D matrix, got shape {x.shape}")
@@ -63,11 +66,6 @@ def fit_pca_matrix(x: np.ndarray) -> PcaModel:
         loadings=decomp.eigenvectors,
         n_fit=n,
     )
-
-
-def fit_pca(train_normalized: Dataset) -> PcaModel:
-    """Fit on a normalized dataset's feature matrix."""
-    return fit_pca_matrix(train_normalized.features)
 
 
 def loading_report(model: PcaModel) -> list[tuple[str, list[float]]]:
@@ -91,15 +89,13 @@ def top_features(model: PcaModel, k: int) -> list[FeatureId]:
     return ranked[:k]
 
 
-def project(
-    model: PcaModel, dataset_normalized: Dataset, components: Sequence[int]
-) -> np.ndarray:
-    """Score matrix for the selected 1-based PC indices.
-
-    The dataset must be normalized with the same normalizer used at fit.
-    """
+def project(model: PcaModel, x: np.ndarray, components: Sequence[int]) -> np.ndarray:
+    """Scores of the selected 1-based PC indices for an (n, p) matrix
+    normalized with the normalizer used at fit."""
+    if x.ndim != 2 or x.shape[1] != model.p:
+        raise ValueError(f"expected an (n, {model.p}) matrix, got shape {x.shape}")
     for c in components:
         if not 1 <= c <= model.p:
             raise ValueError(f"component index {c} outside 1..{model.p}")
     cols = [c - 1 for c in components]
-    return dataset_normalized.features @ model.loadings[:, cols]
+    return x @ model.loadings[:, cols]

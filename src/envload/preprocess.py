@@ -1,4 +1,7 @@
-"""Thermal-load labeling, train/test split, and feature normalization."""
+"""Thermal-load labeling, train/test split, and feature normalization.
+
+label_dataset labels a whole load column at once; a Dataset never holds a
+non-finite load, so every load falls in exactly one class."""
 
 from __future__ import annotations
 
@@ -25,19 +28,9 @@ class Thresholds:
             )
 
 
-def label_load(load: float, thresholds: Thresholds = Thresholds()) -> ClassLabel:
-    """HIGH iff load >= high_min, LOW iff load <= low_max, MEDIUM otherwise."""
-    if not math.isfinite(load):
-        raise ValueError(f"load must be finite, got {load}")
-    if load >= thresholds.high_min:
-        return ClassLabel.HIGH
-    if load <= thresholds.low_max:
-        return ClassLabel.LOW
-    return ClassLabel.MEDIUM
-
-
 def label_dataset(dataset: Dataset, thresholds: Thresholds = Thresholds()) -> Dataset:
-    """Label every row from its load, by the rule of label_load."""
+    """Label every row from its load: HIGH iff load >= high_min, LOW iff
+    load <= low_max, MEDIUM otherwise."""
     if dataset.loads is None:
         raise ValueError("cannot label: the dataset has no loads")
     q = dataset.loads

@@ -6,8 +6,9 @@ thermal mass, plus absorptance-weighted terms. Every constant lives in
 SurrogateConfig; nothing here claims to be building physics. Externally
 computed loads can be attached instead via ingest_external_loads.
 
-The load model for a 7-feature vector (thickness t, density rho,
-conductivity k, specific heat c, absorptances a_s, a_v, a_t):
+thermal_loads is the one load function: for each row of an (n, 7) feature
+matrix (thickness t, density rho, conductivity k, specific heat c,
+absorptances a_s, a_v, a_t) it computes
 
     U  = 1 / (r_si + t/k + r_so)
     C  = rho * c * t
@@ -23,11 +24,10 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import POSITIVE_FEATURES, Dataset, FeatureId, _cell
+from .dataset import N_FEATURES, POSITIVE_FEATURES, Dataset, _cell
 
 # Default q_base is calibrated against the default-seed pipeline so that the
 # 75/90 kWh/m2 label thresholds partition the outputs into three usable
@@ -63,60 +63,32 @@ class SurrogateConfig:
             raise ValueError("r_wall and c_ref must be > 0")
 
 
-def _require_positive(**values: float | np.ndarray) -> None:
-    for name, value in values.items():
-        if np.any(np.asarray(value) <= 0.0):
-            raise ValueError(f"{name} must be > 0, got {np.min(value)}")
-
-
-def wall_u_value(thickness, conductivity, cfg: SurrogateConfig):
-    """Steady-state U-value of the wall layer plus surface films [W/m2K].
-    Takes floats or arrays, as do the next two functions."""
-    _require_positive(thickness=thickness, conductivity=conductivity)
-    return 1.0 / (cfg.r_si + thickness / conductivity + cfg.r_so)
-
-
-def areal_heat_capacity(thickness, density, specific_heat):
-    """Heat capacity per wall area, rho * c * t [J/m2K]."""
-    _require_positive(thickness=thickness, density=density, specific_heat=specific_heat)
-    return density * specific_heat * thickness
-
-
-def damping_factor(capacity, cfg: SurrogateConfig):
-    """Thermal-mass damping multiplier, decreasing from 1 to 1 - d_max.
+def thermal_loads(x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
+    """Annual heating + cooling load per floor area [kWh/m2] of every row of
+    an (n, 7) feature matrix, by the formula in the module docstring. Raises
+    ValueError for any other shape, or naming the first row and column whose
+    thickness, density, conductivity or specific heat is not > 0.
 
     exp is math.exp, element by element: np.exp differs from it in the last
     ulp on some inputs, and the loads are written out with repr.
     """
-    exponent = -np.asarray(capacity, dtype=np.float64) / cfg.c_ref
-    decay = np.fromiter(map(math.exp, exponent.ravel().tolist()), np.float64, exponent.size)
-    return 1.0 - cfg.d_max * (1.0 - decay.reshape(exponent.shape))
-
-
-def thermal_loads(x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
-    """Annual heating + cooling load per floor area [kWh/m2] of every row of
-    an (n, 7) feature matrix. Raises ValueError naming the first row and
-    column whose thickness, density, conductivity or specific heat is not > 0."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != N_FEATURES:
+        raise ValueError(f"expected an (n, {N_FEATURES}) feature matrix, got shape {x.shape}")
     bad = np.argwhere(x[:, POSITIVE_FEATURES] <= 0.0)
     if len(bad):
         row, f = bad[0][0], POSITIVE_FEATURES[bad[0][1]]
         raise ValueError(f"row {row}, column {f.column_name}: must be > 0, got {x[row, f]}")
     t, rho, k, c, a_solar, a_visual, a_thermal = x.T
-    conduction = wall_u_value(t, k, cfg) * cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0
+    u = 1.0 / (cfg.r_si + t / k + cfg.r_so)
+    decay = np.fromiter(map(math.exp, (-(rho * c * t) / cfg.c_ref).tolist()), np.float64, len(x))
     return (
-        damping_factor(areal_heat_capacity(t, rho, c), cfg) * (conduction + cfg.q_base)
+        (1.0 - cfg.d_max * (1.0 - decay))
+        * (u * cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0 + cfg.q_base)
         + cfg.w_solar * a_solar
         + cfg.w_thermal * a_thermal
         + cfg.w_visual * a_visual
     )
-
-
-def annual_thermal_load(features: Sequence[float], cfg: SurrogateConfig) -> float:
-    """Annual heating + cooling load per floor area [kWh/m2] of one design."""
-    if len(features) != len(FeatureId):
-        raise ValueError(f"expected {len(FeatureId)} features, got {len(features)}")
-    return float(thermal_loads(np.array([features], dtype=np.float64), cfg)[0])
 
 
 def simulate_dataset(dataset: Dataset, cfg: SurrogateConfig) -> Dataset:

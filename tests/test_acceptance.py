@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from envload.cli import main
-from envload.dataset import ClassLabel, FeatureId, builtin_material_library
+from envload.dataset import ClassLabel, Dataset, FeatureId, builtin_material_library
 from envload.efs import run_efs
 from envload.lda import accuracy, predict_many
 from envload.numerics import jacobi_eigen
@@ -20,7 +20,6 @@ from envload.preprocess import (
     apply_normalizer,
     fit_normalizer,
     label_dataset,
-    label_load,
     split,
 )
 from envload.sampling import SamplerConfig, generate_dataset
@@ -57,21 +56,21 @@ def test_criterion_1_dataset_shape():
 
 def test_criterion_2_labeling_boundaries():
     start = time.perf_counter()
-    assert label_load(90.0) is ClassLabel.HIGH
-    assert label_load(75.0) is ClassLabel.LOW
-    assert label_load(82.5) is ClassLabel.MEDIUM
+    ds = Dataset([0] * 3, [(1.0,) * 7] * 3, loads=[90.0, 75.0, 82.5])
+    assert label_dataset(ds).labels.tolist() == [ClassLabel.HIGH, ClassLabel.LOW,
+                                                 ClassLabel.MEDIUM]
     _report("criterion 2 - labeling boundaries 75/90",
             time.perf_counter() - start, 1.0)
 
 
 def test_criterion_3_pca_structural_suite(normalized_train):
     start = time.perf_counter()
-    model = fit_pca(normalized_train)
+    model = fit_pca(normalized_train.features)
     assert abs(model.explained_variance_ratio.sum() - 1.0) <= 1e-10
     assert np.all(np.diff(model.cumulative_ratio) >= -1e-15)
     gram = model.loadings.T @ model.loadings
     assert np.max(np.abs(gram - np.eye(7))) <= 1e-10
-    scores = project(model, normalized_train, list(range(1, 8)))
+    scores = project(model, normalized_train.features, list(range(1, 8)))
     rebuilt = scores @ model.loadings.T
     assert np.max(np.abs(rebuilt - normalized_train.features)) <= 1e-8
     x = normalized_train.features
@@ -83,7 +82,7 @@ def test_criterion_3_pca_structural_suite(normalized_train):
 
 def test_criterion_4_pca_top3_matches_fixture(normalized_train):
     start = time.perf_counter()
-    model = fit_pca(normalized_train)
+    model = fit_pca(normalized_train.features)
     assert set(top_features(model, 3)) == EXPECTED_TOP3
     assert EXPECTED_TOP3 <= set(top_features(model, 4))
     # independent eigensolver on the identical matrix must agree
@@ -165,7 +164,7 @@ def test_criterion_7_efs_exactness(normalized_train):
     assert len(report.all_results) == 127
     assert len({r.subset for r in report.all_results}) == 127
     for size, best in report.best_per_size.items():
-        pool = [r.metric_value for r in report.all_results if r.size == size]
+        pool = [r.metric_value for r in report.all_results if len(r.subset) == size]
         assert best.metric_value == max(pool)
 
     synthetic = make_single_informative()

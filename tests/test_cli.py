@@ -192,10 +192,10 @@ class TestFormattedOnce:
         out, _, _ = seed7_run
         train = read_dataset(out / "train.csv")
         train_n = apply_normalizer(fit_normalizer(train), train)
-        model = fit_pca(train_n)
+        model = fit_pca(train_n.features)
         labels = [LABEL_NAMES[c] for c in train_n.labels.tolist()]
         for i, j in ((1, 2), (1, 3), (2, 3)):
-            scores = project(model, train_n, [i, j]).tolist()
+            scores = project(model, train_n.features, [i, j]).tolist()
             expected = f"pc{i},pc{j},label\r\n" + "".join(
                 f"{a!r},{b!r},{lbl}\r\n" for (a, b), lbl in zip(scores, labels)
             )

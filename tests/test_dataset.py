@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Dataset([0], [(1.0,) * 7], loads=[-1.0])
 
+    @pytest.mark.parametrize("load", [math.nan, math.inf, -math.inf])
+    def test_row_rejects_non_finite_load(self, load):
+        with pytest.raises(ValueError, match="^row 0, column load: must be finite and >= 0"):
+            Dataset([0], [(1.0,) * 7], loads=[load])
+
     def test_with_loads_length_check(self):
         ds = Dataset([0], [(1.0,) * 7])
         with pytest.raises(ValueError):
@@ -188,6 +194,15 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="do not fit"):
             Dataset(**columns)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e30])
+    def test_float_that_does_not_fit_an_integer_column_rejected(self, value):
+        # a ValueError, not numpy's cast RuntimeWarning first (an error under -W error)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^column material_index: values do not fit int64$"):
+                Dataset(np.array([value]), np.zeros((1, 7)))
+
     def test_narrower_float_column_checked_by_value(self):
         features = np.ones((4, 7), dtype=np.float32)
         features[2, FeatureId.DENSITY] = np.nan
@@ -204,6 +219,20 @@ class TestDomainTypes:
                 column[0] = 0
         assert ds.with_loads([3.0, 4.0]).features is ds.features
 
+
+    def test_select_holds_each_column_once(self):
+        ds = _synthetic_dataset(30_000)
+        rows = np.arange(30_000) % 3 != 0
+        tracemalloc.start()
+        try:
+            part = ds.select(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(c.nbytes for c in part._columns())
+        assert peak <= 1.25 * size, (peak, size)
+        assert part == ds.select(np.flatnonzero(rows))
+        assert not any(c.flags.writeable for c in part._columns())
 
 def _synthetic_dataset(n=600, labels=True):
     i = np.arange(n)

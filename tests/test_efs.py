@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,8 @@ from envload.efs import (
     CV_FOLDS,
     METRIC_CV5,
     METRIC_TRAIN,
+    SUBSETS,
     _cv_fold_ids,
-    enumerate_subsets,
     run_efs,
 )
 from envload.lda import accuracy, class_stats, fit_lda, predict_many
@@ -54,27 +52,19 @@ def single_informative():
 
 class TestEnumerate:
     def test_full_range_has_127_subsets(self):
-        subsets = enumerate_subsets(7, 1, 7)
-        assert len(subsets) == 127
-        assert len(set(subsets)) == 127
+        assert len(SUBSETS) == 127
+        assert len(set(SUBSETS)) == 127
 
     def test_pairs_of_three(self):
-        assert enumerate_subsets(3, 2, 2) == [(0, 1), (0, 2), (1, 2)]
+        assert [s for s in SUBSETS if len(s) == 2 and max(s) < 3] == [(0, 1), (0, 2), (1, 2)]
 
     def test_size_four_of_seven(self):
-        assert len(enumerate_subsets(7, 4, 4)) == 35
+        assert sum(len(s) == 4 for s in SUBSETS) == 35
 
     def test_order_is_size_then_lexicographic(self):
-        subsets = enumerate_subsets(4, 1, 4)
-        expected = []
-        for size in range(1, 5):
-            expected.extend(combinations(range(4), size))
-        assert subsets == expected
-
-    @pytest.mark.parametrize("bad", [(0, 3), (2, 1), (1, 8)])
-    def test_invalid_ranges(self, bad):
-        with pytest.raises(ValueError):
-            enumerate_subsets(7, *bad)
+        assert all(list(s) == sorted(set(s)) for s in SUBSETS)
+        assert list(SUBSETS) == sorted(SUBSETS, key=lambda s: (len(s), s))
+        assert SUBSETS[:8] == ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (0, 1))
 
 
 class TestRunEfs:
@@ -83,8 +73,8 @@ class TestRunEfs:
         assert len(report.all_results) == 127
         assert len({r.subset for r in report.all_results}) == 127
         assert sorted(report.best_per_size) == [1, 2, 3, 4, 5, 6, 7]
+        assert [tuple(map(int, r.subset)) for r in report.all_results] == list(SUBSETS)
         for r in report.all_results:
-            assert r.size == len(r.subset)
             assert 0.0 <= r.metric_value <= 1.0
 
     def test_single_informative_feature_wins_size_one(self, single_informative):
@@ -106,7 +96,7 @@ class TestRunEfs:
     def test_best_per_size_survives_independent_second_pass(self, single_informative):
         report = run_efs(single_informative)
         for size, best in report.best_per_size.items():
-            candidates = [r for r in report.all_results if r.size == size]
+            candidates = [r for r in report.all_results if len(r.subset) == size]
             assert best.metric_value == max(r.metric_value for r in candidates)
             # tie-breaking: the winner is the first maximal subset in order
             first_max = next(
@@ -121,7 +111,7 @@ class TestRunEfs:
             r for r in report.all_results if r.metric_value == best.metric_value
         ]
         assert best is same_metric[0]
-        assert all(r.size >= best.size for r in same_metric)
+        assert all(len(r.subset) >= len(best.subset) for r in same_metric)
 
     def test_duplicated_column_tie_breaks_lexicographically(self):
         rng = np.random.default_rng(5)
@@ -194,7 +184,7 @@ def _brute_force_efs(ds: Dataset, metric: str, cv_seed: int = 42) -> list[tuple[
     x, y = ds.features, ds.labels
     fold_of = _cv_fold_ids(len(y), cv_seed)
     out = []
-    for cols in enumerate_subsets(7, 1, 7):
+    for cols in SUBSETS:
         xs = x[:, cols]
         try:
             if metric == METRIC_TRAIN:
@@ -242,7 +232,7 @@ class TestSharedStatisticsEquivalence:
         ds = Dataset(ds.material_index, x, loads=ds.loads, labels=ds.labels)
         expected = _brute_force_efs(ds, metric)
         assert _swept(ds, metric) == expected
-        subsets = enumerate_subsets(7, 1, 7)
+        subsets = SUBSETS
         assert [cols for cols, (_, failed) in zip(subsets, expected) if failed] == [
             cols for cols in subsets if FeatureId.DENSITY in cols]
 
@@ -256,7 +246,7 @@ class TestSharedStatisticsEquivalence:
         ds = Dataset(ds.material_index, x, loads=ds.loads, labels=ds.labels)
         expected = _brute_force_efs(ds, METRIC_CV5)
         assert _swept(ds, METRIC_CV5) == expected
-        subsets = enumerate_subsets(7, 1, 7)
+        subsets = SUBSETS
         assert [cols for cols, (_, failed) in zip(subsets, expected) if failed] == [
             cols for cols in subsets if FeatureId.DENSITY in cols]
 

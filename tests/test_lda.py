@@ -386,7 +386,7 @@ class TestDecisionGrid:
         assert codes.tolist() == predict_many(model_2d, np.array(points))[:, 0].tolist()
 
     def test_resolution_validation(self):
-        for resolution in (1, (2, 1), (0, 5)):
+        for resolution in (1, 0, -3):
             with pytest.raises(ValueError, match="resolution"):
                 grid_axes((0.0, 1.0, 0.0, 1.0), resolution)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from envload.pca import (
     PcaModel,
     REPORT_ROW_ORDER,
     fit_pca,
-    fit_pca_matrix,
     loading_report,
     project,
     top_features,
@@ -17,13 +18,13 @@ from envload.sampling import SamplerConfig, generate_dataset
 
 @pytest.fixture(scope="module")
 def default_model(normalized_train):
-    return fit_pca(normalized_train)
+    return fit_pca(normalized_train.features)
 
 
 class TestFit:
     def test_isotropic_data_spreads_variance_evenly(self):
         rng = np.random.default_rng(77)
-        model = fit_pca_matrix(rng.normal(size=(20000, 7)))
+        model = fit_pca(rng.normal(size=(20000, 7)))
         assert model.explained_variance_ratio == pytest.approx(
             np.full(7, 1.0 / 7.0), abs=0.02
         )
@@ -33,7 +34,7 @@ class TestFit:
         z = rng.normal(size=4000)
         x = np.column_stack([z, 2.0 * z])
         x = (x - x.mean(axis=0)) / x.std(axis=0)  # operation expects z-scores
-        model = fit_pca_matrix(x)
+        model = fit_pca(x)
         assert model.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-10)
         assert model.explained_variance_ratio[1] == pytest.approx(0.0, abs=1e-10)
         assert np.abs(model.loadings[:, 0]) == pytest.approx(
@@ -49,6 +50,7 @@ class TestFit:
         assert np.all(np.diff(m.cumulative_ratio) >= -1e-15)
         assert abs(m.cumulative_ratio[-1] - 1.0) <= 1e-10
         assert np.all(m.eigenvalues >= -1e-10)
+        assert m.n_fit == 210
 
     def test_loading_columns_orthonormal(self, default_model):
         gram = default_model.loadings.T @ default_model.loadings
@@ -61,7 +63,7 @@ class TestFit:
         for j in range(7):
             x = rng.normal(size=(300, 7))
             x[:, j] *= 20.0
-            model = fit_pca_matrix(x)
+            model = fit_pca(x)
             assert int(np.argmax(np.abs(model.loadings[:, 0]))) == j
 
     def test_matches_numpy_eigh(self, normalized_train, default_model):
@@ -76,24 +78,19 @@ class TestFit:
             [[2.0, 0.3, 0.0], [0.0, 1.0, 0.4], [0.0, 0.0, 0.5]]
         )
         perm = [2, 0, 1]
-        a = fit_pca_matrix(x)
-        b = fit_pca_matrix(x[:, perm])
+        a = fit_pca(x)
+        b = fit_pca(x[:, perm])
         assert b.eigenvalues == pytest.approx(a.eigenvalues, rel=1e-9)
         for row_b, row_a in enumerate(perm):
             assert b.loadings[row_b] == pytest.approx(a.loadings[row_a], abs=1e-8)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
-            fit_pca_matrix(np.zeros((1, 7)))
+            fit_pca(np.zeros((1, 7)))
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
-            fit_pca_matrix(np.ones((10, 3)))
-
-    def test_dataset_and_matrix_paths_agree(self, normalized_train, default_model):
-        twin = fit_pca_matrix(normalized_train.features)
-        assert np.array_equal(twin.loadings, default_model.loadings)
-        assert twin.n_fit == default_model.n_fit == 210
+            fit_pca(np.ones((10, 3)))
 
 
 class TestLoadingReport:
@@ -157,27 +154,27 @@ class TestTopFeatures:
                     FeatureId.SPECIFIC_HEAT_CAPACITY}
         for seed in range(20):
             ds = generate_dataset(default_library, SamplerConfig(seed, n_per_material))
-            model = fit_pca(apply_normalizer(fit_normalizer(ds), ds))
+            model = fit_pca(apply_normalizer(fit_normalizer(ds), ds).features)
             assert set(top_features(model, 4)) == expected, seed
 
 
 class TestProject:
     def test_full_projection_reconstructs(self, default_model, normalized_train):
-        scores = project(default_model, normalized_train, list(range(1, 8)))
+        scores = project(default_model, normalized_train.features, list(range(1, 8)))
         rebuilt = scores @ default_model.loadings.T
         assert np.max(np.abs(rebuilt - normalized_train.features)) <= 1e-8
 
     def test_scores_have_zero_mean_on_fit_data(self, default_model, normalized_train):
-        scores = project(default_model, normalized_train, [1, 2, 3])
+        scores = project(default_model, normalized_train.features, [1, 2, 3])
         assert np.max(np.abs(scores.mean(axis=0))) <= 1e-8
 
     def test_pc1_score_variance_equals_top_eigenvalue(self, default_model, normalized_train):
-        scores = project(default_model, normalized_train, [1])[:, 0]
+        scores = project(default_model, normalized_train.features, [1])[:, 0]
         var = float(np.sum((scores - scores.mean()) ** 2) / (len(scores) - 1))
         assert var == pytest.approx(float(default_model.eigenvalues[0]), rel=1e-8)
 
     def test_score_covariance_is_diagonal(self, default_model, normalized_train):
-        scores = project(default_model, normalized_train, list(range(1, 8)))
+        scores = project(default_model, normalized_train.features, list(range(1, 8)))
         sc = scores - scores.mean(axis=0)
         cov = sc.T @ sc / (len(scores) - 1)
         off = cov - np.diag(np.diag(cov))
@@ -185,6 +182,12 @@ class TestProject:
 
     def test_component_index_validation(self, default_model, normalized_train):
         with pytest.raises(ValueError):
-            project(default_model, normalized_train, [0])
+            project(default_model, normalized_train.features, [0])
         with pytest.raises(ValueError):
-            project(default_model, normalized_train, [8])
+            project(default_model, normalized_train.features, [8])
+
+    @pytest.mark.parametrize("shape", [(3, 6), (7,), (3, 8)])
+    def test_matrix_shape_validation(self, default_model, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected an (n, 7) matrix, got shape {shape}")):
+            project(default_model, np.ones(shape), [1])

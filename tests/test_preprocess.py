@@ -12,46 +12,51 @@ from envload.preprocess import (
     apply_normalizer,
     fit_normalizer,
     label_dataset,
-    label_load,
     split,
 )
 
 
+def label_load(load: float, thresholds: Thresholds = Thresholds()) -> ClassLabel:
+    """The labelling rule for one load, the reference for label_dataset."""
+    if load >= thresholds.high_min:
+        return ClassLabel.HIGH
+    if load <= thresholds.low_max:
+        return ClassLabel.LOW
+    return ClassLabel.MEDIUM
+
+
+def _labels(loads, thresholds: Thresholds = Thresholds()) -> list[ClassLabel]:
+    ds = Dataset([0] * len(loads), [(1.0,) * 7] * len(loads), loads=loads)
+    return list(map(ClassLabel, label_dataset(ds, thresholds).labels.tolist()))
+
+
 class TestLabeling:
     def test_boundary_values(self):
-        assert label_load(90.0) is ClassLabel.HIGH
-        assert label_load(75.0) is ClassLabel.LOW
-        assert label_load(82.5) is ClassLabel.MEDIUM
+        assert _labels([90.0, 75.0, 82.5]) == [ClassLabel.HIGH, ClassLabel.LOW, ClassLabel.MEDIUM]
 
     def test_just_inside_the_band(self):
-        assert label_load(math.nextafter(75.0, 90.0)) is ClassLabel.MEDIUM
-        assert label_load(math.nextafter(90.0, 0.0)) is ClassLabel.MEDIUM
+        assert _labels([math.nextafter(75.0, 90.0), math.nextafter(90.0, 0.0)]) == [
+            ClassLabel.MEDIUM, ClassLabel.MEDIUM]
 
     def test_monotone_in_load(self):
-        loads = np.linspace(0.0, 200.0, 801)
-        labels = [label_load(float(q)) for q in loads]
+        labels = _labels(np.linspace(0.0, 200.0, 801))
         assert labels == sorted(labels)
+        assert set(labels) == set(ClassLabel)
 
     def test_custom_thresholds(self):
         t = Thresholds(low_max=10.0, high_min=20.0)
-        assert label_load(10.0, t) is ClassLabel.LOW
-        assert label_load(15.0, t) is ClassLabel.MEDIUM
-        assert label_load(20.0, t) is ClassLabel.HIGH
+        assert _labels([10.0, 15.0, 20.0], t) == [
+            ClassLabel.LOW, ClassLabel.MEDIUM, ClassLabel.HIGH]
 
     def test_thresholds_must_be_ordered(self):
         with pytest.raises(ValueError):
             Thresholds(low_max=90.0, high_min=75.0)
 
-    def test_non_finite_load_rejected(self):
-        with pytest.raises(ValueError):
-            label_load(math.nan)
-
     def test_label_dataset_matches_label_load(self):
         t = Thresholds()
         loads = [0.0, 75.0, math.nextafter(75.0, 90.0), 82.5,
                  math.nextafter(90.0, 0.0), 90.0, 1e6]
-        ds = Dataset([0] * len(loads), [(1.0,) * 7] * len(loads), loads=loads)
-        assert label_dataset(ds, t).labels.tolist() == [label_load(q, t) for q in loads]
+        assert _labels(loads, t) == [label_load(q, t) for q in loads]
 
     def test_label_dataset_requires_loads(self):
         ds = Dataset([0], [(1.0,) * 7])

@@ -1,0 +1,27 @@
+"""The README's library example runs against the package as it is, and every
+name that the package exports resolves."""
+
+import re
+from pathlib import Path
+
+import envload
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_example() -> str:
+    """The one fenced python block of the README's "## Library" section."""
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    [code] = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    return code
+
+
+def test_library_example_runs(capsys):
+    exec(compile(_library_example(), f"{README} (## Library)", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and printed[0].startswith("[<FeatureId.")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(envload.__all__)) == len(envload.__all__)
+    assert [name for name in envload.__all__ if not hasattr(envload, name)] == []

@@ -2,20 +2,18 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from envload.dataset import FeatureId
 from envload.surrogate import (
     SurrogateConfig,
-    annual_thermal_load,
-    areal_heat_capacity,
     config_from_json,
     config_to_json,
-    damping_factor,
     ingest_external_loads,
     load_config,
     simulate_dataset,
-    wall_u_value,
+    thermal_loads,
 )
 
 DEFAULTS = SurrogateConfig()
@@ -28,66 +26,89 @@ Q_CONCRETE_DEFAULTS = 94.39141501778434       # shipped q_base = -12
 Q_CONCRETE_QBASE_55 = 148.77191416380626
 CONCRETE_MEAN_VECTOR = (0.21, 2000.0, 1.13, 1000.0, 0.5, 0.5, 0.5)
 
+# With damping, q_base and the absorptance terms off, a load is the
+# conduction term U * r_wall * 24 * (hdd + cdd) / 1000.
+CONDUCTION_ONLY = SurrogateConfig(d_max=0.0, q_base=0.0, w_solar=0.0, w_thermal=0.0)
+# With no degree-days, q_base 1 and the absorptance terms off, a load is the
+# damping factor d = 1 - d_max * (1 - exp(-C / c_ref)).
+DAMPING_ONLY = SurrogateConfig(hdd=0.0, cdd=0.0, q_base=1.0, w_solar=0.0, w_thermal=0.0)
+
+
+def load(features, cfg: SurrogateConfig = DEFAULTS) -> float:
+    """thermal_loads of one design, as a one-row matrix."""
+    [q] = thermal_loads(np.array([features], dtype=np.float64), cfg).tolist()
+    return q
+
+
+def u_value(t: float, k: float) -> float:
+    cfg = CONDUCTION_ONLY
+    q = load((t, 2000.0, k, 1000.0, 0.5, 0.5, 0.5), cfg)
+    return q / (cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0)
+
+
+def damping(t: float, rho: float, c: float) -> float:
+    return load((t, rho, 1.0, c, 0.5, 0.5, 0.5), DAMPING_ONLY)
+
+
+def capacity(t: float, rho: float, c: float) -> float:
+    """C recovered from the damping factor by inverting d."""
+    cfg = DAMPING_ONLY
+    return -cfg.c_ref * math.log(1.0 - (1.0 - damping(t, rho, c)) / cfg.d_max)
+
 
 class TestWallUValue:
     def test_concrete_mean(self):
-        assert wall_u_value(0.21, 1.13, DEFAULTS) == pytest.approx(
-            U_CONCRETE_MEAN, rel=1e-12
-        )
+        assert u_value(0.21, 1.13) == pytest.approx(U_CONCRETE_MEAN, rel=1e-12)
 
     def test_huge_conductivity_limit(self):
         # conduction resistance vanishes, films alone remain
-        assert wall_u_value(0.21, 1e9, DEFAULTS) == pytest.approx(1.0 / 0.17, rel=1e-6)
-        assert wall_u_value(0.21, 1e9, DEFAULTS) < 1.0 / 0.17
+        assert u_value(0.21, 1e9) == pytest.approx(1.0 / 0.17, rel=1e-6)
+        assert u_value(0.21, 1e9) < 1.0 / 0.17
 
     def test_doubling_thickness_strictly_decreases_u(self):
         for t in (0.01, 0.1, 0.3, 1.0):
-            assert wall_u_value(2 * t, 0.8, DEFAULTS) < wall_u_value(t, 0.8, DEFAULTS)
+            assert u_value(2 * t, 0.8) < u_value(t, 0.8)
 
     @pytest.mark.parametrize("t,k", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -2.0)])
     def test_non_positive_inputs_rejected(self, t, k):
-        with pytest.raises(ValueError):
-            wall_u_value(t, k, DEFAULTS)
+        column = "thickness" if t <= 0.0 else "thermal_conductivity"
+        with pytest.raises(ValueError, match=f"^row 0, column {column}: must be > 0"):
+            u_value(t, k)
 
 
 class TestArealHeatCapacity:
     def test_product(self):
-        assert areal_heat_capacity(0.21, 2000.0, 1000.0) == pytest.approx(
-            420000.0, rel=1e-12
-        )
+        assert capacity(0.21, 2000.0, 1000.0) == pytest.approx(420000.0, rel=1e-12)
 
     @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
     def test_zero_input_rejected(self, args):
-        with pytest.raises(ValueError):
-            areal_heat_capacity(*args)
+        column = ("thickness", "density", "specific_heat_capacity")[args.index(0.0)]
+        with pytest.raises(ValueError, match=f"^row 0, column {column}: must be > 0"):
+            capacity(*args)
 
     def test_linear_in_each_argument(self):
-        base = areal_heat_capacity(0.2, 1500.0, 900.0)
-        assert areal_heat_capacity(0.4, 1500.0, 900.0) == pytest.approx(2 * base)
-        assert areal_heat_capacity(0.2, 3000.0, 900.0) == pytest.approx(2 * base)
-        assert areal_heat_capacity(0.2, 1500.0, 1800.0) == pytest.approx(2 * base)
+        base = capacity(0.2, 1500.0, 900.0)
+        assert capacity(0.4, 1500.0, 900.0) == pytest.approx(2 * base)
+        assert capacity(0.2, 3000.0, 900.0) == pytest.approx(2 * base)
+        assert capacity(0.2, 1500.0, 1800.0) == pytest.approx(2 * base)
 
 
 class TestAnnualThermalLoad:
     def test_disabled_damping_and_offsets(self):
         cfg = SurrogateConfig(d_max=0.0, q_base=0.0, w_solar=0.0, w_thermal=0.0)
         feats = (0.2, 1800.0, 1.0, 950.0, 0.4, 0.6, 0.5)
-        u = wall_u_value(0.2, 1.0, cfg)
+        u = 1.0 / (cfg.r_si + 0.2 / 1.0 + cfg.r_so)
         expected = u * cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0
-        assert annual_thermal_load(feats, cfg) == pytest.approx(expected, rel=1e-12)
+        assert load(feats, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_damping_limit_for_huge_capacity(self):
-        assert damping_factor(1e12, DEFAULTS) == pytest.approx(0.75, abs=1e-12)
-        assert damping_factor(420000.0, DEFAULTS) == pytest.approx(
-            DAMPING_CONCRETE, rel=1e-12
-        )
+        assert damping(1.0, 1e6, 1e6) == pytest.approx(0.75, abs=1e-12)
+        assert damping(0.21, 2000.0, 1000.0) == pytest.approx(DAMPING_CONCRETE, rel=1e-12)
 
     def test_concrete_mean_vector_frozen_values(self):
-        assert annual_thermal_load(CONCRETE_MEAN_VECTOR, DEFAULTS) == pytest.approx(
-            Q_CONCRETE_DEFAULTS, rel=1e-12
-        )
+        assert load(CONCRETE_MEAN_VECTOR) == pytest.approx(Q_CONCRETE_DEFAULTS, rel=1e-12)
         cfg_55 = SurrogateConfig(q_base=55.0)
-        assert annual_thermal_load(CONCRETE_MEAN_VECTOR, cfg_55) == pytest.approx(
+        assert load(CONCRETE_MEAN_VECTOR, cfg_55) == pytest.approx(
             Q_CONCRETE_QBASE_55, rel=1e-12
         )
 
@@ -96,7 +117,7 @@ class TestAnnualThermalLoad:
         prev = -math.inf
         for k in (0.2, 0.5, 1.0, 2.0, 10.0, 100.0):
             feats[FeatureId.THERMAL_CONDUCTIVITY] = k
-            q = annual_thermal_load(feats, DEFAULTS)
+            q = load(feats)
             assert q > prev
             prev = q
 
@@ -106,7 +127,7 @@ class TestAnnualThermalLoad:
         prev = math.inf
         for t in (0.05, 0.1, 0.2, 0.4, 0.8):
             feats[FeatureId.THICKNESS] = t
-            q = annual_thermal_load(feats, cfg)
+            q = load(feats, cfg)
             assert q < prev
             prev = q
 
@@ -116,26 +137,30 @@ class TestAnnualThermalLoad:
         for rho in (500.0, 1000.0, 2000.0, 4000.0, 8000.0):
             feats[FeatureId.DENSITY] = rho
             # conduction unchanged (t, k fixed); only C = rho*c*t grows
-            q = annual_thermal_load(feats, DEFAULTS)
+            q = load(feats)
             assert q <= prev
             prev = q
 
     def test_visual_absorptance_has_no_effect_by_default(self):
         feats = list(CONCRETE_MEAN_VECTOR)
         feats[FeatureId.VISUAL_ABSORPTANCE] = 0.01
-        low = annual_thermal_load(feats, DEFAULTS)
+        low = load(feats)
         feats[FeatureId.VISUAL_ABSORPTANCE] = 0.99
-        high = annual_thermal_load(feats, DEFAULTS)
+        high = load(feats)
         assert low == high
 
     def test_deterministic(self):
-        a = annual_thermal_load(CONCRETE_MEAN_VECTOR, DEFAULTS)
-        b = annual_thermal_load(CONCRETE_MEAN_VECTOR, DEFAULTS)
-        assert a == b
+        assert load(CONCRETE_MEAN_VECTOR) == load(CONCRETE_MEAN_VECTOR)
 
     def test_wrong_arity(self):
-        with pytest.raises(ValueError):
-            annual_thermal_load((1.0, 2.0), DEFAULTS)
+        with pytest.raises(ValueError, match=re.escape("got shape (1, 2)")):
+            load((1.0, 2.0))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (7,), (2, 9), (1, 7, 1)])
+    def test_not_an_n_by_7_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected an (n, 7) feature matrix, got shape {shape}")):
+            thermal_loads(np.ones(shape), DEFAULTS)
 
 
 class TestSimulateDataset:

@@ -47,7 +47,7 @@ def test_numpy_pc1_ranking_matches_package_pca(calibrate, default_dataset):
     labeled = label_dataset(simulate_dataset(default_dataset, SurrogateConfig()))
     in_train = split(labeled, SplitConfig())
     train, test = labeled.select(in_train), labeled.select(~in_train)
-    model = fit_pca(apply_normalizer(fit_normalizer(train), train))
+    model = fit_pca(apply_normalizer(fit_normalizer(train), train).features)
     assert (info["n_train"], info["n_test"]) == (len(train), len(test))
     assert info["ranking"] == [f.column_name for f in top_features(model, 7)]
 
