@@ -37,10 +37,12 @@ from .dataset import (
     ClassLabel,
     Dataset,
     FeatureId,
-    LABEL_ENDS,
     LABEL_NAMES,
     SYSTEM_CONSTANTS,
     builtin_material_library,
+    csv_text,
+    float_cells,
+    label_cells,
     read_dataset,  # unused here; bench/spans.py wraps it by this name, so it goes with that site
     write_csvs,
     write_dataset,
@@ -73,6 +75,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """A seed option's value: the generators take a seed modulo 2^64, so
+    one outside [0, 2^64) would alias another."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return seed
 
 
 def _float_cell(v: float) -> str:
@@ -166,14 +180,14 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
     scores = pca_mod.project(model, train_n.features, [1, 2, 3])
     pairs = ((1, 2), (1, 3), (2, 3))
 
-    def chunk_lines(rows: slice) -> list:
+    def chunk_text(rows: slice) -> list:
         # each PC's scores are formatted once and shared by the two files that show it
-        pcs = [list(map(repr, col)) for col in scores[rows].T.tolist()]
-        ends = list(map(LABEL_ENDS.__getitem__, train_n.labels[rows].tolist()))
-        return [map(",".join, zip(pcs[i - 1], pcs[j - 1], ends)) for i, j in pairs]
+        cells = float_cells(scores[rows]).reshape(*scores[rows].shape, -1)
+        ends = label_cells(train_n.labels[rows])
+        return [csv_text([cells[:, i - 1], cells[:, j - 1], ends])[0] for i, j in pairs]
 
     write_csvs([(out.new(f"scores_{i}_{j}.csv"), f"pc{i},pc{j},label") for i, j in pairs],
-               len(scores), chunk_lines)
+               len(scores), chunk_text)
     return model
 
 
@@ -361,7 +375,7 @@ def _pipeline(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> I
 
 # `run`'s options: argparse keywords by flag
 _OPTIONS = {
-    "--seed": dict(type=int, default=42, help="sampler seed"),
+    "--seed": dict(type=_seed, default=42, help="sampler seed"),
     "--n-per-material": dict(type=int, default=100),
     "--surrogate-config": dict(default=None, metavar="JSON",
                                help="JSON file overriding surrogate constants"),
@@ -370,10 +384,10 @@ _OPTIONS = {
     "--low-max": dict(type=float, default=75.0),
     "--high-min": dict(type=float, default=90.0),
     "--train-frac": dict(type=float, default=0.35),
-    "--split-seed": dict(type=int, default=42),
+    "--split-seed": dict(type=_seed, default=42),
     "--no-stratify": dict(action="store_true"),
     "--efs-metric": dict(choices=sorted(_EFS_METRIC_FLAGS), default="train"),
-    "--cv-seed": dict(type=int, default=42),
+    "--cv-seed": dict(type=_seed, default=42),
     "--grid-resolution": dict(type=int, default=DEFAULT_GRID_RESOLUTION),
     "--out": dict(default="out", help="output directory"),
 }

@@ -19,13 +19,14 @@ did not change.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from itertools import compress, repeat
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -268,52 +269,244 @@ def builtin_material_library() -> MaterialLibrary:
 # Layout: header row, then per row
 #   material_index, <7 features in canonical order>, load, label
 # load and label cells are empty when unset. '.' decimal separator, no
-# locale dependence. Floats are written with repr() so read(write(d)) == d
-# bit-exactly. Writers format a chunk of rows at a time and write it to
-# every file that shows those rows, so no file's text is ever held whole.
+# locale dependence. Float cells are byte-identical to repr(), so
+# read(write(d)) == d bit-exactly.
+#
+# Writers build a chunk of rows at a time from cell blocks. A block is a
+# uint8 array with one row per line; each cell is a comma and its text, with
+# NUL bytes wherever the block's fixed layout holds no text. A line is its
+# blocks side by side, less the NULs and its first comma. So no per-line
+# Python runs, and only one chunk's cells are alive at a time, never a
+# whole file's text.
 
 CSV_HEADER = ("material_index",) + FEATURE_COLUMNS + ("load", "label")
 
+# Rows per chunk of write_csvs. At 1 024 rows a chunk's arrays raised the
+# peak RSS of repeated 6 000-row runs by about 1 MiB; 512 rows cost a few
+# percent more time and almost no memory.
+_FORMAT_CHUNK = 512
 
-# Rows per chunk of write_csvs: only one chunk's Python floats and line
-# strings are alive at a time, never those of a whole file.
-_FORMAT_CHUNK = 1024
-# The last cell of a line, by label code: the label and the line end.
-LABEL_ENDS = tuple(name + "\r\n" for name in LABEL_NAMES)
+_U64 = np.uint64
+# A float cell, 40 bytes: ',' '-' 17 integer digits '.' 20 fraction digits,
+# ten 4-byte words of _repr_tables' word table.
+_POINT = 19  # the byte of the '.'
+_CELL = 40
+
+
+class _ReprTables(NamedTuple):
+    """float_cells' lookup tables, 75 KiB. The first three are indexed by
+    t = biased exponent - 1009 in [0, 67], so that e2 = t - 68."""
+
+    q: np.ndarray      # Ryu's q
+    pow5: np.ndarray   # 5^i, i = -e2 - q
+    frac: np.ndarray   # i, the fraction digits of vr
+    pow10: np.ndarray  # 10^0 .. 10^19
+    words: np.ndarray  # "dddd" for 0..9999, then ",-dd" for 0..99 and "ddd." for 0..999
+    text: np.ndarray   # 0xFF at a cell's text bytes, by (sign, integer digits, fraction digits)
+
+
+@functools.cache
+def _repr_tables() -> _ReprTables:
+    """The tables, made on first use."""
+    minus_e2 = np.arange(68, 0, -1)
+    log10_pow5 = (minus_e2 * 732923) >> 20  # floor(-e2 log10 5), exact below 1650 (Ryu)
+    q = np.maximum(log10_pow5 - (minus_e2 > 1), 0)
+    words = np.frombuffer("".join(
+        [f"{v:04d}" for v in range(10000)] + [f",-{v:02d}" for v in range(100)]
+        + [f"{v:03d}." for v in range(1000)]).encode(), dtype=np.uint32)
+    col = np.arange(_CELL)
+    neg, int_len, frac_len = (a.reshape(-1, 1) for a in np.meshgrid(
+        np.arange(2), np.arange(18), np.arange(21), indexing="ij"))
+    text = ((col == 0) | ((col == 1) & (neg == 1))
+            | ((_POINT - int_len <= col) & (col <= _POINT))
+            | ((_POINT < col) & (col <= _POINT + frac_len)))
+    return _ReprTables(q.astype(_U64), np.array([5 ** int(i) for i in minus_e2 - q], dtype=_U64),
+                       minus_e2 - q, np.array([10 ** j for j in range(20)], dtype=_U64),
+                       words, text * np.uint8(0xFF))
+
+
+def float_cells(values: np.ndarray) -> np.ndarray:
+    """The cells "," + repr(float(v)) of float64 values, in C order, as a
+    (values.size, 40) uint8 block, NUL where a cell's layout holds no text.
+
+    repr gives the shortest decimal that reads back as v, and of those the
+    one nearest to v (Steele & White; Gay). Ryu (Adams, PLDI 2018) finds
+    the same digits with integer arithmetic, done here for a whole array
+    at once. Its domain here is the normal doubles with 2^-14 <= |v| <
+    2^54. There v = mv 2^e2 with mv = 4 * mantissa < 2^55 and e2 in
+    [-68, -1], so with q = max(0, floor(-e2 log10 5) - 1) and i = -e2 - q,
+    5^i < 2^52. So mv 5^i and the bounds (mv + 2) 5^i and (mv - 1 - [a
+    mantissa bit is set]) 5^i are below 2^107: exact 128-bit products of
+    32-bit limbs in uint64, which shifted right by q are Ryu's vr, vp and
+    vm, exact too.
+
+    Every other value is written by repr itself: zero, subnormals, values
+    outside the domain, exponent form (decimal point at -4 or below, or
+    above 16) and an exact vr (Ryu's trailing-zero case, where round half
+    even applies).
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    out, frac, point, fast = _shortest(values.view(_U64))
+    cells = _digit_cells(out, frac)
+    row = ((values < 0.0) * 18 + np.maximum(point, 1)) * 21 + np.maximum(frac, 1)
+    cells &= np.take(_repr_tables().text, row, axis=0)  # NUL where the cell has no text
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        cells[slow] = text_cells(["," + repr(v) for v in values[slow].tolist()],
+                                 np.arange(len(slow)), _CELL)
+    return cells
+
+
+def _digit_cells(out: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """The cells of out 10^-frac with every slot filled: ',' '-', 17
+    integer digits, '.' and 20 fraction digits, as (n, 40) uint8."""
+    tables = _repr_tables()
+    pow10 = tables.pow10
+    # an integer part and 20 fraction digits, split 12 + 8; out < 10^17, so
+    # 10^19 cuts as 10^20 would
+    cut = np.take(pow10, np.clip(frac, 0, 19))
+    whole = out // cut
+    part = out - whole * cut
+    whole *= np.take(pow10, np.maximum(-frac, 0))
+    tail = np.clip(frac - 12, 0, 8)
+    cut = np.take(pow10, tail)
+    first = part // cut
+    second = (part - first * cut) * np.take(pow10, 8 - tail)
+    first *= np.take(pow10, np.maximum(12 - frac, 0))
+    # the ten 4-byte words of each cell, right to left
+    cells = np.empty((len(out), _CELL // 4), dtype=np.uint32)
+    for number, columns in ((whole, (4, 3, 2, 1, 0)), (first, (7, 6, 5)), (second, (9, 8))):
+        for c in columns:
+            size = _U64(1000 if c == 4 else 10000)  # word 4 is 3 digits and the '.'
+            high = number // size
+            base = _U64({0: 10000, 4: 10100}.get(c, 0))  # ",-dd" and "ddd."
+            cells[:, c] = np.take(tables.words, number - high * size + base)
+            number = high
+    return cells.view(np.uint8)
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ryu's shortest digits of the float64 bit patterns (see float_cells):
+    (out, frac, point, fast), so that v = out 10^-frac, with point repr's
+    decimal point. Where fast is false, out is 0 and repr must write v.
+
+    The number of digits removed is the highest decimal position at which
+    vp and vm differ: the search starts at the digit count of vp - vm, less
+    one, and steps up only through a carry. The last removed digit rounds
+    vr, and vr == vm steps up past the excluded lower bound.
+    """
+    tables = _repr_tables()
+    pow10 = tables.pow10
+    biased = (bits >> _U64(52)) & _U64(0x7FF)
+    t = np.clip(biased, 1009, 1076).astype(np.intp) - 1009
+    vr, vp, vm, exact = _bounds(bits, t)
+    removed = np.searchsorted(pow10, vp - vm, side="right") - 1
+    scale = np.take(pow10, removed)
+    at, top, bottom = np.arange(len(bits)), vp // scale, vm // scale
+    while len(at):  # one digit more wherever vp and vm still differ above it
+        top, bottom = top // _U64(10), bottom // _U64(10)
+        carry = top > bottom
+        at, top, bottom = at[carry], top[carry], bottom[carry]
+        removed[at] += 1
+    kept = vr // np.take(pow10, removed - 1)  # vr without all but the last removed digit
+    digits = kept // _U64(10)
+    out = digits + ((digits == vm // np.take(pow10, removed))
+                    | (kept - digits * _U64(10) >= _U64(5)))
+
+    frac = np.take(tables.frac, t) - removed  # out's fraction digits, <= 0 for an integer
+    point = np.searchsorted(pow10, out, side="right") - frac
+    fast = (biased - _U64(1009) <= _U64(67)) & ~exact & (point > -4) & (point <= 16)
+    return (np.where(fast, out, _U64(0)), np.where(fast, frac, 1), np.where(fast, point, 1),
+            fast)
+
+
+def _bounds(bits: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ryu's vr, vp and vm of the float64 bit patterns (see float_cells),
+    and whether vr is exact; t = clip(biased exponent, 1009, 1076) - 1009
+    selects the table row, so that e2 = t - 68 in the domain."""
+    tables = _repr_tables()
+    q, pow5 = np.take(tables.q, t), np.take(tables.pow5, t)
+    mv = (bits & _U64((1 << 52) - 1) | _U64(1 << 52)) << _U64(2)
+    hi, lo = _mul128(mv, pow5)
+    vr = (hi << (_U64(64) - q)) | (lo >> q)  # numpy shifts by 64 to 0
+    below = (_U64(1) << q) - _U64(1)
+    rem = lo & below  # mv 5^i mod 2^q
+    up = pow5 << _U64(1)
+    down = np.where(mv != _U64(1 << 54), up, pow5)  # half as far below a power of 2
+    vp = vr + (up >> q) + ((rem + (up & below)) >> q)
+    vm = vr - (down >> q) - (rem < (down & below))
+    return vr, vp, vm, rem == 0
+
+
+def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * b as (hi, lo) uint64 halves, from 32-bit limbs; exact for
+    a < 2^55 and b < 2^52, where the middle partial products sum below
+    2^64."""
+    a0, a1 = a & _U64(0xFFFFFFFF), a >> _U64(32)
+    b0, b1 = b & _U64(0xFFFFFFFF), b >> _U64(32)
+    low, mid = a0 * b0, a0 * b1 + a1 * b0
+    lo = low + (mid << _U64(32))
+    return a1 * b1 + (mid >> _U64(32)) + (lo < low), lo
+
+
+def text_cells(texts: Sequence[str], codes: np.ndarray, width: int = 0) -> np.ndarray:
+    """The block of cells texts[c] for the codes c, padded with NULs to
+    width (default: the longest text)."""
+    encoded = [text.encode() for text in texts]
+    width = width or max(map(len, encoded))
+    table = np.frombuffer(b"".join(e.ljust(width, b"\0") for e in encoded),
+                          dtype=np.uint8).reshape(len(encoded), width)
+    return np.take(table, codes, axis=0)
+
+
+def label_cells(labels: np.ndarray) -> np.ndarray:
+    """The last cell of each line: the label of its code and the line end."""
+    return text_cells([f",{name}\r\n" for name in LABEL_NAMES], labels)
+
+
+def csv_text(blocks: Sequence[np.ndarray], row_masks: Iterable[np.ndarray] = ()) -> list:
+    """The text, as uint8, of the lines whose cells are the blocks side by
+    side, then of the lines where each row mask is true. A block holds its
+    lines in C order, as many as the last block's length."""
+    n = len(blocks[-1])
+    lines = np.concatenate([b.reshape(n, -1) for b in blocks], axis=1)
+    lines[:, 0] = 0  # a line has no leading comma
+    return [part[part != 0] for part in chain([lines], (lines[m] for m in row_masks))]
 
 
 def write_csvs(files: Sequence[tuple[str | Path, str]], n_rows: int,
-               chunk_lines: Callable[[slice], Iterable[Iterable[str]]]) -> None:
+               chunk_text: Callable[[slice], Sequence[np.ndarray]]) -> None:
     """Write CSV files in one pass over chunks of n_rows rows: files gives
-    each path and its header, and chunk_lines(rows) each file's body lines
-    of a slice of rows, every line ending in "\r\n"."""
+    each path and its header, and chunk_text(rows) each file's text of a
+    slice of rows (see csv_text)."""
     with ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w", newline="")) for path, _ in files]
+        handles = [stack.enter_context(open(path, "wb")) for path, _ in files]
         for fh, (_, header) in zip(handles, files):
-            fh.write(header + "\r\n")
+            fh.write(f"{header}\r\n".encode())
         for start in range(0, n_rows, _FORMAT_CHUNK):
-            for fh, lines in zip(handles, chunk_lines(slice(start, start + _FORMAT_CHUNK))):
-                fh.write("".join(lines))  # one write per chunk: writelines costs a call per line
+            for fh, text in zip(handles, chunk_text(slice(start, start + _FORMAT_CHUNK))):
+                fh.write(text)
 
 
 def write_dataset(dataset: Dataset, path: str | Path,
                   parts: Mapping[str | Path, np.ndarray] = {}) -> None:
     """Write a dataset as CSV; see module docs for the layout. parts maps
     more paths to boolean row masks, and each gets the rows where its mask
-    is true, from the same lines.
+    is true, from the same cells."""
+    def chunk_text(rows: slice) -> list:
+        ids, codes = np.unique(dataset.material_index[rows], return_inverse=True)
+        blank = np.zeros(len(codes), dtype=np.intp)
+        blocks = [text_cells([f",{i}" for i in ids.tolist()], codes)]
+        if dataset.loads is None:
+            blocks += [float_cells(dataset.features[rows]), text_cells([","], blank)]
+        else:
+            blocks.append(float_cells(np.column_stack([dataset.features[rows],
+                                                       dataset.loads[rows]])))
+        blocks.append(text_cells([",\r\n"], blank) if dataset.labels is None
+                      else label_cells(dataset.labels[rows]))
+        return csv_text(blocks, [mask[rows] for mask in parts.values()])
 
-    No cell needs quoting, so each line is its cells joined by commas, as
-    csv.writer would write it; the label cell carries the line end."""
-    def chunk_lines(rows: slice) -> list:
-        loads = repeat("") if dataset.loads is None else map(repr, dataset.loads[rows].tolist())
-        ends = (repeat("\r\n") if dataset.labels is None
-                else map(LABEL_ENDS.__getitem__, dataset.labels[rows].tolist()))
-        features = [map(repr, col) for col in dataset.features[rows].T.tolist()]
-        lines = list(map(",".join, zip(map(str, dataset.material_index[rows].tolist()),
-                                       *features, loads, ends)))
-        return [lines, *(compress(lines, mask[rows].tolist()) for mask in parts.values())]
-
-    write_csvs([(p, ",".join(CSV_HEADER)) for p in (path, *parts)], len(dataset), chunk_lines)
+    write_csvs([(p, ",".join(CSV_HEADER)) for p in (path, *parts)], len(dataset), chunk_text)
 
 
 def read_dataset(path: str | Path) -> Dataset:

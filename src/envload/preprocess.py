@@ -22,6 +22,9 @@ class Thresholds:
     high_min: float = 90.0
 
     def __post_init__(self) -> None:
+        for name in ("low_max", "high_min"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         if not self.low_max < self.high_min:
             raise ValueError(
                 f"low_max must be < high_min, got {self.low_max} >= {self.high_min}"

@@ -358,6 +358,42 @@ class TestErrorHandling:
         assert f"envload: error: {message}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any stage ran
 
+    @pytest.mark.parametrize("option", ["--seed", "--split-seed", "--cv-seed"])
+    @pytest.mark.parametrize("value", ["-1", str(2**64), "4.5"])
+    def test_seed_outside_u64_is_usage_error(self, tmp_path, capsys, option, value):
+        # a generator takes its seed modulo 2^64: -1 would alias 2^64 - 1
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", str(out), option, value])
+        assert excinfo.value.code == 1
+        assert (f"error: argument {option}: must be an integer in [0, 2**64), got '{value}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        argv = ["--n-per-material", "10", "--surrogate-config", str(BENCH_SURROGATE)]
+        for option in ("--seed", "--split-seed", "--cv-seed"):
+            argv += [option, str(2**64 - 1)]
+        assert main(["run", "--out", str(tmp_path / "out"), *argv]) == 0
+
+    @pytest.mark.parametrize("option, field", [("--low-max", "low_max"),
+                                               ("--high-min", "high_min")])
+    def test_nan_threshold_is_usage_error(self, tmp_path, capsys, option, field):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", str(out), option, "nan"])
+        assert excinfo.value.code == 1
+        assert f"envload: error: {field} must be a number, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_high_min_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--n-per-material", "10",
+                     "--surrogate-config", str(BENCH_SURROGATE), "--high-min", "inf"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["thresholds"]["high_min"] == float("inf")
+        assert summary["counts"]["per_class"]["high"] == 0
+
     def test_non_finite_surrogate_constant_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "surrogate.json"
         cfg.write_text('{"hdd": NaN}')

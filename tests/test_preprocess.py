@@ -52,6 +52,15 @@ class TestLabeling:
         with pytest.raises(ValueError):
             Thresholds(low_max=90.0, high_min=75.0)
 
+    @pytest.mark.parametrize("field", ["low_max", "high_min"])
+    def test_nan_threshold_is_not_a_number(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got nan$"):
+            Thresholds(**{field: math.nan})
+
+    def test_infinite_thresholds_are_ordered_bounds(self):
+        t = Thresholds(low_max=-math.inf, high_min=math.inf)
+        assert _labels([0.0, 1e300], t) == [ClassLabel.MEDIUM, ClassLabel.MEDIUM]
+
     def test_label_dataset_matches_label_load(self):
         t = Thresholds()
         loads = [0.0, 75.0, math.nextafter(75.0, 90.0), 82.5,
