@@ -56,7 +56,7 @@ from .preprocess import (
     label_dataset,
     split,
 )
-from .sampling import SamplerConfig, generate_dataset
+from .sampling import SamplerConfig, check_seed, generate_dataset
 from .surrogate import (
     SurrogateConfig,
     config_to_json,
@@ -78,15 +78,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text: str) -> int:
-    """A seed option's value: the generators take a seed modulo 2^64, so
-    one outside [0, 2^64) would alias another."""
+    """A seed option's value, an integer in [0, 2**64) (see check_seed)."""
     try:
-        seed = int(text)
+        return check_seed(int(text))
     except ValueError:
-        seed = None
-    if seed is None or not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
-    return seed
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**64), got {text!r}") from None
 
 
 def _float_cell(v: float) -> str:
@@ -224,7 +221,7 @@ def _fit_stack(
 ) -> lda_mod.LdaModel:
     """One stacked LDA fit of the named feature subsets. The CLI scores and
     writes every member, so a member whose fit failed is an error."""
-    model = lda_mod.fit_lda(stats.subset([[int(f) for f in fs] for fs in members.values()]))
+    model = lda_mod.fit_lda(stats, [[int(f) for f in fs] for fs in members.values()])
     for name, failed in zip(members, model.failed.tolist()):
         if failed:
             raise ValueError(
@@ -243,8 +240,8 @@ def _emit_decision_grids(
     resolution: int,
 ) -> None:
     """Six pairwise decision-region grids over the selected features, in raw
-    feature units, fit as one stack of six sliced from `stats` and scored one
-    member at a time. The model works in normalized space, so each axis is
+    feature units, fit as one stack of six from `stats`, each grid scored on
+    its member. The model works in normalized space, so each axis is
     z-scored as apply_normalizer does before predicting; a constant feature
     (sigma = 0) has zero-width bounds, which grid_axes rejects."""
     raw = train.features
@@ -261,7 +258,7 @@ def _emit_decision_grids(
         axes = lda_mod.grid_axes(tuple(bounds), resolution)
         xs_z, ys_z = ((np.array(axis) - norm.means[f]) / norm.std_devs[f]
                       for axis, f in zip(axes, (f1, f2)))
-        codes = lda_mod.decision_grid(lda_mod.member(model, i), xs_z, ys_z)
+        codes = lda_mod.decision_grid(model, i, xs_z, ys_z)
         xs, ys = (list(map(repr, axis)) for axis in axes)
         # points in decision_grid's order: y outer, x inner
         out.csv(f"decision_grid_{pair}.csv", ["x", "y", "label"],

@@ -268,8 +268,8 @@ def builtin_material_library() -> MaterialLibrary:
 #
 # Layout: header row, then per row
 #   material_index, <7 features in canonical order>, load, label
-# load and label cells are empty when unset. '.' decimal separator, no
-# locale dependence. Float cells are byte-identical to repr(), so
+# every cell filled: a dataset file is the full labelled table. '.' decimal
+# separator, no locale dependence. Float cells are byte-identical to repr(), so
 # read(write(d)) == d bit-exactly.
 #
 # Writers build a chunk of rows at a time from cell blocks. A block is a
@@ -490,90 +490,54 @@ def write_csvs(files: Sequence[tuple[str | Path, str]], n_rows: int,
 
 def write_dataset(dataset: Dataset, path: str | Path,
                   parts: Mapping[str | Path, np.ndarray] = {}) -> None:
-    """Write a dataset as CSV; see module docs for the layout. parts maps
-    more paths to boolean row masks, and each gets the rows where its mask
-    is true, from the same cells."""
+    """Write a labelled dataset as CSV; see module docs for the layout. parts
+    maps more paths to boolean row masks, and each gets the rows where its
+    mask is true, from the same cells."""
+    for column in ("loads", "labels"):
+        if getattr(dataset, column) is None:
+            raise ValueError(f"cannot write a dataset without {column}")
+
     def chunk_text(rows: slice) -> list:
         ids, codes = np.unique(dataset.material_index[rows], return_inverse=True)
-        blank = np.zeros(len(codes), dtype=np.intp)
-        blocks = [text_cells([f",{i}" for i in ids.tolist()], codes)]
-        if dataset.loads is None:
-            blocks += [float_cells(dataset.features[rows]), text_cells([","], blank)]
-        else:
-            blocks.append(float_cells(np.column_stack([dataset.features[rows],
-                                                       dataset.loads[rows]])))
-        blocks.append(text_cells([",\r\n"], blank) if dataset.labels is None
-                      else label_cells(dataset.labels[rows]))
+        blocks = [text_cells([f",{i}" for i in ids.tolist()], codes),
+                  float_cells(np.column_stack([dataset.features[rows], dataset.loads[rows]])),
+                  label_cells(dataset.labels[rows])]
         return csv_text(blocks, [mask[rows] for mask in parts.values()])
 
     write_csvs([(p, ",".join(CSV_HEADER)) for p in (path, *parts)], len(dataset), chunk_text)
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """Read a dataset CSV. Raises ValueError naming row and column on bad
-    input; a load or label column must be filled on every row or on none."""
+    """Read a dataset CSV, with a load and a label on every row. Raises
+    ValueError naming row and column on bad input."""
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError("empty file: missing header row") from None
-        _check_header(header)
-        rows = [
-            _parse_row(rownum, cells, len(header))
-            for rownum, cells in enumerate(reader, start=1)
-            if cells
-        ]
-    return Dataset(
-        np.array([r[1] for r in rows], dtype=np.int64),
-        np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, N_FEATURES),
-        _all_or_none(rows, 3, "load"),
-        _all_or_none(rows, 4, "label"),
-    )
+        if header != list(CSV_HEADER):
+            raise ValueError(f"bad header: expected columns {list(CSV_HEADER)}, got {header}")
+        rows = [_parse_row(rownum, cells)
+                for rownum, cells in enumerate(reader, start=1) if cells]
+    index, features, loads, labels = zip(*rows) if rows else ((),) * 4
+    return Dataset(index, np.reshape(features, (-1, N_FEATURES)), loads, labels)
 
 
-def _all_or_none(rows: list[tuple], at: int, column: str) -> list | None:
-    empty = [r[0] for r in rows if r[at] is None]
-    if len(empty) == len(rows):
-        return None
-    if empty:
-        raise ValueError(
-            f"row {empty[0]}, column {column}: empty, but other rows have a {column}"
-        )
-    return [r[at] for r in rows]
-
-
-def _check_header(header: list[str]) -> None:
-    expected = list(CSV_HEADER[: 1 + N_FEATURES])
-    got = [h.strip() for h in header[: 1 + N_FEATURES]]
-    if got != expected:
-        raise ValueError(
-            f"bad header: expected columns {expected}, got {got}"
-        )
-    tail = [h.strip() for h in header[1 + N_FEATURES :]]
-    if tail not in ([], ["load"], ["load", "label"]):
-        raise ValueError(f"bad header tail: expected [load[, label]], got {tail}")
-
-
-def _parse_row(rownum: int, cells: list[str], width: int) -> tuple:
-    """(rownum, material_index, features, load or None, label code or None)."""
-    if len(cells) != width:
-        got = len(cells) - width + N_FEATURES
+def _parse_row(rownum: int, cells: list[str]) -> tuple:
+    """(material_index, features, load, label code) of a row's cells."""
+    if len(cells) != len(CSV_HEADER):
+        got = len(cells) - len(CSV_HEADER) + N_FEATURES
         raise ValueError(f"row {rownum}: expected {N_FEATURES} features, got {got}")
-    *cells, load, label = cells + [""] * (len(CSV_HEADER) - width)
     row = f"row {rownum}"
     return (
-        rownum,
-        _cell(row, "material_index", cells[0], int, "an integer >= 0",
-              lambda v: v >= 0),
+        _cell(row, "material_index", cells[0], int, "an integer >= 0", lambda v: v >= 0),
         [_cell(row, name, text, float, "a finite number", math.isfinite)
-         for name, text in zip(FEATURE_COLUMNS, cells[1:])],
-        None if load == "" else _cell(row, "load", load, float,
-                                      "a finite number >= 0",
-                                      lambda v: math.isfinite(v) and v >= 0.0),
-        None if label == "" else _cell(row, "label", label.strip().lower(),
-                                       LABEL_NAMES.index,
-                                       "one of " + ", ".join(LABEL_NAMES)),
+         for name, text in zip(FEATURE_COLUMNS, cells[1:-2])],
+        _cell(row, "load", cells[-2], float, "a finite number >= 0",
+              lambda v: math.isfinite(v) and v >= 0.0),
+        _cell(row, "label", cells[-1].strip().lower(), LABEL_NAMES.index,
+              "one of " + ", ".join(LABEL_NAMES)),
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset, FeatureId, N_FEATURES
 from .lda import class_stats, fit_lda, predict_many
-from .sampling import Xoshiro256pp
+from .sampling import Xoshiro256pp, check_seed
 
 METRIC_TRAIN = "train_accuracy"
 METRIC_CV5 = "cv5"
@@ -85,7 +85,7 @@ def _pooled_accuracies(
             return [(0.0, True)] * len(subsets)
         x_scored, y_scored = x[scored_rows], y[scored_rows]
         for members, cols in stacks:
-            model = fit_lda(stats.subset(cols))
+            model = fit_lda(stats, cols)
             hits = predict_many(model, x_scored) == y_scored[:, None]
             correct[members] += np.count_nonzero(hits, axis=0)
             failed[members] |= model.failed
@@ -101,6 +101,7 @@ def run_efs(
     """Evaluate LDA on every non-empty feature subset of the training set."""
     if metric not in (METRIC_TRAIN, METRIC_CV5):
         raise ValueError(f"unknown metric {metric!r}")
+    check_seed(cv_seed, "cv_seed")
     y = train.labels
     if y is None:
         raise ValueError("training set must be labeled")

@@ -12,13 +12,13 @@ constant within every class, up to rounding, fails the fit instead.
 
 Every model is a stack of C feature subsets, fit in one pass.
 `class_stats(x, y)` checks the labels and computes the class means and the
-within-class scatter of the full (n, p) matrix once; `ClassStats.subset` of
-a (C, s) array of columns slices them for C subsets without touching the
-rows again. `fit_lda` fits all C members and marks a member that fails
-instead of raising, and `predict_many` scores full-width rows for every
-member with one matrix product per chunk of rows. One subset is a stack of
-one, and each member of a stack equals its own stack of one, to the bit,
-which `member(model, i)` returns.
+within-class scatter of the full (n, p) matrix once; `fit_lda(stats, cols)`
+slices them for a (C, s) array of columns, without touching the rows again,
+fits all C members and marks a member that fails instead of raising.
+`predict_many` scores full-width rows for every member with one matrix
+product per chunk of rows, and `decision_grid` scores a grid for one
+member. One subset is a stack of one, and each member of a stack equals its
+own stack of one, to the bit.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ SCORE_CHUNK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class LdaModel:
-    """C models in one, the fit of ClassStats.subset of a (C, s) column
+    """C models in one, the fit of class statistics at a (C, s) column
     array: member i reads columns cols[i] of full-width rows. A member whose
     fit failed has ridge_used nan and coef and intercept 0."""
 
@@ -68,31 +68,9 @@ class ClassStats:
 
     classes: tuple[ClassLabel, ...]
     counts: np.ndarray       # (K,) rows per class
-    means: np.ndarray        # (K, p), or (C, K, s) when stacked
-    scatter: np.ndarray      # (p, p) within-class scatter, sum of centered outer
-                             # products; (C, s, s) when stacked
+    means: np.ndarray        # (K, p)
+    scatter: np.ndarray      # (p, p) within-class scatter, sum of centered outer products
     n: int
-    cols: np.ndarray | None = None  # (C, s) when stacked: each member's columns
-
-    def subset(self, cols: Sequence[Sequence[int]] | np.ndarray) -> ClassStats:
-        """Stacked statistics of a (C, s) array of columns: one member per
-        row, of the distinct columns in that row, in that order. fit_lda fits
-        all members at once."""
-        cols = np.asarray(cols)
-        if cols.ndim != 2 or self.cols is not None:
-            raise ValueError(
-                f"need a (C, s) column array of unstacked statistics, got {cols.shape}")
-        if cols.dtype.kind not in "iu":
-            raise ValueError(f"columns must be integers, got dtype {cols.dtype}")
-        cols = cols.astype(np.intp)
-        p = self.means.shape[1]
-        outside = cols[(cols < 0) | (cols >= p)]
-        if outside.size:
-            raise ValueError(f"column {outside[0]} is outside 0..{p - 1}")
-        if (np.diff(np.sort(cols, axis=1), axis=1) == 0).any():
-            raise ValueError("a member of a stacked subset repeats a column")
-        return ClassStats(self.classes, self.counts, self.means[:, cols].swapaxes(0, 1),
-                          self.scatter[cols[:, :, None], cols[:, None, :]], self.n, cols)
 
 
 def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassStats:
@@ -129,17 +107,27 @@ def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassSta
     return ClassStats(classes, counts[list(classes)], means, symmetric(scatter), n)
 
 
-def fit_lda(stats: ClassStats) -> LdaModel:
-    """Fit every member of stacked class statistics (ClassStats.subset) in
-    one pass. A member with a column that is constant within every class,
-    or whose pooled covariance does not factor at any ridge of the ladder,
-    is marked in `failed`."""
-    if stats.means.ndim != 3:
-        raise ValueError("fit_lda needs stacked statistics: ClassStats.subset of a "
-                         "(C, s) column array")
-    means = stats.means
+def fit_lda(stats: ClassStats, cols: Sequence[Sequence[int]] | np.ndarray) -> LdaModel:
+    """Fit one member per row of a (C, s) array of columns, each on the
+    distinct columns of its row, in that order, all in one pass. A member
+    with a column that is constant within every class, or whose pooled
+    covariance does not factor at any ridge of the ladder, is marked in
+    `failed`."""
+    cols = np.asarray(cols)
+    if cols.ndim != 2:
+        raise ValueError(f"need a (C, s) column array, got {cols.shape}")
+    if cols.dtype.kind not in "iu":
+        raise ValueError(f"columns must be integers, got dtype {cols.dtype}")
+    cols = cols.astype(np.intp)
+    p = stats.means.shape[1]
+    outside = cols[(cols < 0) | (cols >= p)]
+    if outside.size:
+        raise ValueError(f"column {outside[0]} is outside 0..{p - 1}")
+    if (np.diff(np.sort(cols, axis=1), axis=1) == 0).any():
+        raise ValueError("a member of a stacked subset repeats a column")
+    means = stats.means[:, cols].swapaxes(0, 1)  # (C, K, s)
     k = len(stats.classes)
-    pooled = stats.scatter / (stats.n - k)
+    pooled = stats.scatter[cols[:, :, None], cols[:, None, :]] / (stats.n - k)
     pooled.setflags(write=False)
     variances = np.diagonal(pooled, axis1=1, axis2=2)
     scale = abs(means).max(axis=1)  # each column's largest class mean
@@ -162,15 +150,7 @@ def fit_lda(stats: ClassStats) -> LdaModel:
     intercept = -0.5 * ordered_dot(means, coef) + log_priors
     intercept[failed] = 0.0
     return LdaModel(stats.classes, means, pooled, ridge_used, log_priors, coef, intercept,
-                    stats.cols, failed)
-
-
-def member(model: LdaModel, i: int) -> LdaModel:
-    """Member i of a stacked model as a stack of one: the same fit, bit for bit."""
-    at = slice(i, i + 1)
-    return replace(model, means=model.means[at], pooled_covariance=model.pooled_covariance[at],
-                   ridge_used=model.ridge_used[at], coef=model.coef[at],
-                   intercept=model.intercept[at], cols=model.cols[at], failed=model.failed[at])
+                    cols, failed)
 
 
 def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
@@ -228,17 +208,27 @@ def grid_axes(
                  for lo, hi in ((x_min, x_max), (y_min, y_max)))
 
 
-def decision_grid(model: LdaModel, xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
-    """ClassLabel codes (int8) of a model with one 2-column member over the
-    grid of points (x, y), x from xs in its first column and y from ys in
-    its second, such as the grid_axes values.
+def decision_grid(
+    model: LdaModel, i: int, xs: Sequence[float], ys: Sequence[float]
+) -> np.ndarray:
+    """ClassLabel codes (int8) of member i, a 2-column member, over the grid
+    of points (x, y), x from xs in its first column and y from ys in its
+    second, such as the grid_axes values.
 
     Points are in row-major order, y outer, x inner: code k is at
     (xs[k % len(xs)], ys[k // len(xs)]).
     """
-    if model.cols.shape != (1, 2):
-        raise ValueError(f"decision grid needs one 2-column member, got columns "
+    if model.cols.shape[1] != 2:
+        raise ValueError(f"decision grid needs 2-column members, got columns "
                          f"of shape {model.cols.shape}")
-    points = np.zeros((len(xs) * len(ys), model.cols.max() + 1))
-    points[:, model.cols[0]] = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
-    return predict_many(model, points)[:, 0]
+    if not 0 <= i < len(model.cols):
+        raise ValueError(f"member {i} is outside 0..{len(model.cols) - 1}")
+    # member i alone, a stack of one: predict_many scores every member, and
+    # its argmax over all six made a default run's six grids 2.5 times slower
+    at = slice(i, i + 1)
+    alone = replace(model, means=model.means[at], pooled_covariance=model.pooled_covariance[at],
+                    ridge_used=model.ridge_used[at], coef=model.coef[at],
+                    intercept=model.intercept[at], cols=model.cols[at], failed=model.failed[at])
+    points = np.zeros((len(xs) * len(ys), alone.cols.max() + 1))
+    points[:, alone.cols[0]] = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+    return predict_many(alone, points)[:, 0]

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ClassLabel, Dataset, FeatureId
-from .sampling import Xoshiro256pp
+from .dataset import FEATURE_COLUMNS, ClassLabel, Dataset, FeatureId
+from .sampling import Xoshiro256pp, check_seed
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ class SplitConfig:
     stratified: bool = True
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
@@ -137,8 +138,10 @@ class Normalizer:
     def __post_init__(self) -> None:
         if len(self.means) != len(FeatureId) or len(self.std_devs) != len(FeatureId):
             raise ValueError(f"need exactly {len(FeatureId)} (mean, std) pairs")
-        if any(s < 0.0 for s in self.std_devs):
-            raise ValueError("std_dev must be >= 0")
+        for name, m, s in zip(FEATURE_COLUMNS, self.means, self.std_devs):
+            if not (math.isfinite(m) and math.isfinite(s) and s >= 0.0):
+                raise ValueError(f"feature {name}: need a finite mean and a finite "
+                                 f"std_dev >= 0, got mean {m}, std_dev {s}")
 
 
 def fit_normalizer(train: Dataset) -> Normalizer:

@@ -253,12 +253,23 @@ def material_stream(seed: int, material_index: int) -> Xoshiro256pp:
     return Xoshiro256pp(sub_seed)
 
 
+def check_seed(seed: int, name: str = "seed") -> int:
+    """seed as an int, if it is an integer in [0, 2**64): the generators take
+    a seed modulo 2**64, so one outside would alias another."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int = 42
     n_per_material: int = 100
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
+        if not isinstance(self.n_per_material, (int, np.integer)):
+            raise ValueError(f"n_per_material must be an integer, got {self.n_per_material!r}")
         if self.n_per_material < 1:
             raise ValueError(f"n_per_material must be >= 1, got {self.n_per_material}")
 
@@ -272,6 +283,8 @@ def sample_material(library: MaterialLibrary, index: int, n: int, seed: int) -> 
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= index < len(library):
+        raise ValueError(f"material index {index} is outside 0..{len(library) - 1}")
     stream = material_stream(seed, index)
     means, std_devs = library.means[index], library.std_devs[index]
     # room for every feature and a few rejections

@@ -14,7 +14,7 @@ from envload import lda as lda_mod
 from envload.cli import main
 from envload.dataset import LABEL_NAMES, ClassLabel, FeatureId, read_dataset, write_dataset
 from envload.lda import accuracy, class_stats, fit_lda
-from envload.pca import fit_pca, project
+from envload.pca import fit_pca, project, top_features
 from envload.preprocess import SplitConfig, apply_normalizer, fit_normalizer, split
 
 PINNED_DIGESTS = Path(__file__).parent / "data" / "default_run_sha256.json"
@@ -85,7 +85,7 @@ class TestRunAll:
         stats = class_stats(train_n.features, train_n.labels)
         for key in ("pca_selected", "efs_selected"):
             entry = summary["lda"][key]
-            model = fit_lda(stats.subset([[int(by_name[n]) for n in entry["features"]]]))
+            model = fit_lda(stats, [[int(by_name[n]) for n in entry["features"]]])
             [train_acc] = accuracy(model, train_n.features, train_n.labels)
             [test_acc] = accuracy(model, test_n.features, test_n.labels)
             assert entry["train_accuracy"] == train_acc
@@ -111,6 +111,33 @@ class TestRunAll:
             for p in default_run.iterdir()
         }
         assert digests == pinned
+
+    def test_each_grid_equals_its_member_alone(
+        self, tmp_path, monkeypatch, default_split, default_normalizer, normalized_train
+    ):
+        # the default run's grids, each scored on its member of the stack of
+        # six, are the grids of each pair fit alone, and the pinned files
+        calls = []
+        decision_grid = lda_mod.decision_grid
+
+        def recording_grid(model, i, xs, ys):
+            calls.append((model, i, xs, ys))
+            return decision_grid(model, i, xs, ys)
+
+        monkeypatch.setattr(lda_mod, "decision_grid", recording_grid)
+        stats = class_stats(normalized_train.features, normalized_train.labels)
+        features = top_features(fit_pca(normalized_train.features), 4)
+        cli._emit_decision_grids(cli._Out(tmp_path), features, default_split[0], stats,
+                                 default_normalizer, cli.DEFAULT_GRID_RESOLUTION)
+        assert [i for _, i, _, _ in calls] == list(range(6))
+        for model, i, xs, ys in calls:
+            alone = fit_lda(stats, model.cols[[i]])
+            assert (decision_grid(model, i, xs, ys).tolist()
+                    == decision_grid(alone, 0, xs, ys).tolist()), i
+        pinned = json.loads(PINNED_DIGESTS.read_text())
+        for path in tmp_path.iterdir():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[path.name], path.name
+        assert len(list(tmp_path.iterdir())) == 6
 
     def test_config_echo_contains_all_stages(self, default_run):
         echo = json.loads((default_run / "config.json").read_text())
@@ -161,9 +188,9 @@ def seed7_run(request, tmp_path_factory):
     grids = []
     decision_grid = lda_mod.decision_grid
 
-    def recording_grid(model, xs, ys):
-        grids.append((model, xs, ys))
-        return decision_grid(model, xs, ys)
+    def recording_grid(model, i, xs, ys):
+        grids.append((model, i, xs, ys))
+        return decision_grid(model, i, xs, ys)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lda_mod, "decision_grid", recording_grid)
@@ -216,7 +243,7 @@ class TestFormattedOnce:
         stats = class_stats(train_n.features, train_n.labels)
         for path in written:
             cols = names[path.name]
-            model = fit_lda(stats.subset([cols]))
+            model = fit_lda(stats, [cols])
             coef = model.coef[0] / [norm.std_devs[f] for f in cols]
             intercept = model.intercept[0] - coef @ [norm.means[f] for f in cols]
             bounds = []
@@ -328,8 +355,8 @@ class TestErrorHandling:
         fit = lda_mod.fit_lda
         todo = [True]
 
-        def failing_fit(stats):
-            model = fit(stats)
+        def failing_fit(stats, cols):
+            model = fit(stats, cols)
             if todo[0] and len(model.failed) == members:
                 todo[0] = False
                 failed = model.failed.copy()

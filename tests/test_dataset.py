@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -234,7 +235,7 @@ class TestDomainTypes:
         assert part == ds.select(np.flatnonzero(rows))
         assert not any(c.flags.writeable for c in part._columns())
 
-def _synthetic_dataset(n=600, labels=True):
+def _synthetic_dataset(n=600):
     i = np.arange(n)
     features = np.column_stack([
         0.01 + i * 1e-5,
@@ -245,8 +246,7 @@ def _synthetic_dataset(n=600, labels=True):
         np.full(n, 0.25 + 1e-9),
         np.full(n, 1.0 / 3.0),
     ])
-    return Dataset(i % 6, features, loads=75.0 + i * 0.01,
-                   labels=(i % 3) if labels else None)
+    return Dataset(i % 6, features, loads=75.0 + i * 0.01, labels=i % 3)
 
 
 class TestCsvRoundTrip:
@@ -256,12 +256,13 @@ class TestCsvRoundTrip:
         write_dataset(ds, path)
         assert read_dataset(path) == ds
 
-    def test_roundtrip_without_labels(self, tmp_path):
-        ds = _synthetic_dataset(labels=False)
+    @pytest.mark.parametrize("column", ["loads", "labels"])
+    def test_dataset_without_loads_or_labels_not_written(self, tmp_path, column):
+        ds = dataclasses.replace(_synthetic_dataset(3), **{column: None})
         path = tmp_path / "ds.csv"
-        write_dataset(ds, path)
-        assert read_dataset(path) == ds
-        assert path.read_text().splitlines()[1].endswith(",75.0,")
+        with pytest.raises(ValueError, match=f"without {column}"):
+            write_dataset(ds, path, {tmp_path / "part.csv": np.ones(3, dtype=bool)})
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_on_some_rows_only_rejected(self, tmp_path):
         path = tmp_path / "partial.csv"
@@ -271,18 +272,25 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="row 2, column load"):
             read_dataset(path)
 
-    def test_roundtrip_of_generated_dataset(self, tmp_path, default_dataset):
+    def test_roundtrip_of_generated_dataset(self, tmp_path, labeled_dataset):
         path = tmp_path / "gen.csv"
-        write_dataset(default_dataset, path)
-        assert read_dataset(path) == default_dataset
+        write_dataset(labeled_dataset, path)
+        assert read_dataset(path) == labeled_dataset
 
-    def test_features_only_header_accepted(self, tmp_path):
-        path = tmp_path / "bare.csv"
-        header = ",".join(CSV_HEADER[:8])
-        path.write_text(header + "\n0,0.1,500,0.2,800,0.5,0.5,0.5\n")
-        ds = read_dataset(path)
-        assert len(ds) == 1
-        assert ds.loads is None and ds.labels is None
+    @pytest.mark.parametrize("width", [8, 9])
+    def test_partial_header_rejected(self, tmp_path, width):
+        path = tmp_path / "partial.csv"
+        path.write_text(",".join(CSV_HEADER[:width]) + "\n0,0.1,500,0.2,800,0.5,0.5,0.5\n")
+        with pytest.raises(ValueError, match="bad header"):
+            read_dataset(path)
+
+    def test_label_on_some_rows_only_rejected(self, tmp_path):
+        path = tmp_path / "partial.csv"
+        header = ",".join(CSV_HEADER)
+        path.write_text(header + "\n0,0.1,500,0.2,800,0.5,0.5,0.5,80.0,high\n"
+                        "0,0.1,500,0.2,800,0.5,0.5,0.5,80.0,\n")
+        with pytest.raises(ValueError, match="row 2, column label: expected one of"):
+            read_dataset(path)
 
     def test_wrong_feature_count(self, tmp_path):
         ds = _synthetic_dataset(3)
@@ -326,13 +334,33 @@ class TestCsvRoundTrip:
 
 def _row_line(ds: Dataset, i: int) -> str:
     """Row i as csv.writer writes it, from per-element Python values."""
-    load = "" if ds.loads is None else repr(float(ds.loads[i]))
-    label = "" if ds.labels is None else ClassLabel(int(ds.labels[i])).csv_value
     buf = io.StringIO()
     csv.writer(buf).writerow(
-        [int(ds.material_index[i]), *(repr(float(v)) for v in ds.features[i]), load, label]
+        [int(ds.material_index[i]), *(repr(float(v)) for v in ds.features[i]),
+         repr(float(ds.loads[i])), ClassLabel(int(ds.labels[i])).csv_value]
     )
     return buf.getvalue()
+
+
+# values that repr writes itself, outside float_cells' fast domain, and
+# the largest integer and exponent forms around it
+_EDGE_VALUES = (0.0, 5e-324, 1e-7, 1e16, 1e17, 2.0**54, 1.7976931348623157e308)
+
+
+def _with_edges(ds: Dataset, column: str) -> Dataset:
+    """ds with one column changed: a float column holds _EDGE_VALUES on every
+    other row, and the label column one class on every row."""
+    every_other = np.arange(len(ds)) % 2 == 0
+    edges = np.resize(_EDGE_VALUES, np.count_nonzero(every_other))
+    if column == "features":
+        features = ds.features.copy()
+        features[every_other, 1] = edges
+        return ds.with_features(features)
+    if column == "loads":
+        loads = ds.loads.copy()
+        loads[every_other] = edges
+        return ds.with_loads(loads)
+    return ds.with_labels(np.full(len(ds), ClassLabel.HIGH))
 
 
 def _text(path: Path) -> str:
@@ -344,9 +372,7 @@ class TestFormatRows:
     @pytest.mark.parametrize("columns", ["features", "loads", "labels"])
     @pytest.mark.parametrize("edge", [-1, 0, 1])
     def test_equals_per_row_formula_at_chunk_edges(self, tmp_path, edge, columns):
-        ds = _synthetic_dataset(dataset_mod._FORMAT_CHUNK + edge, labels=columns == "labels")
-        if columns == "features":
-            ds = Dataset(ds.material_index, ds.features)
+        ds = _with_edges(_synthetic_dataset(dataset_mod._FORMAT_CHUNK + edge), columns)
         expected = [_row_line(ds, i) for i in range(len(ds))]
         every = np.ones(len(ds), dtype=bool)
         parts = {tmp_path / "all.csv": every, tmp_path / "none.csv": ~every,

@@ -21,7 +21,7 @@ LOW, HIGH = ClassLabel.LOW, ClassLabel.HIGH
 def fit_all_columns(x: np.ndarray, y):
     """LDA on every column of x, in order: a stack of one, from the class
     statistics of x itself."""
-    return fit_lda(class_stats(x, y).subset([range(x.shape[1])]))
+    return fit_lda(class_stats(x, y), [range(x.shape[1])])
 
 
 def _dataset(x: np.ndarray, y) -> Dataset:
@@ -153,6 +153,15 @@ class TestCrossValidation:
         a = run_efs(single_informative, metric=METRIC_CV5, cv_seed=3)
         b = run_efs(single_informative, metric=METRIC_CV5, cv_seed=3)
         assert a.all_results == b.all_results
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 4.5])
+    def test_cv_seed_outside_the_generator_range_rejected(self, single_informative, seed):
+        with pytest.raises(ValueError, match=r"cv_seed must be an integer in \[0, 2\*\*64\)"):
+            run_efs(single_informative, metric=METRIC_CV5, cv_seed=seed)
+
+    def test_largest_cv_seed_accepted(self, single_informative):
+        report = run_efs(single_informative, metric=METRIC_CV5, cv_seed=2**64 - 1)
+        assert len(report.all_results) == 127
 
     def test_cv5_differs_from_train_metric(self, single_informative):
         train = run_efs(single_informative, metric=METRIC_TRAIN)

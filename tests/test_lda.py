@@ -15,7 +15,6 @@ from envload.lda import (
     decision_grid,
     fit_lda,
     grid_axes,
-    member,
     predict_many,
 )
 from envload.preprocess import label_dataset
@@ -28,7 +27,7 @@ LOW, MED, HIGH = ClassLabel.LOW, ClassLabel.MEDIUM, ClassLabel.HIGH
 def _fit(x, y):
     """A stack of one: LDA on every column of x, in order."""
     x = np.asarray(x)
-    return fit_lda(class_stats(x, y).subset([range(x.shape[1])]))
+    return fit_lda(class_stats(x, y), [range(x.shape[1])])
 
 
 def _predict(model, x):
@@ -92,7 +91,7 @@ class TestFit:
         u = [5.0, 9.0, -4.0, -6.0, 6.0, 6.0, 0.0, -7.0]
         v = [6.0, 0.0, -7.0, -7.0, -2.0, 4.0, -2.0, 6.0]
         stats = class_stats(np.column_stack([u, v, v]), [LOW] * 4 + [HIGH] * 4)
-        stacked = fit_lda(stats.subset(np.array([[0, 1, 2]])))
+        stacked = fit_lda(stats, np.array([[0, 1, 2]]))
         assert stacked.ridge_used.tolist() == [RIDGE_LADDER[1]]
 
     def test_single_class_rejected(self):
@@ -112,14 +111,12 @@ class TestFit:
         assert math.isnan(model.ridge_used[0])
         assert not model.coef.any() and not model.intercept.any()
 
-    def test_unstacked_statistics_rejected(self):
+    def test_column_array_not_2d_rejected(self):
         x, y = _two_class_1d()
         stats = class_stats(x, y)
-        with pytest.raises(ValueError, match="stacked statistics"):
-            fit_lda(stats)
-        for cols in ([0], 0, np.zeros((1, 1, 1))):
+        for cols in ([0], 0, np.zeros((1, 1, 1), dtype=int)):
             with pytest.raises(ValueError, match=r"\(C, s\) column array"):
-                stats.subset(cols)
+                fit_lda(stats, cols)
 
     @pytest.mark.parametrize("bad", [3, -1, 0.5])
     def test_label_not_a_class_code_rejected(self, bad):
@@ -141,14 +138,14 @@ class TestClassStats:
         return x, y
 
     def test_subset_equals_stats_of_the_columns(self, data):
+        # fit_lda slices a member's statistics from the full ones: its class
+        # means and pooled covariance are those of class_stats of its columns
         x, y = data
         full = class_stats(x, y)
         for size in range(1, 8):
             for cols in itertools.combinations(range(7), size):
-                sliced, direct = full.subset([cols]), class_stats(x[:, cols], y)
+                sliced, direct = fit_lda(full, [cols]), class_stats(x[:, cols], y)
                 assert sliced.classes == direct.classes
-                assert sliced.counts.tolist() == direct.counts.tolist()
-                assert sliced.n == direct.n
                 assert sliced.cols.tolist() == [list(cols)]
                 if size > 1:
                     assert np.array_equal(sliced.means[0], direct.means)
@@ -156,13 +153,14 @@ class TestClassStats:
                     # numpy sums a one-column matrix pairwise, the columns of a
                     # wider one row by row
                     np.testing.assert_allclose(sliced.means[0], direct.means, rtol=1e-12)
-                np.testing.assert_allclose(sliced.scatter[0], direct.scatter, rtol=1e-12)
+                pooled = direct.scatter / (direct.n - len(direct.classes))
+                np.testing.assert_allclose(sliced.pooled_covariance[0], pooled, rtol=1e-12)
 
     @pytest.mark.parametrize("col", [-1, 7, 100])
     def test_column_outside_the_matrix_rejected(self, data, col):
         full = class_stats(*data)
         with pytest.raises(ValueError, match=f"column {col} is outside 0..6"):
-            full.subset([[0, 1], [col, 0]])
+            fit_lda(full, [[0, 1], [col, 0]])
 
     @pytest.mark.parametrize("cols", [[[1.7, 2.2]], [[True, False]], [[1.0, 2.0]]],
                              ids=["float", "bool", "whole-float"])
@@ -170,7 +168,7 @@ class TestClassStats:
         full = class_stats(*data)
         dtype = np.asarray(cols).dtype
         with pytest.raises(ValueError, match=f"columns must be integers, got dtype {dtype}"):
-            full.subset(cols)
+            fit_lda(full, cols)
 
     def test_counts_follow_classes(self):
         x = np.arange(7.0).reshape(7, 1)
@@ -236,7 +234,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         # a member of column 1 needs rows of at least 2 features
         x, y = _two_class_1d()
-        model = fit_lda(class_stats(np.column_stack([-x, x]), y).subset([[1]]))
+        model = fit_lda(class_stats(np.column_stack([-x, x]), y), [[1]])
         with pytest.raises(ValueError, match="at least 2 features"):
             predict_many(model, x)
 
@@ -306,7 +304,7 @@ def _grid(model, bounds, resolution):
     """decision_grid over the grid_axes values as (x, y, ClassLabel) points,
     row-major like its codes."""
     xs, ys = grid_axes(bounds, resolution)
-    codes = decision_grid(model, xs, ys).tolist()
+    codes = decision_grid(model, 0, xs, ys).tolist()
     assert len(codes) == len(xs) * len(ys)
     return [(x, y, ClassLabel(c)) for (y, x), c in zip(itertools.product(ys, xs), codes)]
 
@@ -357,31 +355,34 @@ class TestDecisionGrid:
     def test_requires_two_features(self):
         x, y = _two_class_1d()
         model = _fit(x, y)
-        with pytest.raises(ValueError, match="one 2-column member"):
-            decision_grid(model, [0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="2-column members"):
+            decision_grid(model, 0, [0.0, 1.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_member_outside_the_stack_rejected(self, i):
         x, y = _three_blobs(np.random.default_rng(5))
-        model = fit_lda(class_stats(x, y).subset([[0, 1], [1, 0]]))
-        with pytest.raises(ValueError, match="one 2-column member"):
-            decision_grid(model, [0.0, 1.0], [0.0, 1.0])
+        model = fit_lda(class_stats(x, y), [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match=f"member {i} is outside 0..1"):
+            decision_grid(model, i, [0.0, 1.0], [0.0, 1.0])
 
     def test_member_of_wider_statistics_reads_its_columns(self):
-        # a member of columns (3, 1): xs go to column 3 and ys to column 1 of
-        # full-width points, and the other columns play no part
+        # member 1 of a stack, of columns (3, 1): xs go to column 3 and ys to
+        # column 1 of full-width points, and the other columns play no part
         rng = np.random.default_rng(12)
         x2, y = _three_blobs(rng)
         wide = rng.normal(size=(len(y), 4)) * 100.0
         wide[:, [3, 1]] = x2
-        model = fit_lda(class_stats(wide, y).subset([[3, 1]]))
+        model = fit_lda(class_stats(wide, y), [[0, 2], [3, 1]])
         xs, ys = [-1.0, 2.0, 5.0], [0.0, 4.0]
-        codes = decision_grid(model, xs, ys)
+        codes = decision_grid(model, 1, xs, ys)
         points = np.full((6, 4), 1e9)
         points[:, [3, 1]] = [[x, y] for y in ys for x in xs]
-        assert codes.tolist() == predict_many(model, points)[:, 0].tolist()
+        assert codes.tolist() == predict_many(model, points)[:, 1].tolist()
         assert codes.tolist() == _predict(_fit(x2, y), [[x, y] for y in ys for x in xs])
 
     def test_uneven_axes_are_row_major(self, model_2d):
         xs, ys = [-1.0, 2.0, 5.0], [0.0, 4.0]
-        codes = decision_grid(model_2d, xs, ys)
+        codes = decision_grid(model_2d, 0, xs, ys)
         points = [[x, y] for y in ys for x in xs]
         assert codes.tolist() == predict_many(model_2d, np.array(points))[:, 0].tolist()
 
@@ -431,18 +432,20 @@ class TestStacked:
         return class_stats(ds.features, ds.labels), ds.features
 
     def test_every_member_equals_its_stack_of_one(self, stats):
-        # member(model, i) takes member i out as a stack of one: every field
-        # has the bits of fitting that member alone
+        # member i of a stack has the bits of fitting it alone in every field:
+        # entry i of a per-member field, and all of a shared one
         full, _ = stats
+        shared = {"classes", "log_priors"}
         for cols in _members_of_every_size():
-            model = fit_lda(full.subset(cols))
+            model = fit_lda(full, cols)
             assert model.cols.tolist() == cols.tolist()
+            assert not model.failed.any()
             for i, columns in enumerate(cols):
-                alone = fit_lda(full.subset([columns]))
-                one = member(model, i)
-                assert one.failed.tolist() == [False]
+                alone = fit_lda(full, [columns])
                 for field in dataclasses.fields(LdaModel):
-                    a, b = getattr(one, field.name), getattr(alone, field.name)
+                    a, b = getattr(model, field.name), getattr(alone, field.name)
+                    if field.name not in shared:
+                        a, b = a[i], b[0]
                     assert np.shape(a) == np.shape(b), field.name
                     assert _same_bits(a, b), field.name
 
@@ -451,11 +454,11 @@ class TestStacked:
         rng = np.random.default_rng(0)
         probes = np.vstack([x, x + rng.normal(size=x.shape) * x.std(axis=0)])
         for cols in _members_of_every_size():
-            model = fit_lda(full.subset(cols))
+            model = fit_lda(full, cols)
             codes = predict_many(model, probes)
             assert codes.shape == (len(probes), len(cols))
             for i, member in enumerate(cols):
-                alone = fit_lda(full.subset([member]))
+                alone = fit_lda(full, [member])
                 assert codes[:, i].tolist() == predict_many(alone, probes)[:, 0].tolist()
 
     def test_members_fail_and_retry_on_their_own(self):
@@ -465,21 +468,21 @@ class TestStacked:
         x = np.column_stack([[0.3, -1.2, 2.0, 5.1, 4.4, 7.0], np.full(6, 3.25), col, col])
         stats = class_stats(x, [LOW, LOW, LOW, HIGH, HIGH, HIGH])
         cols = np.array([[0, 1], [2, 3], [0, 2]])
-        model = fit_lda(stats.subset(cols))
+        model = fit_lda(stats, cols)
         assert model.failed.tolist() == [True, False, False]
         assert math.isnan(model.ridge_used[0])
         assert model.ridge_used[1:].tolist() == [RIDGE_LADDER[1], RIDGE_LADDER[0]]
         assert not model.coef[0].any() and not model.intercept[0].any()
-        assert fit_lda(stats.subset(cols[[0]])).failed.tolist() == [True]
+        assert fit_lda(stats, cols[[0]]).failed.tolist() == [True]
         for i in (1, 2):
-            alone = fit_lda(stats.subset(cols[[i]]))
+            alone = fit_lda(stats, cols[[i]])
             assert alone.ridge_used[0] == model.ridge_used[i]
             assert _same_bits(model.coef[i], alone.coef[0])
             assert _same_bits(model.intercept[i], alone.intercept[0])
 
     def test_every_member_failing_is_marked(self):
         stats = class_stats(np.ones((6, 3)), [LOW, LOW, LOW, HIGH, HIGH, HIGH])
-        model = fit_lda(stats.subset(np.array([[0, 1], [1, 2]])))
+        model = fit_lda(stats, np.array([[0, 1], [1, 2]]))
         assert model.failed.tolist() == [True, True]
 
     def test_all_classes_tie_goes_to_the_lower_class(self):
@@ -487,17 +490,17 @@ class TestStacked:
         x = np.array([[0.0, 2.0], [1.0, 7.0]] * 3)
         y = [LOW, LOW, MED, MED, HIGH, HIGH]
         stats = class_stats(x, y)
-        model = fit_lda(stats.subset(np.array([[0], [1]])))
+        model = fit_lda(stats, np.array([[0], [1]]))
         probes = np.array([[-5.0, 3.0], [0.5, 100.0], [9.0, -1.0]])
         codes = predict_many(model, probes)
         assert codes.tolist() == [[LOW, LOW]] * 3
         for i in range(2):
-            alone = fit_lda(stats.subset([[i]]))
+            alone = fit_lda(stats, [[i]])
             assert predict_many(alone, probes)[:, 0].tolist() == [LOW] * 3
 
     def test_chunks_do_not_change_codes(self, stats, monkeypatch):
         full, x = stats
-        model = fit_lda(full.subset(_members_of_every_size()[3]))
+        model = fit_lda(full, _members_of_every_size()[3])
         whole = predict_many(model, x)
         monkeypatch.setattr(lda_mod, "SCORE_CHUNK_BYTES", 8 * 35 * 3 * 7)  # 7 rows a chunk
         assert predict_many(model, x).tolist() == whole.tolist()
@@ -505,10 +508,7 @@ class TestStacked:
     def test_bad_stacks_rejected(self, stats):
         full, x = stats
         with pytest.raises(ValueError, match="repeats a column"):
-            full.subset(np.array([[0, 1], [2, 2]]))
-        stacked = full.subset(np.array([[0, 6]]))
-        with pytest.raises(ValueError, match="unstacked"):
-            stacked.subset(np.array([[0]]))
-        model = fit_lda(stacked)
+            fit_lda(full, np.array([[0, 1], [2, 2]]))
+        model = fit_lda(full, np.array([[0, 6]]))
         with pytest.raises(ValueError, match="7 features"):
             predict_many(model, x[:, :6])

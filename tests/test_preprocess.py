@@ -112,6 +112,15 @@ class TestSplit:
         b_train, _ = _parts(labeled_dataset, SplitConfig(seed=10))
         assert a_train != b_train
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 4.5])
+    def test_seed_outside_the_generator_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            SplitConfig(seed=seed)
+
+    def test_largest_seed_accepted(self, labeled_dataset):
+        train, test = _parts(labeled_dataset, SplitConfig(seed=2**64 - 1))
+        assert (len(train), len(test)) == (210, 390)
+
     def test_two_rows_one_class_half(self):
         ds = _labeled({ClassLabel.LOW: 2})
         train, test = _parts(ds, SplitConfig(train_fraction=0.5))
@@ -209,3 +218,13 @@ class TestNormalizer:
             Normalizer((0.0,) * 6, (1.0,) * 6)
         with pytest.raises(ValueError):
             Normalizer((0.0,) * 7, (-1.0,) * 7)
+
+    @pytest.mark.parametrize("mean, std_dev", [(0.0, math.nan), (math.nan, 1.0),
+                                               (0.0, math.inf), (-math.inf, 1.0)])
+    def test_normalizer_rejects_a_value_that_is_not_finite(self, mean, std_dev):
+        means, std_devs = [0.0] * 7, [1.0] * 7
+        means[2], std_devs[2] = mean, std_dev
+        with pytest.raises(ValueError, match=(
+                f"feature thermal_conductivity: need a finite mean and a finite std_dev "
+                f">= 0, got mean {mean}, std_dev {std_dev}")):
+            Normalizer(tuple(means), tuple(std_devs))

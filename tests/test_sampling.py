@@ -92,6 +92,11 @@ class TestSampleMaterial:
         out = sample_material(library, 0, 5, 1)
         assert np.array_equal(out, np.repeat(library.means, 5, axis=0))
 
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_index_outside_the_library_rejected(self, default_library, index):
+        with pytest.raises(ValueError, match=f"material index {index} is outside 0..5"):
+            sample_material(default_library, index, 3, 42)
+
     def test_same_seed_bit_identical(self):
         library = _library()
         a = sample_material(library, 0, 100, 42)
@@ -167,6 +172,18 @@ class TestGenerateDataset:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(n_per_material=0)
+        with pytest.raises(ValueError, match="n_per_material must be an integer, got 2.5"):
+            SamplerConfig(n_per_material=2.5)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 4.5])
+    def test_seed_outside_the_generator_range_rejected(self, seed):
+        # a seed taken modulo 2**64 would alias another: -1 that of 2**64 - 1
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            SamplerConfig(seed=seed)
+
+    def test_largest_seed_accepted(self, default_library):
+        ds = generate_dataset(default_library, SamplerConfig(seed=2**64 - 1, n_per_material=2))
+        assert len(ds) == 12
 
 
 def reference_sample(library, index, n, seed):
