@@ -6,8 +6,10 @@
 inputs as objects (Dataset, Normalizer, PcaModel, EfsReport), returns its
 outputs and writes only the files it owns; stage_split owns dataset.csv,
 train.csv and test.csv. `run` chains the stages in memory, so it writes each
-output file once and reads none of them back. The dataset and score CSVs are
-written a chunk of rows at a time, so no file's text is ever held whole.
+output file once and reads none of them back. Each stage hands its tables to
+dataset's writer as cell blocks (dataset.float_cells, text_cells and
+label_cells); write_csvs writes every CSV a chunk of rows at a time, so this
+module formats no CSV text itself and no file's text is ever held whole.
 
 Every stage records its parameters in <out>/config.json; the final
 summary.json embeds that echo so a run is fully reproducible from its
@@ -24,9 +26,9 @@ import argparse
 import json
 import sys
 from contextlib import suppress
-from itertools import chain, combinations
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,12 +40,14 @@ from .dataset import (
     Dataset,
     FeatureId,
     LABEL_NAMES,
+    N_FEATURES,
     SYSTEM_CONSTANTS,
     builtin_material_library,
     csv_text,
     float_cells,
     label_cells,
     read_dataset,  # unused here; bench/spans.py wraps it by this name, so it goes with that site
+    text_cells,
     write_csvs,
     write_dataset,
 )
@@ -86,10 +90,6 @@ def _seed(text: str) -> int:
             f"must be an integer in [0, 2**64), got {text!r}") from None
 
 
-def _float_cell(v: float) -> str:
-    return repr(float(v))
-
-
 class _Out:
     """The output directory: the files written to it so far, which a failed
     command removes again, and the config echo that becomes config.json."""
@@ -105,11 +105,11 @@ class _Out:
         self.created.append(path)
         return path
 
-    def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-        # no cell of these files needs quoting, so each line is its cells
-        # joined by commas and ended by "\r\n", as csv.writer would write it
-        with open(self.new(name), "w", newline="") as fh:
-            fh.write("\r\n".join(map(",".join, chain([header], rows))) + "\r\n")
+    def csv(self, name: str, header: Sequence[str], blocks: Sequence[np.ndarray]) -> None:
+        """Write a CSV file of the named columns, whose cells are the blocks
+        side by side (see dataset.csv_text)."""
+        write_csvs([(self.new(name), header)], len(blocks[0]),
+                   lambda rows: csv_text([b[rows] for b in blocks]))
 
     def json(self, name: str, data: dict) -> None:
         self.new(name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -157,49 +157,39 @@ def stage_split(out: _Out, dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset,
 
 def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
     model = pca_mod.fit_pca(train_n.features)
-    out.csv(
-        "scree.csv",
-        ["pc", "ratio", "cumulative"],
-        [
-            [str(i + 1), _float_cell(model.explained_variance_ratio[i]),
-             _float_cell(model.cumulative_ratio[i])]
-            for i in range(model.p)
-        ],
-    )
-    out.csv(
-        "loadings.csv",
-        ["feature"] + [f"pc{j + 1}" for j in range(model.p)],
-        [
-            [name] + [_float_cell(v) for v in row]
-            for name, row in pca_mod.loading_report(model)
-        ],
-    )
+    pcs = np.arange(model.p)
+    out.csv("scree.csv", ["pc", "ratio", "cumulative"],
+            [text_cells([f",{i + 1}" for i in pcs], pcs),
+             float_cells(np.column_stack([model.explained_variance_ratio,
+                                          model.cumulative_ratio]))])
+    names, loadings = zip(*pca_mod.loading_report(model))
+    out.csv("loadings.csv", ["feature"] + [f"pc{j + 1}" for j in pcs],
+            [text_cells([f",{name}" for name in names], np.arange(len(names))),
+             float_cells(np.array(loadings))])
     scores = pca_mod.project(model, train_n.features, [1, 2, 3])
     pairs = ((1, 2), (1, 3), (2, 3))
 
     def chunk_text(rows: slice) -> list:
         # each PC's scores are formatted once and shared by the two files that show it
-        cells = float_cells(scores[rows]).reshape(*scores[rows].shape, -1)
-        ends = label_cells(train_n.labels[rows])
-        return [csv_text([cells[:, i - 1], cells[:, j - 1], ends])[0] for i, j in pairs]
+        cells = float_cells(scores[rows])
+        labels = label_cells(train_n.labels[rows])
+        return [csv_text([cells[:, i - 1], cells[:, j - 1], labels])[0] for i, j in pairs]
 
-    write_csvs([(out.new(f"scores_{i}_{j}.csv"), f"pc{i},pc{j},label") for i, j in pairs],
-               len(scores), chunk_text)
+    write_csvs([(out.new(f"scores_{i}_{j}.csv"), (f"pc{i}", f"pc{j}", "label"))
+                for i, j in pairs], len(scores), chunk_text)
     return model
 
 
 def stage_efs(out: _Out, train: Dataset, metric: str, cv_seed: int) -> efs_mod.EfsReport:
     out.echo["efs"] = {"metric": metric, "cv_seed": cv_seed}
     report = efs_mod.run_efs(train, metric=metric, cv_seed=cv_seed)
-    out.csv(
-        "efs_accuracy.csv",
-        ["subset", "size", "metric", "flag"],
-        [
-            [r.subset_names(), str(len(r.subset)), _float_cell(r.metric_value),
-             str(int(r.fit_failed))]
-            for r in report.all_results
-        ],
-    )
+    results = report.all_results
+    sizes = np.array([len(r.subset) for r in results])
+    out.csv("efs_accuracy.csv", ["subset", "size", "metric", "flag"],
+            [text_cells([f",{r.subset_names()}" for r in results], np.arange(len(results))),
+             text_cells([f",{size}" for size in range(1, N_FEATURES + 1)], sizes - 1),
+             float_cells(np.array([r.metric_value for r in results])),
+             text_cells([",0", ",1"], np.array([r.fit_failed for r in results], dtype=np.intp))])
     return report
 
 
@@ -259,11 +249,10 @@ def _emit_decision_grids(
         xs_z, ys_z = ((np.array(axis) - norm.means[f]) / norm.std_devs[f]
                       for axis, f in zip(axes, (f1, f2)))
         codes = lda_mod.decision_grid(model, i, xs_z, ys_z)
-        xs, ys = (list(map(repr, axis)) for axis in axes)
+        xs, ys = (float_cells(np.array(axis)) for axis in axes)
         # points in decision_grid's order: y outer, x inner
         out.csv(f"decision_grid_{pair}.csv", ["x", "y", "label"],
-                zip(xs * len(ys), [y for y in ys for _ in xs],
-                    map(LABEL_NAMES.__getitem__, codes.tolist())))
+                [np.tile(xs, (len(ys), 1)), np.repeat(ys, len(xs), axis=0), label_cells(codes)])
 
 
 def stage_train(

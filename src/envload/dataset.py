@@ -272,12 +272,12 @@ def builtin_material_library() -> MaterialLibrary:
 # separator, no locale dependence. Float cells are byte-identical to repr(), so
 # read(write(d)) == d bit-exactly.
 #
-# Writers build a chunk of rows at a time from cell blocks. A block is a
-# uint8 array with one row per line; each cell is a comma and its text, with
-# NUL bytes wherever the block's fixed layout holds no text. A line is its
-# blocks side by side, less the NULs and its first comma. So no per-line
-# Python runs, and only one chunk's cells are alive at a time, never a
-# whole file's text.
+# Every CSV file is written by write_csvs, a chunk of rows at a time, from
+# cell blocks. A block is a uint8 array with one row per line; each cell is
+# a comma and its text, with NUL bytes wherever the block's fixed layout
+# holds no text. A line is its blocks side by side, less the NULs and its
+# first comma, then "\r\n", which csv_text adds. So no per-line Python runs,
+# and only one chunk's cells are alive at a time, never a whole file's text.
 
 CSV_HEADER = ("material_index",) + FEATURE_COLUMNS + ("load", "label")
 
@@ -285,12 +285,17 @@ CSV_HEADER = ("material_index",) + FEATURE_COLUMNS + ("load", "label")
 # peak RSS of repeated 6 000-row runs by about 1 MiB; 512 rows cost a few
 # percent more time and almost no memory.
 _FORMAT_CHUNK = 512
+_LINE_END = np.frombuffer(b"\r\n", dtype=np.uint8).reshape(1, 2)
 
 _U64 = np.uint64
 # A float cell, 40 bytes: ',' '-' 17 integer digits '.' 20 fraction digits,
 # ten 4-byte words of _repr_tables' word table.
 _POINT = 19  # the byte of the '.'
 _CELL = 40
+# float_cells writes a shorter array by repr. The kernel costs about 0.3-0.4
+# ms a call up to a few hundred values, repr about 1.5 us a value, so they
+# cross near 300 values (2-core x86-64 VM, Python 3.11, numpy 2.4).
+_KERNEL_MIN = 256
 
 
 class _ReprTables(NamedTuple):
@@ -326,8 +331,9 @@ def _repr_tables() -> _ReprTables:
 
 
 def float_cells(values: np.ndarray) -> np.ndarray:
-    """The cells "," + repr(float(v)) of float64 values, in C order, as a
-    (values.size, 40) uint8 block, NUL where a cell's layout holds no text.
+    """The cells "," + repr(float(v)) of float64 values, as a uint8 block of
+    shape values.shape + (w,), NUL where a cell's layout holds no text. w is
+    40, or the longest cell where every value is written by repr.
 
     repr gives the shortest decimal that reads back as v, and of those the
     one nearest to v (Steele & White; Gay). Ryu (Adams, PLDI 2018) finds
@@ -343,18 +349,30 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     Every other value is written by repr itself: zero, subnormals, values
     outside the domain, exponent form (decimal point at -4 or below, or
     above 16) and an exact vr (Ryu's trailing-zero case, where round half
-    even applies).
+    even applies). So is every value of an array of fewer than _KERNEL_MIN,
+    where the kernel's fixed cost exceeds repr's.
     """
+    shape = np.shape(values)
     values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    cells = _repr_cells(values, 0) if len(values) < _KERNEL_MIN else _ryu_cells(values)
+    return cells.reshape(*shape, cells.shape[1])
+
+
+def _ryu_cells(values: np.ndarray) -> np.ndarray:
+    """float_cells of a 1-d array by the kernel, 40 bytes a cell."""
     out, frac, point, fast = _shortest(values.view(_U64))
     cells = _digit_cells(out, frac)
     row = ((values < 0.0) * 18 + np.maximum(point, 1)) * 21 + np.maximum(frac, 1)
     cells &= np.take(_repr_tables().text, row, axis=0)  # NUL where the cell has no text
     slow = np.flatnonzero(~fast)
     if len(slow):
-        cells[slow] = text_cells(["," + repr(v) for v in values[slow].tolist()],
-                                 np.arange(len(slow)), _CELL)
+        cells[slow] = _repr_cells(values[slow], _CELL)
     return cells
+
+
+def _repr_cells(values: np.ndarray, width: int) -> np.ndarray:
+    """The cells of a 1-d array, each written by repr (see text_cells)."""
+    return text_cells(["," + repr(v) for v in values.tolist()], np.arange(len(values)), width)
 
 
 def _digit_cells(out: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -450,39 +468,38 @@ def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def text_cells(texts: Sequence[str], codes: np.ndarray, width: int = 0) -> np.ndarray:
-    """The block of cells texts[c] for the codes c, padded with NULs to
-    width (default: the longest text)."""
-    encoded = [text.encode() for text in texts]
-    width = width or max(map(len, encoded))
-    table = np.frombuffer(b"".join(e.ljust(width, b"\0") for e in encoded),
-                          dtype=np.uint8).reshape(len(encoded), width)
-    return np.take(table, codes, axis=0)
+    """The block of cells texts[c] for the codes c, ASCII padded with NULs
+    to width (default: the longest text)."""
+    table = np.array(texts, dtype=f"S{width}" if width else "S")
+    return np.take(table, codes).view(np.uint8).reshape(*codes.shape, table.itemsize)
 
 
 def label_cells(labels: np.ndarray) -> np.ndarray:
-    """The last cell of each line: the label of its code and the line end."""
-    return text_cells([f",{name}\r\n" for name in LABEL_NAMES], labels)
+    """The label cell of each class code."""
+    return text_cells([f",{name}" for name in LABEL_NAMES], labels)
 
 
 def csv_text(blocks: Sequence[np.ndarray], row_masks: Iterable[np.ndarray] = ()) -> list:
     """The text, as uint8, of the lines whose cells are the blocks side by
-    side, then of the lines where each row mask is true. A block holds its
-    lines in C order, as many as the last block's length."""
-    n = len(blocks[-1])
-    lines = np.concatenate([b.reshape(n, -1) for b in blocks], axis=1)
+    side, each ended by "\r\n", then of the lines where each row mask is
+    true. A block's first axis is the lines; the rest hold their cells in C
+    order."""
+    n = len(blocks[0])
+    line_ends = np.repeat(_LINE_END, n, axis=0)
+    lines = np.concatenate([b.reshape(n, -1) for b in blocks] + [line_ends], axis=1)
     lines[:, 0] = 0  # a line has no leading comma
     return [part[part != 0] for part in chain([lines], (lines[m] for m in row_masks))]
 
 
-def write_csvs(files: Sequence[tuple[str | Path, str]], n_rows: int,
+def write_csvs(files: Sequence[tuple[str | Path, Sequence[str]]], n_rows: int,
                chunk_text: Callable[[slice], Sequence[np.ndarray]]) -> None:
     """Write CSV files in one pass over chunks of n_rows rows: files gives
-    each path and its header, and chunk_text(rows) each file's text of a
-    slice of rows (see csv_text)."""
+    each path and its column names, and chunk_text(rows) each file's text of
+    a slice of rows (see csv_text)."""
     with ExitStack() as stack:
         handles = [stack.enter_context(open(path, "wb")) for path, _ in files]
         for fh, (_, header) in zip(handles, files):
-            fh.write(f"{header}\r\n".encode())
+            fh.write(f"{','.join(header)}\r\n".encode())
         for start in range(0, n_rows, _FORMAT_CHUNK):
             for fh, text in zip(handles, chunk_text(slice(start, start + _FORMAT_CHUNK))):
                 fh.write(text)
@@ -504,7 +521,7 @@ def write_dataset(dataset: Dataset, path: str | Path,
                   label_cells(dataset.labels[rows])]
         return csv_text(blocks, [mask[rows] for mask in parts.values()])
 
-    write_csvs([(p, ",".join(CSV_HEADER)) for p in (path, *parts)], len(dataset), chunk_text)
+    write_csvs([(p, CSV_HEADER) for p in (path, *parts)], len(dataset), chunk_text)
 
 
 def read_dataset(path: str | Path) -> Dataset:
@@ -527,8 +544,7 @@ def read_dataset(path: str | Path) -> Dataset:
 def _parse_row(rownum: int, cells: list[str]) -> tuple:
     """(material_index, features, load, label code) of a row's cells."""
     if len(cells) != len(CSV_HEADER):
-        got = len(cells) - len(CSV_HEADER) + N_FEATURES
-        raise ValueError(f"row {rownum}: expected {N_FEATURES} features, got {got}")
+        raise ValueError(f"row {rownum}: expected {len(CSV_HEADER)} cells, got {len(cells)}")
     row = f"row {rownum}"
     return (
         _cell(row, "material_index", cells[0], int, "an integer >= 0", lambda v: v >= 0),

@@ -13,21 +13,24 @@ instead of aborting the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, FeatureId, N_FEATURES
+from .dataset import FEATURE_COLUMNS, Dataset, FeatureId, N_FEATURES
 from .lda import class_stats, fit_lda, predict_many
 from .sampling import Xoshiro256pp, check_seed
 
 METRIC_TRAIN = "train_accuracy"
 METRIC_CV5 = "cv5"
 CV_FOLDS = 5
-# Every non-empty subset of the feature indices, in enumeration order.
-SUBSETS = tuple(cols for size in range(1, N_FEATURES + 1)
-                for cols in combinations(range(N_FEATURES), size))
+# The subsets of each size s as one (C, s) array of feature indices, fit as
+# one stacked LDA; SUBSETS is every non-empty subset, in enumeration order.
+_STACKS = tuple(np.array(list(combinations(range(N_FEATURES), size)))
+                for size in range(1, N_FEATURES + 1))
+SUBSETS = tuple(tuple(cols) for stack in _STACKS for cols in stack.tolist())
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ class SubsetResult:
     fit_failed: bool
 
     def subset_names(self) -> str:
-        return "+".join(f.column_name for f in self.subset)
+        return "+".join([FEATURE_COLUMNS[f] for f in self.subset])
 
 
 @dataclass(frozen=True)
@@ -59,45 +62,32 @@ def _cv_fold_ids(n: int, seed: int) -> np.ndarray:
 
 
 def _pooled_accuracies(
-    subsets: Sequence[tuple[int, ...]],
-    x: np.ndarray,
-    y: np.ndarray,
-    folds: Sequence[tuple[np.ndarray | slice, np.ndarray | slice]],
+    x: np.ndarray, y: np.ndarray, folds: Sequence[tuple[np.ndarray | slice, np.ndarray | slice]]
 ) -> list[tuple[float, bool]]:
-    """(accuracy, fit failed) per subset. For each (fit rows, scored rows) of
-    folds, every subset is fit on the fit rows and its correct predictions on
-    the scored rows are counted; accuracy is the total over all len(y) rows.
-    A subset whose fit fails in any fold scores 0.
+    """(accuracy, fit failed) per subset of SUBSETS. For each (fit rows,
+    scored rows) of folds, every subset is fit on the fit rows and its
+    correct predictions on the scored rows are counted; accuracy is the
+    total over all len(y) rows. A subset whose fit fails in any fold scores 0.
 
     The subsets of one size are fit as one stacked model and scored in one
     predict_many pass."""
-    stacks, start = [], 0
-    for _, same_size in groupby(subsets, key=len):
-        cols = np.array(list(same_size))
-        stacks.append((slice(start, start + len(cols)), cols))
-        start += len(cols)
-    correct = np.zeros(len(subsets), dtype=np.int64)
-    failed = np.zeros(len(subsets), dtype=bool)
+    correct, failed = [0] * len(_STACKS), [False] * len(_STACKS)  # summed per stack
     for fit_rows, scored_rows in folds:
         try:
             stats = class_stats(x[fit_rows], y[fit_rows])
         except ValueError:
-            return [(0.0, True)] * len(subsets)
+            return [(0.0, True)] * len(SUBSETS)
         x_scored, y_scored = x[scored_rows], y[scored_rows]
-        for members, cols in stacks:
+        for k, cols in enumerate(_STACKS):
             model = fit_lda(stats, cols)
             hits = predict_many(model, x_scored) == y_scored[:, None]
-            correct[members] += np.count_nonzero(hits, axis=0)
-            failed[members] |= model.failed
+            correct[k] += np.count_nonzero(hits, axis=0)
+            failed[k] |= model.failed
     return [(0.0, True) if f else (c / len(y), False)
-            for c, f in zip(correct.tolist(), failed.tolist())]
+            for c, f in zip(np.concatenate(correct).tolist(), np.concatenate(failed).tolist())]
 
 
-def run_efs(
-    train: Dataset,
-    metric: str = METRIC_TRAIN,
-    cv_seed: int = 42,
-) -> EfsReport:
+def run_efs(train: Dataset, metric: str = METRIC_TRAIN, cv_seed: int = 42) -> EfsReport:
     """Evaluate LDA on every non-empty feature subset of the training set."""
     if metric not in (METRIC_TRAIN, METRIC_CV5):
         raise ValueError(f"unknown metric {metric!r}")
@@ -114,24 +104,14 @@ def run_efs(
     else:
         fold_of = _cv_fold_ids(len(y), cv_seed)
         folds = [(fold_of != f, fold_of == f) for f in range(CV_FOLDS)]
-    results = [
-        SubsetResult(tuple(FeatureId(i) for i in cols), value, failed)
-        for cols, (value, failed) in zip(SUBSETS, _pooled_accuracies(SUBSETS, x, y, folds))
-    ]
-    return build_report(results, metric)
-
-
-def build_report(results: Sequence[SubsetResult], metric: str) -> EfsReport:
-    """Report over results in enumeration order: the best subset of each size
-    and overall, where a tie goes to the subset enumerated first."""
-    best_per_size: dict[int, SubsetResult] = {}
-    overall_best: SubsetResult | None = None
-    for result in results:
-        current = best_per_size.get(len(result.subset))
-        if current is None or result.metric_value > current.metric_value:
-            best_per_size[len(result.subset)] = result
-        if overall_best is None or result.metric_value > overall_best.metric_value:
-            overall_best = result
-    if overall_best is None:
-        raise ValueError("no subset results to report")
-    return EfsReport(tuple(results), best_per_size, overall_best, metric)
+    features = tuple(FeatureId)  # indexed, as FeatureId(i) costs a lookup per call
+    results = tuple(
+        SubsetResult(tuple([features[i] for i in cols]), value, failed)
+        for cols, (value, failed) in zip(SUBSETS, _pooled_accuracies(x, y, folds))
+    )
+    # the best subset of each size and overall; max keeps the first of a tie,
+    # the subset enumerated first
+    best = attrgetter("metric_value")
+    best_per_size = {size: max((r for r in results if len(r.subset) == size), key=best)
+                     for size in range(1, N_FEATURES + 1)}
+    return EfsReport(results, best_per_size, max(results, key=best), metric)

@@ -253,6 +253,13 @@ def material_stream(seed: int, material_index: int) -> Xoshiro256pp:
     return Xoshiro256pp(sub_seed)
 
 
+def _check_count(n: int, name: str) -> None:
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def check_seed(seed: int, name: str = "seed") -> int:
     """seed as an int, if it is an integer in [0, 2**64): the generators take
     a seed modulo 2**64, so one outside would alias another."""
@@ -268,21 +275,19 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
-        if not isinstance(self.n_per_material, (int, np.integer)):
-            raise ValueError(f"n_per_material must be an integer, got {self.n_per_material!r}")
-        if self.n_per_material < 1:
-            raise ValueError(f"n_per_material must be >= 1, got {self.n_per_material}")
+        _check_count(self.n_per_material, "n_per_material")
 
 
 def sample_material(library: MaterialLibrary, index: int, n: int, seed: int) -> np.ndarray:
     """Draw n feature vectors of material `index` from its own stream,
     material_stream(seed, index); returns an (n, 7) array.
 
-    Raises ValueError when a component stays invalid for
+    Raises ValueError for a seed outside [0, 2**64), an n that is not an
+    integer >= 1, or when a component stays invalid for
     MAX_REJECTIONS_PER_DRAW consecutive draws.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_seed(seed)
+    _check_count(n, "n")
     if not 0 <= index < len(library):
         raise ValueError(f"material index {index} is outside 0..{len(library) - 1}")
     stream = material_stream(seed, index)

@@ -107,7 +107,7 @@ def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["row_index", "load"]:
+        if header is None or [h.strip() for h in header] != ["row_index", "load"]:
             raise ValueError(f"{path}, line 1: expected header 'row_index,load'")
         for cells in reader:
             if not cells:

@@ -301,7 +301,14 @@ class TestCsvRoundTrip:
         del cells[3]  # drop one feature cell
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="row 2: expected 7 features"):
+        with pytest.raises(ValueError, match="row 2: expected 10 cells, got 9"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("row, count", [("0,0.1", 2), ("0," + "0.5," * 9 + "low", 11)])
+    def test_row_of_the_wrong_length_names_its_cell_count(self, tmp_path, row, count):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"^row 1: expected 10 cells, got {count}$"):
             read_dataset(path)
 
     def test_bad_label_rejected(self, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from envload import dataset as dataset_mod
-from envload.dataset import float_cells
+from envload.dataset import _KERNEL_MIN, csv_text, float_cells
 
 U64 = np.uint64
 
@@ -15,7 +15,7 @@ U64 = np.uint64
 def _assert_repr(values):
     values = np.asarray(values, dtype=np.float64)
     cells = float_cells(values)
-    assert cells.shape == (len(values), 40)
+    assert cells.shape[0] == len(values) and cells.shape[1] <= 40
     got = cells[cells != 0].tobytes()
     expected = "".join("," + repr(v) for v in values.tolist()).encode()
     if got != expected:
@@ -108,10 +108,36 @@ class TestFallback:
         3.0,
     ])
     def test_each_fallback_case(self, fallback_texts, value):
-        _assert_repr([0.1, value, 123.456])
+        # enough fast-path values that the kernel, not the size rule, runs
+        _assert_repr([0.1] * _KERNEL_MIN + [value, 123.456])
         assert fallback_texts == ["," + repr(value)]
 
     def test_fast_path_takes_no_fallback(self, fallback_texts):
         rng = np.random.default_rng(3)
         _assert_repr(rng.normal(size=10_000) * 1000.0)
         assert fallback_texts == []
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize("n", [0, 1, _KERNEL_MIN - 1, _KERNEL_MIN])
+    def test_either_side_of_the_kernel_minimum(self, n):
+        values = np.random.default_rng(n).normal(size=n) * 1000.0
+        special = [0.0, -0.0, 0.5, 7e-5, 2e16][:n]  # values the kernel leaves to repr
+        values[:len(special)] = special
+        _assert_repr(values)
+
+    def test_shape_is_the_values_shape_then_the_cell(self):
+        assert float_cells(np.ones((3, 2))).shape == (3, 2, len(",1.0"))  # the longest repr
+        assert float_cells(np.ones((300, 2))).shape == (300, 2, 40)  # the kernel's layout
+
+
+class TestCsvText:
+    def test_lines_without_a_label_column_end_in_crlf(self):
+        values = np.array([[1.5, -2.0], [0.1, 3e-5]])
+        text, = csv_text([float_cells(values[:, 0]), float_cells(values[:, 1])])
+        assert text.tobytes() == b"1.5,-2.0\r\n0.1,3e-05\r\n"
+
+    def test_row_masks_pick_their_lines(self):
+        cells = float_cells(np.arange(3.0))
+        _, picked = csv_text([cells], [np.array([True, False, True])])
+        assert picked.tobytes() == b"0.0\r\n2.0\r\n"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,17 @@ class TestSampleMaterial:
         for f in (FeatureId.SOLAR_ABSORPTANCE, FeatureId.VISUAL_ABSORPTANCE,
                   FeatureId.THERMAL_ABSORPTANCE):
             assert np.all((out[:, f] > 0.0) & (out[:, f] < 1.0))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 4.5])
+    def test_seed_outside_the_generator_range_rejected(self, default_library, seed):
+        # -1 would alias 2**64 - 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer in [0, 2**64), got {seed!r}")):
+            sample_material(default_library, 0, 3, seed)
+
+    def test_non_integer_n_rejected(self, default_library):
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+            sample_material(default_library, 0, 2.5, 42)
 
     def test_rejection_exhaustion_names_material_and_feature(self):
         means = [0.1, -5.0, 0.5, 900.0, 0.5, 0.5, 0.5]  # density can never be valid

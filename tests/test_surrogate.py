@@ -262,6 +262,14 @@ class TestIngest:
         with pytest.raises(ValueError, match="header"):
             ingest_external_loads(default_dataset, path)
 
+    def test_header_with_an_extra_column_rejected(self, tmp_path, default_dataset):
+        # the header check must not pass a file whose every row it then rejects
+        path = tmp_path / "loads.csv"
+        path.write_text("row_index,load,extra\n0,80,1\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 1: expected header 'row_index,load'")):
+            ingest_external_loads(default_dataset, path)
+
 
 class TestConfig:
     def test_json_roundtrip(self):
