@@ -7,14 +7,15 @@ inputs as objects (Dataset, Normalizer, PcaModel, EfsReport), returns its
 outputs and writes only the files it owns; stage_split owns dataset.csv,
 train.csv and test.csv. `run` chains the stages in memory, so it writes each
 output file once and reads none of them back. Each stage hands its tables to
-dataset's writer as cell blocks (dataset.float_cells, text_cells and
-label_cells); write_csvs writes every CSV a chunk of rows at a time, so this
-module formats no CSV text itself and no file's text is ever held whole.
+dataset's writer as cell blocks (dataset.float_cells and text_cells);
+write_csvs writes every CSV a chunk of rows at a time, so this module formats
+no CSV text itself and no file's text is ever held whole.
 
-Every stage records its parameters in <out>/config.json; the final
-summary.json embeds that echo so a run is fully reproducible from its
-outputs. Plot data is emitted as CSV for external tools; nothing is
-rendered here.
+The config classes (SamplerConfig, SurrogateConfig, Thresholds, SplitConfig)
+state each run parameter once: they give the options their defaults, and
+the config echo, built before any stage runs, is their asdict. It is
+<out>/config.json and part of summary.json, so a run is reproducible from
+its outputs. Plot data is CSV for external tools; nothing is rendered here.
 
 Exit codes: 0 success, 1 usage error (bad option values included, checked
 before any stage runs), 2 pipeline error.
@@ -26,6 +27,7 @@ import argparse
 import json
 import sys
 from contextlib import suppress
+from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -45,7 +47,6 @@ from .dataset import (
     builtin_material_library,
     csv_text,
     float_cells,
-    label_cells,
     read_dataset,  # unused here; bench/spans.py wraps it by this name, so it goes with that site
     text_cells,
     write_csvs,
@@ -63,7 +64,6 @@ from .preprocess import (
 from .sampling import SamplerConfig, check_seed, generate_dataset
 from .surrogate import (
     SurrogateConfig,
-    config_to_json,
     ingest_external_loads,
     load_config,
     simulate_dataset,
@@ -91,13 +91,12 @@ def _seed(text: str) -> int:
 
 
 class _Out:
-    """The output directory: the files written to it so far, which a failed
-    command removes again, and the config echo that becomes config.json."""
+    """The output directory and the files written to it so far, which a
+    failed command removes again."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.created: list[Path] = []
-        self.echo: dict = {}
 
     def new(self, name: str) -> Path:
         """The path of a file about to be written, recorded before it is opened."""
@@ -118,37 +117,21 @@ class _Out:
 # ---------------------------------------------------------------------------
 # pipeline stages
 
-def stage_generate(out: _Out, cfg: SamplerConfig) -> Dataset:
-    out.echo["generate"] = {"seed": cfg.seed, "n_per_material": cfg.n_per_material}
+def stage_generate(cfg: SamplerConfig) -> Dataset:
     return generate_dataset(builtin_material_library(), cfg)
 
 
-def stage_simulate(out: _Out, dataset: Dataset, cfg: SurrogateConfig) -> Dataset:
-    out.echo["surrogate"] = {
-        "config": config_to_json(cfg),
-        "system_constants": SYSTEM_CONSTANTS,
-    }
+def stage_simulate(dataset: Dataset, cfg: SurrogateConfig) -> Dataset:
     return simulate_dataset(dataset, cfg)
 
 
-def stage_ingest(out: _Out, dataset: Dataset, loads_path: str) -> Dataset:
-    out.echo["ingest"] = {"loads_path": str(loads_path)}
-    return ingest_external_loads(dataset, loads_path)
-
-
-def stage_label(out: _Out, dataset: Dataset, thresholds: Thresholds) -> Dataset:
-    out.echo["thresholds"] = {"low_max": thresholds.low_max, "high_min": thresholds.high_min}
+def stage_label(dataset: Dataset, thresholds: Thresholds) -> Dataset:
     return label_dataset(dataset, thresholds)
 
 
 def stage_split(out: _Out, dataset: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
     """Split a dataset, and write it as dataset.csv with its two parts as
     train.csv and test.csv, each row formatted once."""
-    out.echo["split"] = {
-        "train_fraction": cfg.train_fraction,
-        "seed": cfg.seed,
-        "stratified": cfg.stratified,
-    }
     in_train = split(dataset, cfg)
     write_dataset(dataset, out.new("dataset.csv"),
                   {out.new("train.csv"): in_train, out.new("test.csv"): ~in_train})
@@ -159,12 +142,12 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
     model = pca_mod.fit_pca(train_n.features)
     pcs = np.arange(model.p)
     out.csv("scree.csv", ["pc", "ratio", "cumulative"],
-            [text_cells([f",{i + 1}" for i in pcs], pcs),
+            [text_cells(pcs + 1, pcs),
              float_cells(np.column_stack([model.explained_variance_ratio,
                                           model.cumulative_ratio]))])
     names, loadings = zip(*pca_mod.loading_report(model))
     out.csv("loadings.csv", ["feature"] + [f"pc{j + 1}" for j in pcs],
-            [text_cells([f",{name}" for name in names], np.arange(len(names))),
+            [text_cells(names, np.arange(len(names))),
              float_cells(np.array(loadings))])
     scores = pca_mod.project(model, train_n.features, [1, 2, 3])
     pairs = ((1, 2), (1, 3), (2, 3))
@@ -172,7 +155,7 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
     def chunk_text(rows: slice) -> list:
         # each PC's scores are formatted once and shared by the two files that show it
         cells = float_cells(scores[rows])
-        labels = label_cells(train_n.labels[rows])
+        labels = text_cells(LABEL_NAMES, train_n.labels[rows])
         return [csv_text([cells[:, i - 1], cells[:, j - 1], labels])[0] for i, j in pairs]
 
     write_csvs([(out.new(f"scores_{i}_{j}.csv"), (f"pc{i}", f"pc{j}", "label"))
@@ -181,15 +164,14 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
 
 
 def stage_efs(out: _Out, train: Dataset, metric: str, cv_seed: int) -> efs_mod.EfsReport:
-    out.echo["efs"] = {"metric": metric, "cv_seed": cv_seed}
     report = efs_mod.run_efs(train, metric=metric, cv_seed=cv_seed)
     results = report.all_results
     sizes = np.array([len(r.subset) for r in results])
     out.csv("efs_accuracy.csv", ["subset", "size", "metric", "flag"],
-            [text_cells([f",{r.subset_names()}" for r in results], np.arange(len(results))),
-             text_cells([f",{size}" for size in range(1, N_FEATURES + 1)], sizes - 1),
+            [text_cells([r.subset_names() for r in results], np.arange(len(results))),
+             text_cells(range(1, N_FEATURES + 1), sizes - 1),
              float_cells(np.array([r.metric_value for r in results])),
-             text_cells([",0", ",1"], np.array([r.fit_failed for r in results], dtype=np.intp))])
+             text_cells([0, 1], np.array([r.fit_failed for r in results], dtype=np.intp))])
     return report
 
 
@@ -252,7 +234,8 @@ def _emit_decision_grids(
         xs, ys = (float_cells(np.array(axis)) for axis in axes)
         # points in decision_grid's order: y outer, x inner
         out.csv(f"decision_grid_{pair}.csv", ["x", "y", "label"],
-                [np.tile(xs, (len(ys), 1)), np.repeat(ys, len(xs), axis=0), label_cells(codes)])
+                [np.tile(xs, (len(ys), 1)), np.repeat(ys, len(xs), axis=0),
+                 text_cells(LABEL_NAMES, codes)])
 
 
 def stage_train(
@@ -264,8 +247,8 @@ def stage_train(
     pca_model: pca_mod.PcaModel,
     report: efs_mod.EfsReport,
     grid_resolution: int,
+    echo: dict,
 ) -> None:
-    out.echo["train"] = {"grid_resolution": grid_resolution}
     test_n = apply_normalizer(norm, test)
     pca_features = pca_mod.top_features(pca_model, 4)
     efs_features = list(report.best_per_size[4].subset)
@@ -279,7 +262,7 @@ def stage_train(
     train_counts = _class_counts(train.labels)
     test_counts = _class_counts(test.labels)
     summary = {
-        "config": out.echo,
+        "config": echo,
         "counts": {
             "total": len(train) + len(test),
             "per_class": {k: train_counts[k] + test_counts[k] for k in train_counts},
@@ -317,8 +300,9 @@ def stage_train(
 # command wiring
 
 def _configs(args: argparse.Namespace) -> argparse.Namespace:
-    """Every config object that the options describe, built before any stage
-    runs; a bad value raises ValueError (or OSError for a JSON file)."""
+    """Every config object that the options describe, and the config echo of
+    them all, built before any stage runs; a bad value raises ValueError (or
+    OSError for a JSON file)."""
     cfg = argparse.Namespace(
         sampler=SamplerConfig(seed=args.seed, n_per_material=args.n_per_material),
         surrogate=(load_config(args.surrogate_config) if args.surrogate_config
@@ -330,6 +314,17 @@ def _configs(args: argparse.Namespace) -> argparse.Namespace:
     )
     if args.grid_resolution < 2:
         raise ValueError(f"--grid-resolution must be >= 2, got {args.grid_resolution}")
+    loads = ({"ingest": {"loads_path": args.ingest_loads}} if args.ingest_loads
+             else {"surrogate": {"config": asdict(cfg.surrogate),
+                                 "system_constants": SYSTEM_CONSTANTS}})
+    cfg.echo = {
+        "generate": asdict(cfg.sampler),
+        **loads,
+        "thresholds": asdict(cfg.thresholds),
+        "split": asdict(cfg.split),
+        "efs": {"metric": cfg.metric, "cv_seed": args.cv_seed},
+        "train": {"grid_resolution": args.grid_resolution},
+    }
     return cfg
 
 
@@ -337,15 +332,15 @@ def _pipeline(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> I
     """Every stage in memory. Yields each stage's name before running it;
     each dataset is dropped once the next stage has replaced it."""
     yield "generate"
-    dataset = stage_generate(out, cfg.sampler)
+    dataset = stage_generate(cfg.sampler)
     if args.ingest_loads:
         yield "ingest"
-        dataset = stage_ingest(out, dataset, args.ingest_loads)
+        dataset = ingest_external_loads(dataset, args.ingest_loads)
     else:
         yield "simulate"
-        dataset = stage_simulate(out, dataset, cfg.surrogate)
+        dataset = stage_simulate(dataset, cfg.surrogate)
     yield "label"
-    dataset = stage_label(out, dataset, cfg.thresholds)
+    dataset = stage_label(dataset, cfg.thresholds)
     yield "split"
     train, test = stage_split(out, dataset, cfg.split)
     del dataset
@@ -356,21 +351,22 @@ def _pipeline(args: argparse.Namespace, cfg: argparse.Namespace, out: _Out) -> I
     yield "efs"
     report = stage_efs(out, train, cfg.metric, args.cv_seed)
     yield "train"
-    stage_train(out, train, test, norm, train_n, pca_model, report, args.grid_resolution)
+    stage_train(out, train, test, norm, train_n, pca_model, report, args.grid_resolution, cfg.echo)
 
 
-# `run`'s options: argparse keywords by flag
+# `run`'s options: argparse keywords by flag; a config class's field gives
+# its option's default
 _OPTIONS = {
-    "--seed": dict(type=_seed, default=42, help="sampler seed"),
-    "--n-per-material": dict(type=int, default=100),
+    "--seed": dict(type=_seed, default=SamplerConfig.seed, help="sampler seed"),
+    "--n-per-material": dict(type=int, default=SamplerConfig.n_per_material),
     "--surrogate-config": dict(default=None, metavar="JSON",
                                help="JSON file overriding surrogate constants"),
     "--ingest-loads": dict(default=None, metavar="CSV",
                            help="attach externally computed loads instead of simulating"),
-    "--low-max": dict(type=float, default=75.0),
-    "--high-min": dict(type=float, default=90.0),
-    "--train-frac": dict(type=float, default=0.35),
-    "--split-seed": dict(type=_seed, default=42),
+    "--low-max": dict(type=float, default=Thresholds.low_max),
+    "--high-min": dict(type=float, default=Thresholds.high_min),
+    "--train-frac": dict(type=float, default=SplitConfig.train_fraction),
+    "--split-seed": dict(type=_seed, default=SplitConfig.seed),
     "--no-stratify": dict(action="store_true"),
     "--efs-metric": dict(choices=sorted(_EFS_METRIC_FLAGS), default="train"),
     "--cv-seed": dict(type=_seed, default=42),
@@ -391,17 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = _Out(Path(args.out))
     try:
         cfg = _configs(args)
+        out.path.mkdir(parents=True, exist_ok=True)  # an --out that names a file fails here
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    out = _Out(Path(args.out))
-    out.path.mkdir(parents=True, exist_ok=True)
     stage = args.command
     try:
         for stage in _pipeline(args, cfg, out):
             pass
-        out.json("config.json", out.echo)
+        out.json("config.json", cfg.echo)
     except Exception as exc:
         for path in out.created:  # never raises; a directory a failed open met stays
             with suppress(OSError):

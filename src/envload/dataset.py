@@ -194,10 +194,16 @@ class Dataset:
         return replace(self, features=features)
 
     def select(self, rows: np.ndarray | Sequence[int]) -> "Dataset":
-        """The rows at the given indices, or where a boolean mask is true."""
+        """The rows at the given integer indices, or where a boolean mask with
+        one entry per row is true; anything else raises ValueError."""
         rows = np.asarray(rows)
-        if rows.dtype != np.bool_:
-            rows = rows.astype(np.intp)
+        if rows.dtype == np.bool_:
+            if rows.shape != (len(self),):
+                raise ValueError(f"a row mask of {rows.size} entries for {len(self)} rows")
+        elif rows.dtype.kind in "iu" or rows.size == 0:  # [] is no rows
+            rows = rows.astype(np.intp, copy=False)
+        else:
+            raise ValueError(f"row indices must be integers, got dtype {rows.dtype}")
         picked = [None if c is None else c[rows] for c in self._columns()]
         for c in picked:  # fresh arrays, frozen in place so that _column shares them
             if c is not None:
@@ -372,7 +378,7 @@ def _ryu_cells(values: np.ndarray) -> np.ndarray:
 
 def _repr_cells(values: np.ndarray, width: int) -> np.ndarray:
     """The cells of a 1-d array, each written by repr (see text_cells)."""
-    return text_cells(["," + repr(v) for v in values.tolist()], np.arange(len(values)), width)
+    return text_cells([repr(v) for v in values.tolist()], np.arange(len(values)), width)
 
 
 def _digit_cells(out: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -467,16 +473,11 @@ def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a1 * b1 + (mid >> _U64(32)) + (lo < low), lo
 
 
-def text_cells(texts: Sequence[str], codes: np.ndarray, width: int = 0) -> np.ndarray:
-    """The block of cells texts[c] for the codes c, ASCII padded with NULs
-    to width (default: the longest text)."""
-    table = np.array(texts, dtype=f"S{width}" if width else "S")
+def text_cells(texts: Sequence[object], codes: np.ndarray, width: int = 0) -> np.ndarray:
+    """The block of cells "," + str(texts[c]) for the codes c, ASCII padded
+    with NULs to width (default: the longest cell)."""
+    table = np.array([f",{text}" for text in texts], dtype=f"S{width}" if width else "S")
     return np.take(table, codes).view(np.uint8).reshape(*codes.shape, table.itemsize)
-
-
-def label_cells(labels: np.ndarray) -> np.ndarray:
-    """The label cell of each class code."""
-    return text_cells([f",{name}" for name in LABEL_NAMES], labels)
 
 
 def csv_text(blocks: Sequence[np.ndarray], row_masks: Iterable[np.ndarray] = ()) -> list:
@@ -516,9 +517,9 @@ def write_dataset(dataset: Dataset, path: str | Path,
 
     def chunk_text(rows: slice) -> list:
         ids, codes = np.unique(dataset.material_index[rows], return_inverse=True)
-        blocks = [text_cells([f",{i}" for i in ids.tolist()], codes),
+        blocks = [text_cells(ids, codes),
                   float_cells(np.column_stack([dataset.features[rows], dataset.loads[rows]])),
-                  label_cells(dataset.labels[rows])]
+                  text_cells(LABEL_NAMES, dataset.labels[rows])]
         return csv_text(blocks, [mask[rows] for mask in parts.values()])
 
     write_csvs([(p, CSV_HEADER) for p in (path, *parts)], len(dataset), chunk_text)

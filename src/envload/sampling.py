@@ -254,16 +254,17 @@ def material_stream(seed: int, material_index: int) -> Xoshiro256pp:
 
 
 def _check_count(n: int, name: str) -> None:
-    if not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {n}")
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
-    """seed as an int, if it is an integer in [0, 2**64): the generators take
-    a seed modulo 2**64, so one outside would alias another."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
+    """seed as an int, if it is an integer (not a bool) in [0, 2**64): the
+    generators take a seed modulo 2**64, so one outside would alias another."""
+    is_int = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (is_int and 0 <= int(seed) < 2**64):
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
 

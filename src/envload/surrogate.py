@@ -128,10 +128,6 @@ def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
     return dataset.with_loads(loads)
 
 
-def config_to_json(cfg: SurrogateConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(SurrogateConfig)}
-
-
 def config_from_json(data: object) -> SurrogateConfig:
     """A SurrogateConfig from a parsed JSON object that overrides any subset
     of its fields; every value must be a JSON number."""

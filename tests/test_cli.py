@@ -12,10 +12,19 @@ from envload import cli
 from envload import dataset as dataset_mod
 from envload import lda as lda_mod
 from envload.cli import main
-from envload.dataset import LABEL_NAMES, ClassLabel, FeatureId, read_dataset, write_dataset
+from envload.dataset import (
+    LABEL_NAMES,
+    SYSTEM_CONSTANTS,
+    ClassLabel,
+    FeatureId,
+    read_dataset,
+    write_dataset,
+)
 from envload.lda import accuracy, class_stats, fit_lda
 from envload.pca import fit_pca, project, top_features
-from envload.preprocess import SplitConfig, apply_normalizer, fit_normalizer, split
+from envload.preprocess import SplitConfig, Thresholds, apply_normalizer, fit_normalizer, split
+from envload.sampling import SamplerConfig
+from envload.surrogate import load_config
 
 PINNED_DIGESTS = Path(__file__).parent / "data" / "default_run_sha256.json"
 BENCH_SURROGATE = Path(__file__).resolve().parents[1] / "bench" / "surrogate.json"
@@ -144,6 +153,49 @@ class TestRunAll:
         assert set(echo) == {"generate", "surrogate", "thresholds", "split", "efs", "train"}
         assert echo["generate"] == {"seed": 42, "n_per_material": 100}
         assert echo["surrogate"]["system_constants"]["glazing_u_value"] == 0.6
+
+
+class TestConfigEcho:
+    def test_ingest_run_echoes_ingest_and_no_surrogate(self, tmp_path):
+        loads = tmp_path / "loads.csv"
+        _write_synthetic_loads(loads, 60)
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--n-per-material", "10",
+                     "--ingest-loads", str(loads)]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert echo["ingest"] == {"loads_path": str(loads)}
+        assert "surrogate" not in echo
+        assert json.loads((out / "summary.json").read_text())["config"] == echo
+
+    def test_echo_is_the_configs_as_dicts(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--seed", "3", "--n-per-material", "20",
+                     "--surrogate-config", str(BENCH_SURROGATE), "--no-stratify",
+                     "--efs-metric", "cv5"]) == 0
+        expected = {
+            "generate": dataclasses.asdict(SamplerConfig(seed=3, n_per_material=20)),
+            "surrogate": {"config": dataclasses.asdict(load_config(BENCH_SURROGATE)),
+                          "system_constants": SYSTEM_CONSTANTS},
+            "thresholds": dataclasses.asdict(Thresholds()),
+            "split": dataclasses.asdict(SplitConfig(stratified=False)),
+            "efs": {"metric": "cv5", "cv_seed": 42},
+            "train": {"grid_resolution": 50},
+        }
+        assert json.loads((out / "config.json").read_text()) == expected
+        assert json.loads((out / "summary.json").read_text())["config"] == expected
+
+    def test_option_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["run"])
+        # repr, so that an int default where the field is a float (75 for
+        # 75.0) differs, as it would in config.json
+        assert (repr(SamplerConfig(seed=args.seed, n_per_material=args.n_per_material))
+                == repr(SamplerConfig()))
+        assert (repr(Thresholds(low_max=args.low_max, high_min=args.high_min))
+                == repr(Thresholds()))
+        assert (repr(SplitConfig(train_fraction=args.train_frac, seed=args.split_seed,
+                                 stratified=not args.no_stratify))
+                == repr(SplitConfig()))
+        assert args.surrogate_config is None and args.ingest_loads is None
 
 
 class TestDeterminismAndComposition:
@@ -341,6 +393,20 @@ class TestErrorHandling:
         assert [p.name for p in out.iterdir()] == [name]  # no output file of the run
         assert [p.name for p in (out / name).iterdir()] == ["kept.txt"]
         assert (out / name / "kept.txt").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_that_is_not_a_directory_is_usage_error(self, tmp_path, capsys, below):
+        # a file: FileExistsError; a path below a file: NotADirectoryError
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "out" if below else taken
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", str(out), "--n-per-material", "10"])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert "envload: error: [Errno " in err and f"'{out}'\n" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("members, member, name", [
         (2, 0, "PCA-4"), (2, 1, "EFS-4"),

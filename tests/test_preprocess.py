@@ -112,7 +112,7 @@ class TestSplit:
         b_train, _ = _parts(labeled_dataset, SplitConfig(seed=10))
         assert a_train != b_train
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 4.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 4.5, False])
     def test_seed_outside_the_generator_range_rejected(self, seed):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             SplitConfig(seed=seed)

@@ -186,11 +186,15 @@ class TestGenerateDataset:
             SamplerConfig(n_per_material=0)
         with pytest.raises(ValueError, match="n_per_material must be an integer, got 2.5"):
             SamplerConfig(n_per_material=2.5)
+        with pytest.raises(ValueError, match="n_per_material must be an integer, got True"):
+            SamplerConfig(n_per_material=True)  # a bool is an int, but no count
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 4.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 4.5, True])
     def test_seed_outside_the_generator_range_rejected(self, seed):
-        # a seed taken modulo 2**64 would alias another: -1 that of 2**64 - 1
-        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        # a seed taken modulo 2**64 would alias another: -1 that of 2**64 - 1;
+        # True, an int, would be seed 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer in [0, 2**64), got {seed!r}")):
             SamplerConfig(seed=seed)
 
     def test_largest_seed_accepted(self, default_library):

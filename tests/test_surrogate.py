@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,7 +10,6 @@ from envload.dataset import FeatureId
 from envload.surrogate import (
     SurrogateConfig,
     config_from_json,
-    config_to_json,
     ingest_external_loads,
     load_config,
     simulate_dataset,
@@ -274,7 +274,7 @@ class TestIngest:
 class TestConfig:
     def test_json_roundtrip(self):
         cfg = SurrogateConfig(q_base=12.0, hdd=900.0)
-        assert config_from_json(config_to_json(cfg)) == cfg
+        assert config_from_json(dataclasses.asdict(cfg)) == cfg
 
     def test_integers_read_as_floats(self, tmp_path):
         path = tmp_path / "cfg.json"
