@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -23,8 +24,9 @@ class Thresholds:
 
     def __post_init__(self) -> None:
         for name in ("low_max", "high_min"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got nan")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or math.isnan(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not self.low_max < self.high_min:
             raise ValueError(
                 f"low_max must be < high_min, got {self.low_max} >= {self.high_min}"
@@ -51,6 +53,8 @@ class SplitConfig:
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
+        if not isinstance(self.stratified, bool):
+            raise ValueError(f"stratified must be a bool, got {self.stratified!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"

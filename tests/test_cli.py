@@ -26,8 +26,10 @@ from envload.preprocess import SplitConfig, Thresholds, apply_normalizer, fit_no
 from envload.sampling import SamplerConfig
 from envload.surrogate import load_config
 
-PINNED_DIGESTS = Path(__file__).parent / "data" / "default_run_sha256.json"
-BENCH_SURROGATE = Path(__file__).resolve().parents[1] / "bench" / "surrogate.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# a run with default options is the benchmark's `paper` workload, file for file
+PINNED_DIGESTS = json.loads((BENCH / "reference_sha256.json").read_text())["paper"]
+BENCH_SURROGATE = BENCH / "surrogate.json"
 
 EXPECTED_FILES = {
     "config.json",
@@ -114,12 +116,11 @@ class TestRunAll:
         assert {r[2] for r in rows} <= {"low", "medium", "high"}
 
     def test_default_outputs_match_pinned_digests(self, default_run):
-        pinned = json.loads(PINNED_DIGESTS.read_text())
         digests = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in default_run.iterdir()
         }
-        assert digests == pinned
+        assert digests == PINNED_DIGESTS
 
     def test_each_grid_equals_its_member_alone(
         self, tmp_path, monkeypatch, default_split, default_normalizer, normalized_train
@@ -143,9 +144,9 @@ class TestRunAll:
             alone = fit_lda(stats, model.cols[[i]])
             assert (decision_grid(model, i, xs, ys).tolist()
                     == decision_grid(alone, 0, xs, ys).tolist()), i
-        pinned = json.loads(PINNED_DIGESTS.read_text())
         for path in tmp_path.iterdir():
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[path.name], path.name
+            assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                    == PINNED_DIGESTS[path.name]), path.name
         assert len(list(tmp_path.iterdir())) == 6
 
     def test_config_echo_contains_all_stages(self, default_run):
@@ -359,12 +360,14 @@ class TestErrorHandling:
         assert list(out.iterdir()) == []  # partial outputs removed
 
     def test_simulate_error_cleans_partial_outputs(self, tmp_path, capsys):
+        # each constant is finite, but hdd + cdd overflows to an infinite load
         cfg = tmp_path / "surrogate.json"
-        cfg.write_text(json.dumps({"q_base": -1000.0}))
+        cfg.write_text(json.dumps({"hdd": 1e308, "cdd": 1e308}))
         out = tmp_path / "out"
         code = main(["run", "--out", str(out), "--surrogate-config", str(cfg)])
         assert code == 2
-        assert "error in stage simulate" in capsys.readouterr().err
+        assert ("error in stage simulate: row 0, column load: must be finite and >= 0, got inf"
+                in capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
     def test_split_failure_after_dataset_written_cleans_up(self, tmp_path, capsys):
@@ -386,8 +389,7 @@ class TestErrorHandling:
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         (out / name / "kept.txt").write_text("kept\n")
-        code = main(["run", "--out", str(out), "--n-per-material", "10",
-                     "--surrogate-config", str(BENCH_SURROGATE)])
+        code = main(["run", "--out", str(out), "--n-per-material", "10"])
         assert code == 2
         assert f"error in stage {stage}: " in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [name]  # no output file of the run
@@ -410,8 +412,8 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("members, member, name", [
         (2, 0, "PCA-4"), (2, 1, "EFS-4"),
-        (6, 0, "decision grid density_thermal_conductivity"),
-        (6, 5, "decision grid specific_heat_capacity_thermal_absorptance"),
+        (6, 0, "decision grid thickness_density"),
+        (6, 5, "decision grid thermal_conductivity_specific_heat_capacity"),
     ], ids=["pca-4", "efs-4", "grid", "grid-last"])
     def test_failed_lda_member_is_a_train_error(
         self, tmp_path, capsys, monkeypatch, members, member, name
@@ -464,7 +466,7 @@ class TestErrorHandling:
         assert not out.exists()
 
     def test_largest_seed_runs(self, tmp_path):
-        argv = ["--n-per-material", "10", "--surrogate-config", str(BENCH_SURROGATE)]
+        argv = ["--n-per-material", "10"]
         for option in ("--seed", "--split-seed", "--cv-seed"):
             argv += [option, str(2**64 - 1)]
         assert main(["run", "--out", str(tmp_path / "out"), *argv]) == 0
@@ -482,7 +484,7 @@ class TestErrorHandling:
     def test_infinite_high_min_runs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--out", str(out), "--n-per-material", "10",
-                     "--surrogate-config", str(BENCH_SURROGATE), "--high-min", "inf"]) == 0
+                     "--high-min", "inf"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["thresholds"]["high_min"] == float("inf")
         assert summary["counts"]["per_class"]["high"] == 0
@@ -495,6 +497,18 @@ class TestErrorHandling:
             main(["run", "--out", str(out), "--surrogate-config", str(cfg)])
         assert excinfo.value.code == 1
         assert "envload: error: hdd must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["q_base", "w_solar", "w_thermal", "w_visual"])
+    def test_negative_surrogate_offset_or_weight_is_usage_error(self, tmp_path, capsys, field):
+        # with every offset and weight >= 0, no load can be negative
+        cfg = tmp_path / "surrogate.json"
+        cfg.write_text(json.dumps({field: -0.5}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", str(out), "--surrogate-config", str(cfg)])
+        assert excinfo.value.code == 1
+        assert f"envload: error: {field} must be >= 0, got -0.5\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [

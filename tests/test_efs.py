@@ -184,7 +184,7 @@ class TestCrossValidation:
 def _generated(seed: int) -> Dataset:
     ds = generate_dataset(builtin_material_library(),
                           SamplerConfig(seed=seed, n_per_material=30))
-    return label_dataset(simulate_dataset(ds, SurrogateConfig(q_base=0.0, r_wall=1.0)))
+    return label_dataset(simulate_dataset(ds, SurrogateConfig()))
 
 
 def _brute_force_efs(ds: Dataset, metric: str, cv_seed: int = 42) -> list[tuple[float, bool]]:

@@ -428,7 +428,7 @@ class TestStacked:
     def stats(self, request):
         ds = generate_dataset(builtin_material_library(),
                               SamplerConfig(seed=request.param, n_per_material=30))
-        ds = label_dataset(simulate_dataset(ds, SurrogateConfig(q_base=0.0, r_wall=1.0)))
+        ds = label_dataset(simulate_dataset(ds, SurrogateConfig()))
         return class_stats(ds.features, ds.labels), ds.features
 
     def test_every_member_equals_its_stack_of_one(self, stats):

@@ -57,6 +57,13 @@ class TestLabeling:
         with pytest.raises(ValueError, match=f"^{field} must be a number, got nan$"):
             Thresholds(**{field: math.nan})
 
+    def test_bool_threshold_is_not_a_number(self):
+        # False < True is ordered, but the echo would write false and true
+        with pytest.raises(ValueError, match="^low_max must be a number, got False$"):
+            Thresholds(low_max=False, high_min=True)
+        with pytest.raises(ValueError, match="^high_min must be a number, got '90'$"):
+            Thresholds(high_min="90")
+
     def test_infinite_thresholds_are_ordered_bounds(self):
         t = Thresholds(low_max=-math.inf, high_min=math.inf)
         assert _labels([0.0, 1e300], t) == [ClassLabel.MEDIUM, ClassLabel.MEDIUM]
@@ -164,6 +171,12 @@ class TestSplit:
             SplitConfig(train_fraction=0.0)
         with pytest.raises(ValueError):
             SplitConfig(train_fraction=1.0)
+
+    @pytest.mark.parametrize("stratified", ["no", 0, None])
+    def test_stratified_must_be_a_bool(self, stratified):
+        # a truthy "no" would otherwise split stratified
+        with pytest.raises(ValueError, match=f"^stratified must be a bool, got {stratified!r}$"):
+            SplitConfig(stratified=stratified)
 
 
 def _feature_column(values):

@@ -1,7 +1,8 @@
 """Byte identity beyond the default seed: the EFS table and the summary of
 `envload run` on a grid of seeds, sizes and metrics, against pinned sha256
 digests. A flipped prediction anywhere in the sweep or the final models
-changes one of these files.
+changes one of these files. And a wider grid of seeds and sizes on which a
+run with the default surrogate must finish.
 
 Regenerate the pins (only for a deliberate output change) with
 
@@ -18,9 +19,6 @@ import pytest
 from envload.cli import main
 
 PINNED = Path(__file__).parent / "data" / "efs_grid_sha256.json"
-# all surrogate constants, with q_base = 0: the default surrogate aborts on
-# negative loads for some of these seeds
-SURROGATE = Path(__file__).resolve().parents[1] / "bench" / "surrogate.json"
 FILES = ("efs_accuracy.csv", "summary.json")
 CONFIGS = list(product(range(10), (30, 100), ("train", "cv5")))
 
@@ -32,8 +30,7 @@ def _key(seed: int, n_per_material: int, metric: str) -> str:
 def _digests(out: Path, seed: int, n_per_material: int, metric: str) -> dict[str, str]:
     argv = ["run", "--out", str(out), "--seed", str(seed), "--split-seed", str(seed),
             "--cv-seed", str(seed), "--n-per-material", str(n_per_material),
-            "--efs-metric", metric, "--grid-resolution", "2",
-            "--surrogate-config", str(SURROGATE)]
+            "--efs-metric", metric, "--grid-resolution", "2"]
     assert main(argv) == 0
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES}
 
@@ -42,6 +39,15 @@ def _digests(out: Path, seed: int, n_per_material: int, metric: str) -> dict[str
 def test_outputs_match_pinned_digests(tmp_path, seed, n_per_material, metric):
     pinned = json.loads(PINNED.read_text())[_key(seed, n_per_material, metric)]
     assert _digests(tmp_path, seed, n_per_material, metric) == pinned
+
+
+@pytest.mark.parametrize("n_per_material", [100, 1000])
+@pytest.mark.parametrize("seed", range(20))
+def test_default_surrogate_runs_at_every_seed_and_size(tmp_path, seed, n_per_material):
+    # the default surrogate has no negative load to abort on, at any seed
+    assert main(["run", "--out", str(tmp_path), "--seed", str(seed), "--split-seed", str(seed),
+                 "--cv-seed", str(seed), "--n-per-material", str(n_per_material),
+                 "--grid-resolution", "2"]) == 0
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ DEFAULTS = SurrogateConfig()
 # script before this module was written
 U_CONCRETE_MEAN = 2.8102462074110917          # 1/(0.13 + 0.21/1.13 + 0.04)
 DAMPING_CONCRETE = 0.8116492409854016         # 1 - 0.25*(1 - exp(-1.4))
-Q_CONCRETE_DEFAULTS = 94.39141501778434       # shipped q_base = -12
-Q_CONCRETE_QBASE_55 = 148.77191416380626
+Q_CONCRETE_DEFAULTS = 75.66514707829225       # q_base = 0, r_wall = 1.0
+Q_CONCRETE_QBASE_55 = 120.30585533248933
 CONCRETE_MEAN_VECTOR = (0.21, 2000.0, 1.13, 1000.0, 0.5, 0.5, 0.5)
 
 # With damping, q_base and the absorptance terms off, a load is the
@@ -181,7 +181,8 @@ class TestSimulateDataset:
         b = simulate_dataset(default_dataset, DEFAULTS).select(perm)
         assert a == b
 
-    @pytest.mark.parametrize("cfg", [DEFAULTS, SurrogateConfig(q_base=0.0, r_wall=1.0)])
+    @pytest.mark.parametrize("cfg", [DEFAULTS,
+                                     SurrogateConfig(q_base=20.0, r_wall=1.4, w_visual=2.0)])
     def test_matches_per_row_formula_bit_for_bit(self, default_dataset, cfg):
         # the scalar formula, one row at a time in Python floats and math.exp:
         # the column version must give the same bits, since loads go out with repr
@@ -196,8 +197,10 @@ class TestSimulateDataset:
         assert simulate_dataset(default_dataset, cfg).loads.tolist() == expected
 
     def test_negative_load_aborts_with_row_index(self, default_dataset):
-        bad = SurrogateConfig(q_base=-1000.0)
-        with pytest.raises(ValueError, match="row 0"):
+        # no accepted config gives a negative load, but hdd + cdd can overflow
+        bad = SurrogateConfig(hdd=1e308, cdd=1e308)
+        with pytest.raises(ValueError, match=re.escape(
+                "row 0, column load: must be finite and >= 0, got inf")):
             simulate_dataset(default_dataset, bad)
 
 
@@ -313,3 +316,19 @@ class TestConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SurrogateConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("q_base", -0.1), ("w_solar", -1.0), ("w_thermal", -1e-300), ("w_visual", -2.0),
+    ])
+    def test_negative_offset_or_weight_rejected(self, name, value):
+        # every offset and weight >= 0 is what keeps every load >= 0
+        message = f"{name} must be >= 0, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SurrogateConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, False, "5", None])
+    def test_non_number_rejected(self, value):
+        # a bool is an int to Python, but would be echoed as true or false
+        message = f"hdd must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SurrogateConfig(hdd=value)

@@ -16,7 +16,7 @@ from envload.preprocess import (
     label_dataset,
     split,
 )
-from envload.surrogate import DEFAULT_Q_BASE, SurrogateConfig, simulate_dataset
+from envload.surrogate import SurrogateConfig, simulate_dataset
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 SRC = TOOLS.parent / "src"
@@ -34,7 +34,7 @@ def calibrate():
 
 
 def test_pipeline_stats_at_default(calibrate, default_dataset):
-    stats = calibrate.pipeline_stats(default_dataset, DEFAULT_Q_BASE)
+    stats = calibrate.pipeline_stats(default_dataset, SurrogateConfig().q_base)
     loads = simulate_dataset(default_dataset, SurrogateConfig()).loads
     assert stats["min"] == loads.min() > 0.0
     assert stats["max"] == loads.max()
@@ -43,7 +43,7 @@ def test_pipeline_stats_at_default(calibrate, default_dataset):
 
 
 def test_numpy_pc1_ranking_matches_package_pca(calibrate, default_dataset):
-    info = calibrate.pc1_ranking_numpy(default_dataset, DEFAULT_Q_BASE)
+    info = calibrate.pc1_ranking_numpy(default_dataset)
     labeled = label_dataset(simulate_dataset(default_dataset, SurrogateConfig()))
     in_train = split(labeled, SplitConfig())
     train, test = labeled.select(in_train), labeled.select(~in_train)

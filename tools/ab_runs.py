@@ -1,7 +1,7 @@
 """Time `envload run` from two source trees, alternating in one process.
 
     python3 tools/ab_runs.py PARENT/src src --pairs 40 -- \
-        --n-per-material 100 --surrogate-config bench/surrogate.json
+        --n-per-material 100
 
 A and B are `src/` directories. Each side's `envload` package is imported
 once, with `sys.modules` cleared of the other side's, and is put back into

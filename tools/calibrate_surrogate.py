@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Calibration and verification harness for the surrogate defaults.
 
-Sweeps q_base over a range on the default-seed pipeline and reports, for
-each value: the load median, the class shares under the 75/90 thresholds,
-and the minimum load (which must stay positive). Then, for the shipped
-default, cross-checks the PC1 loading ranking of the resulting training
-matrix with numpy's eigensolver, independently of the package's own
-eigendecomposition.
+Sweeps q_base >= 0 (SurrogateConfig rejects a negative one) on the
+default-seed pipeline, every other constant at its default, and reports for
+each value: the load range and median and the class shares under the 75/90
+thresholds. Then, at the default SurrogateConfig(), cross-checks the PC1
+loading ranking of the resulting training matrix with numpy's eigensolver,
+independently of the package's own eigendecomposition.
 
 Run:  python tools/calibrate_surrogate.py [q_base ...]
 """
@@ -45,10 +45,10 @@ def pipeline_stats(dataset, q_base):
     }
 
 
-def pc1_ranking_numpy(dataset, q_base):
-    """Independent oracle: split + normalize, then numpy eigh on the
-    1/(n-1) covariance of the training matrix."""
-    loads = thermal_loads(dataset.features, SurrogateConfig(q_base=q_base))
+def pc1_ranking_numpy(dataset):
+    """Independent oracle at the default surrogate: split + normalize, then
+    numpy eigh on the 1/(n-1) covariance of the training matrix."""
+    loads = thermal_loads(dataset.features, SurrogateConfig())
     labeled = label_dataset(dataset.with_loads(loads))
     in_train = split(labeled, SplitConfig())
     train, test = labeled.select(in_train), labeled.select(~in_train)
@@ -78,7 +78,7 @@ def pc1_ranking_numpy(dataset, q_base):
 
 def main(argv):
     dataset = generate_dataset(builtin_material_library(), SamplerConfig())
-    q_values = [float(a) for a in argv[1:]] or [55.0, 20.0, 0.0, -5.0, -10.0, -12.0, -15.0, -18.0, -20.0]
+    q_values = [float(a) for a in argv[1:]] or [0.0, 2.0, 5.0, 10.0, 20.0]
     print(f"{'q_base':>8} {'min':>8} {'median':>8} {'max':>8} {'low':>7} {'med':>7} {'high':>7}")
     for q in q_values:
         s = pipeline_stats(dataset, q)
@@ -86,10 +86,8 @@ def main(argv):
             f"{s['q_base']:8.1f} {s['min']:8.2f} {s['median']:8.2f} {s['max']:8.2f} "
             f"{s['low']:7.3f} {s['medium']:7.3f} {s['high']:7.3f}"
         )
-    from envload.surrogate import DEFAULT_Q_BASE
-
-    print(f"\nPC1 check at shipped default q_base={DEFAULT_Q_BASE}:")
-    info = pc1_ranking_numpy(dataset, DEFAULT_Q_BASE)
+    print("\nPC1 check at the default SurrogateConfig():")
+    info = pc1_ranking_numpy(dataset)
     print(f"  split: {info['n_train']}/{info['n_test']}  per-class {info['train_per_class']}")
     print(f"  explained-variance ratios: {np.round(info['ratios'], 4)}")
     print(f"  |PC1| loadings by feature:")

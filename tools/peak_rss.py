@@ -1,7 +1,7 @@
 """Peak RSS of `envload run` from two source trees, one fresh process each.
 
     python3 tools/peak_rss.py PARENT/src src --procs 10 --runs 1 -- \
-        --n-per-material 10000 --surrogate-config bench/surrogate.json
+        --n-per-material 10000
 
 A and B are `src/` directories. The tool starts --procs processes per side,
 alternating which side goes first, and each runs `envload run` exactly
