@@ -165,6 +165,9 @@ def stage_pca(out: _Out, train_n: Dataset) -> pca_mod.PcaModel:
 
 def stage_efs(out: _Out, train: Dataset, metric: str, cv_seed: int) -> efs_mod.EfsReport:
     report = efs_mod.run_efs(train, metric=metric, cv_seed=cv_seed)
+    if report.best_per_size[4].fit_failed:
+        raise ValueError(f"every 4-feature subset's LDA fit failed in the {metric} "
+                         "sweep, so there is no EFS-4 subset to select")
     results = report.all_results
     sizes = np.array([len(r.subset) for r in results])
     out.csv("efs_accuracy.csv", ["subset", "size", "metric", "flag"],

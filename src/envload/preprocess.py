@@ -55,24 +55,22 @@ class SplitConfig:
         check_seed(self.seed)
         if not isinstance(self.stratified, bool):
             raise ValueError(f"stratified must be a bool, got {self.stratified!r}")
+        if isinstance(self.train_fraction, bool) or not isinstance(self.train_fraction, Real):
+            raise ValueError(f"train_fraction must be a number, got {self.train_fraction!r}")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 def split(dataset: Dataset, cfg: SplitConfig) -> np.ndarray:
-    """Boolean mask of the train rows, round(n * train_fraction) of them;
-    dataset.select(mask) and dataset.select(~mask) are the train and test
-    parts, each in the original row order.
+    """Boolean mask of the train rows; dataset.select(mask) and
+    dataset.select(~mask) are the train and test parts, in row order.
 
-    The stratified mode allocates per-class counts by largest remainder, so
-    class proportions carry over as exactly as integer counts allow.
-    Deterministic in cfg.seed.
+    n_train = floor(n * f + 0.5) clipped to [1, n - 1], f the train fraction.
+    The groups are the classes, or all rows as one group if unstratified.
+    Each group gets the floor of its quota len(group) * f, and the
+    n_train - sum(floors) groups with the largest remainder one row more,
+    ties by class order. Each group, in class order, then takes the first
+    rows of a shuffle of its row indices, seeded by cfg.seed.
     """
     labels = dataset.labels
     if labels is None:
@@ -80,52 +78,28 @@ def split(dataset: Dataset, cfg: SplitConfig) -> np.ndarray:
     n = len(dataset)
     if n < 2:
         raise ValueError(f"need at least 2 rows to split, got {n}")
-    n_train_total = _round_half_up(n * cfg.train_fraction)
-    n_train_total = min(max(n_train_total, 1), n - 1)
+    n_train = min(max(math.floor(n * cfg.train_fraction + 0.5), 1), n - 1)
+
+    groups = labels if cfg.stratified else np.zeros_like(labels)
+    sizes = np.bincount(groups)
+    present = np.flatnonzero(sizes)
+    quotas = sizes[present] * cfg.train_fraction
+    takes = np.floor(quotas).astype(np.intp)
+    # largest remainder first, ties by class order. No floor exceeds its quota
+    # and the quotas sum to n * f within a few ulps, so sum(takes) <= n_train;
+    # each floor is above its quota - 1, and n_train is clipped to [1, n - 1],
+    # so the shortfall is at most the number of groups: one row each at most.
+    takes[np.lexsort((present, takes - quotas))[:n_train - takes.sum()]] += 1
 
     rng = Xoshiro256pp(cfg.seed)
     in_train = np.zeros(n, dtype=bool)
-    if cfg.stratified:
-        _mark_stratified_train(in_train, labels, n_train_total, cfg, rng)
-    else:
-        in_train[rng.shuffled(list(range(n)))[:n_train_total]] = True
+    for group, take in zip(present, takes):
+        pool = np.flatnonzero(groups == group)
+        if not 0 < take < len(pool):
+            raise ValueError(f"stratified split leaves class {ClassLabel(group).csv_value!r} "
+                             f"with an empty train or test part ({take} of {len(pool)} rows)")
+        in_train[rng.shuffled(pool.tolist())[:take]] = True
     return in_train
-
-
-def _mark_stratified_train(
-    in_train: np.ndarray,
-    labels: np.ndarray,
-    n_train_total: int,
-    cfg: SplitConfig,
-    rng: Xoshiro256pp,
-) -> None:
-    by_class = {lbl: np.flatnonzero(labels == lbl).tolist() for lbl in ClassLabel}
-    present = [lbl for lbl in ClassLabel if by_class[lbl]]
-
-    quotas = {lbl: len(by_class[lbl]) * cfg.train_fraction for lbl in present}
-    counts = {lbl: int(math.floor(quotas[lbl])) for lbl in present}
-    shortfall = n_train_total - sum(counts.values())
-    # distribute leftovers by largest fractional remainder, ties by class order
-    order = sorted(present, key=lambda lbl: (-(quotas[lbl] - counts[lbl]), lbl))
-    i = 0
-    while shortfall > 0:
-        counts[order[i % len(order)]] += 1
-        shortfall -= 1
-        i += 1
-    while shortfall < 0:  # floating-point dust; shave from smallest remainders
-        counts[order[(i - 1) % len(order)]] -= 1
-        shortfall += 1
-        i -= 1
-
-    for lbl in present:
-        pool = by_class[lbl]
-        take = counts[lbl]
-        if take <= 0 or take >= len(pool):
-            raise ValueError(
-                f"stratified split leaves class {lbl.csv_value!r} with an empty "
-                f"train or test part ({take} of {len(pool)} rows)"
-            )
-        in_train[rng.shuffled(pool)[:take]] = True
 
 
 @dataclass(frozen=True)

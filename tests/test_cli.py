@@ -316,7 +316,7 @@ class TestWriters:
     def test_csv_files_are_csv_writer_output_in_grid_order(self, tmp_path):
         # off the pinned default: tiny grids, cv5, unstratified split
         out = tmp_path / "out"
-        assert main(["run", "--out", str(out), "--n-per-material", "7",
+        assert main(["run", "--out", str(out), "--n-per-material", "10",
                      "--grid-resolution", "3", "--efs-metric", "cv5", "--no-stratify"]) == 0
         written = sorted(out.glob("*.csv"))
         assert len(written) == 15
@@ -379,6 +379,18 @@ class TestErrorHandling:
                      "--ingest-loads", str(loads)])
         assert code == 2
         assert "error in stage split" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("n_per_material", [4, 5, 6])
+    def test_efs_with_every_subset_failed_is_an_efs_error(self, tmp_path, capsys, n_per_material):
+        # a cv5 fold trains on one row of a class, so every one of the 127 fits
+        # fails; the first-enumerated 4-subset is no selection
+        out = tmp_path / "out"
+        code = main(["run", "--out", str(out), "--n-per-material", str(n_per_material),
+                     "--efs-metric", "cv5"])
+        assert code == 2
+        assert ("error in stage efs: every 4-feature subset's LDA fit failed in the cv5 sweep"
+                in capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("name, stage", [("train.csv", "split"),

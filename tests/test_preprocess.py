@@ -1,5 +1,7 @@
 import math
+import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from envload.preprocess import (
     label_dataset,
     split,
 )
+from envload.sampling import Xoshiro256pp
+from test_sampling import reference_shuffled
 
 
 def label_load(load: float, thresholds: Thresholds = Thresholds()) -> ClassLabel:
@@ -177,6 +181,90 @@ class TestSplit:
         # a truthy "no" would otherwise split stratified
         with pytest.raises(ValueError, match=f"^stratified must be a bool, got {stratified!r}$"):
             SplitConfig(stratified=stratified)
+
+    @pytest.mark.parametrize("fraction", ["0.5", None, True, False])
+    def test_train_fraction_must_be_a_number(self, fraction):
+        # True, an int, would be the fraction 1
+        with pytest.raises(ValueError, match=f"^train_fraction must be a number, got {fraction!r}$"):
+            SplitConfig(train_fraction=fraction)
+
+    @pytest.mark.parametrize("stratified", [True, False])
+    @pytest.mark.parametrize("fraction", [0.001, 0.1, 1 / 3, 0.35, 0.5, 2 / 3, 0.9, 0.999])
+    def test_split_equals_the_per_class_loop(self, fraction, stratified):
+        # 0.001 and 0.999 clip n_train to 1 and n - 1 below 500 rows; 1/3 and
+        # 2/3 tie the remainders of classes of equal size modulo 3
+        for counts in product([0, 1, 2, 3, 4, 7], repeat=3):
+            if sum(counts) < 2:
+                continue
+            labels = [lbl for lbl, k in zip(ClassLabel, counts) for _ in range(k)]
+            random.Random(sum(counts)).shuffle(labels)
+            for seed in (0, 2**64 - 1):
+                cfg = SplitConfig(train_fraction=fraction, seed=seed, stratified=stratified)
+                assert _mask_or_error(_labeled_as(labels), cfg) == reference_split(labels, cfg)
+
+    def test_split_equals_the_per_class_loop_at_scale(self, labeled_dataset):
+        labels = labeled_dataset.labels.tolist()
+        for stratified, fraction in product([True, False], [1 / 3, 0.35, 0.999]):
+            cfg = SplitConfig(train_fraction=fraction, stratified=stratified)
+            assert _mask_or_error(labeled_dataset, cfg) == reference_split(labels, cfg)
+
+    @pytest.mark.parametrize("n, fraction", [(2, 0.001), (2, 0.999), (7, 0.5), (600, 0.35)])
+    def test_unstratified_mask_is_a_prefix_of_one_shuffle(self, n, fraction):
+        labels = [ClassLabel(i % 3) for i in range(n)]
+        n_train = min(max(math.floor(n * fraction + 0.5), 1), n - 1)
+        expected = np.zeros(n, dtype=bool)
+        expected[reference_shuffled(Xoshiro256pp(5), range(n))[:n_train]] = True
+        cfg = SplitConfig(train_fraction=fraction, seed=5, stratified=False)
+        assert np.array_equal(split(_labeled_as(labels), cfg), expected)
+
+
+def reference_split(labels: list[ClassLabel], cfg: SplitConfig) -> list[bool] | str:
+    """The per-class loop that split replaced: a list of rows per class,
+    largest-remainder leftovers dealt round the classes, and one shuffle of
+    every row when unstratified. The train mask as a list, or the error."""
+    n = len(labels)
+    n_train_total = min(max(math.floor(n * cfg.train_fraction + 0.5), 1), n - 1)
+    rng = Xoshiro256pp(cfg.seed)
+    in_train = [False] * n
+    if not cfg.stratified:
+        for i in reference_shuffled(rng, range(n))[:n_train_total]:
+            in_train[i] = True
+        return in_train
+    by_class = {lbl: [i for i, c in enumerate(labels) if c == lbl] for lbl in ClassLabel}
+    present = [lbl for lbl in ClassLabel if by_class[lbl]]
+    quotas = {lbl: len(by_class[lbl]) * cfg.train_fraction for lbl in present}
+    counts = {lbl: math.floor(quotas[lbl]) for lbl in present}
+    shortfall = n_train_total - sum(counts.values())
+    order = sorted(present, key=lambda lbl: (-(quotas[lbl] - counts[lbl]), lbl))
+    i = 0
+    while shortfall > 0:
+        counts[order[i % len(order)]] += 1
+        shortfall -= 1
+        i += 1
+    while shortfall < 0:
+        counts[order[(i - 1) % len(order)]] -= 1
+        shortfall += 1
+        i -= 1
+    for lbl in present:
+        pool, take = by_class[lbl], counts[lbl]
+        if take <= 0 or take >= len(pool):
+            return (f"stratified split leaves class {lbl.csv_value!r} with an empty "
+                    f"train or test part ({take} of {len(pool)} rows)")
+        for row in reference_shuffled(rng, pool)[:take]:
+            in_train[row] = True
+    return in_train
+
+
+def _labeled_as(labels: list[ClassLabel]) -> Dataset:
+    n = len(labels)
+    return Dataset([0] * n, [(1.0,) * 7] * n, loads=[1.0] * n, labels=labels)
+
+
+def _mask_or_error(ds: Dataset, cfg: SplitConfig) -> list[bool] | str:
+    try:
+        return split(ds, cfg).tolist()
+    except ValueError as exc:
+        return str(exc)
 
 
 def _feature_column(values):
