@@ -23,10 +23,11 @@ class Thresholds:
     high_min: float = 90.0
 
     def __post_init__(self) -> None:
-        for name in ("low_max", "high_min"):
+        for name in ("low_max", "high_min"):  # each stored as the plain float it checked
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) or math.isnan(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not self.low_max < self.high_min:
             raise ValueError(
                 f"low_max must be < high_min, got {self.low_max} >= {self.high_min}"
@@ -51,12 +52,13 @@ class SplitConfig:
     seed: int = 42
     stratified: bool = True
 
-    def __post_init__(self) -> None:
-        check_seed(self.seed)
+    def __post_init__(self) -> None:  # stores the plain int and float it checked
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not isinstance(self.stratified, bool):
             raise ValueError(f"stratified must be a bool, got {self.stratified!r}")
         if isinstance(self.train_fraction, bool) or not isinstance(self.train_fraction, Real):
             raise ValueError(f"train_fraction must be a number, got {self.train_fraction!r}")
+        object.__setattr__(self, "train_fraction", float(self.train_fraction))
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
@@ -136,6 +138,8 @@ def apply_normalizer(norm: Normalizer, dataset: Dataset) -> Dataset:
     means = np.array(norm.means)
     stds = np.array(norm.std_devs)
     safe = np.where(stds > 0.0, stds, 1.0)
-    z = (dataset.features - means) / safe
+    z = dataset.features - means
+    z /= safe
     z[:, stds == 0.0] = 0.0
+    z.setflags(write=False)  # fresh, so the Dataset shares it rather than copies it
     return dataset.with_features(z)

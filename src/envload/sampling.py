@@ -253,11 +253,13 @@ def material_stream(seed: int, material_index: int) -> Xoshiro256pp:
     return Xoshiro256pp(sub_seed)
 
 
-def _check_count(n: int, name: str) -> None:
+def _check_count(n: int, name: str) -> int:
+    """n as an int, if it is an integer (not a bool) >= 1."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {n}")
+    return int(n)
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
@@ -274,9 +276,10 @@ class SamplerConfig:
     seed: int = 42
     n_per_material: int = 100
 
-    def __post_init__(self) -> None:
-        check_seed(self.seed)
-        _check_count(self.n_per_material, "n_per_material")
+    def __post_init__(self) -> None:  # stores the plain ints it checked, as the echo shows
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "n_per_material",
+                           _check_count(self.n_per_material, "n_per_material"))
 
 
 def sample_material(library: MaterialLibrary, index: int, n: int, seed: int) -> np.ndarray:

@@ -52,10 +52,12 @@ class SurrogateConfig:
     w_visual: float = 0.0      # load per unit visual absorptance [kWh/m2]
 
     def __post_init__(self) -> None:
-        for f in fields(self):
+        for f in fields(self):  # each stored as the plain float it checked
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
+            value = float(value)
+            object.__setattr__(self, f.name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not (self.r_si > 0.0 and self.r_so > 0.0):

@@ -21,10 +21,10 @@ from envload.dataset import (
     write_dataset,
 )
 from envload.lda import accuracy, class_stats, fit_lda
-from envload.pca import fit_pca, project, top_features
+from envload.pca import fit_pca, project
 from envload.preprocess import SplitConfig, Thresholds, apply_normalizer, fit_normalizer, split
 from envload.sampling import SamplerConfig
-from envload.surrogate import load_config
+from envload.surrogate import SurrogateConfig, load_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # a run with default options is the benchmark's `paper` workload, file for file
@@ -51,6 +51,20 @@ def default_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_default")
     assert main(["run", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture
+def write_run_calls(monkeypatch):
+    """The output directories that main hands to write_run, which still writes."""
+    calls = []
+    write_run = cli.write_run
+
+    def recording_write_run(run, out):
+        calls.append(out)
+        write_run(run, out)
+
+    monkeypatch.setattr(cli, "write_run", recording_write_run)
+    return calls
 
 
 def _write_synthetic_loads(path: Path, n: int) -> None:
@@ -122,9 +136,7 @@ class TestRunAll:
         }
         assert digests == PINNED_DIGESTS
 
-    def test_each_grid_equals_its_member_alone(
-        self, tmp_path, monkeypatch, default_split, default_normalizer, normalized_train
-    ):
+    def test_each_grid_equals_its_member_alone(self, tmp_path, monkeypatch, normalized_train):
         # the default run's grids, each scored on its member of the stack of
         # six, are the grids of each pair fit alone, and the pinned files
         calls = []
@@ -135,19 +147,32 @@ class TestRunAll:
             return decision_grid(model, i, xs, ys)
 
         monkeypatch.setattr(lda_mod, "decision_grid", recording_grid)
-        stats = class_stats(normalized_train.features, normalized_train.labels)
-        features = top_features(fit_pca(normalized_train.features), 4)
-        cli._emit_decision_grids(cli._Out(tmp_path), features, default_split[0], stats,
-                                 default_normalizer, cli.DEFAULT_GRID_RESOLUTION)
+        result = cli.run(cli.configs())
         assert [i for _, i, _, _ in calls] == list(range(6))
-        for model, i, xs, ys in calls:
+        stats = class_stats(normalized_train.features, normalized_train.labels)
+        for (model, i, xs, ys), (_, _, codes) in zip(calls, result.grids.values()):
             alone = fit_lda(stats, model.cols[[i]])
-            assert (decision_grid(model, i, xs, ys).tolist()
-                    == decision_grid(alone, 0, xs, ys).tolist()), i
-        for path in tmp_path.iterdir():
+            assert codes.tolist() == decision_grid(alone, 0, xs, ys).tolist(), i
+        cli.write_run(result, tmp_path)
+        grids = sorted(tmp_path.glob("decision_grid_*.csv"))
+        assert [p.name for p in grids] == sorted(f"decision_grid_{p}.csv" for p in result.grids)
+        for path in grids:
             assert (hashlib.sha256(path.read_bytes()).hexdigest()
                     == PINNED_DIGESTS[path.name]), path.name
-        assert len(list(tmp_path.iterdir())) == 6
+
+    def test_run_writes_nothing_and_write_run_writes_the_pins(self, tmp_path, monkeypatch):
+        def no_write(*args):
+            raise AssertionError(f"run wrote {args[:2]}")
+
+        monkeypatch.chdir(tmp_path)  # where the default --out would go
+        with monkeypatch.context() as mp:
+            for name in ("write_dataset", "write_csvs"):
+                mp.setattr(cli, name, no_write)
+            result = cli.run(cli.configs())
+        assert list(tmp_path.iterdir()) == []
+        cli.write_run(result, tmp_path / "out")
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (tmp_path / "out").iterdir()} == PINNED_DIGESTS
 
     def test_config_echo_contains_all_stages(self, default_run):
         echo = json.loads((default_run / "config.json").read_text())
@@ -184,6 +209,21 @@ class TestConfigEcho:
         }
         assert json.loads((out / "config.json").read_text()) == expected
         assert json.loads((out / "summary.json").read_text())["config"] == expected
+
+    @pytest.mark.parametrize("config, field, value", [
+        (SamplerConfig, "seed", np.uint64(7)),
+        (SamplerConfig, "n_per_material", np.int32(5)),
+        (SplitConfig, "train_fraction", np.float32(0.5)),
+        (SplitConfig, "seed", np.int64(3)),
+        (Thresholds, "low_max", np.int64(70)),
+        (SurrogateConfig, "hdd", np.int64(800)),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_numpy_scalars_are_stored_and_echoed_as_plain_numbers(self, config, field, value):
+        # the value a config holds is the one its echo shows
+        cfg = config(**{field: value})
+        assert type(getattr(cfg, field)) is type(getattr(config(), field))
+        echoed = json.loads(json.dumps(dataclasses.asdict(cfg)))[field]
+        assert echoed == getattr(cfg, field) == value
 
     def test_option_defaults_are_the_config_defaults(self):
         args = cli.build_parser().parse_args(["run"])
@@ -348,7 +388,9 @@ class TestIngestPath:
 
 
 class TestErrorHandling:
-    def test_pipeline_error_exit_2_names_stage_and_cleans_up(self, tmp_path, capsys):
+    def test_pipeline_error_exit_2_names_stage_and_cleans_up(
+        self, tmp_path, capsys, write_run_calls
+    ):
         bad = tmp_path / "bad_loads.csv"
         bad.write_text("row_index,load\n0,80.0\n")  # misses rows 1..59
         out = tmp_path / "out"
@@ -357,9 +399,12 @@ class TestErrorHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert "error in stage ingest" in err
-        assert list(out.iterdir()) == []  # partial outputs removed
+        assert list(out.iterdir()) == []
+        assert write_run_calls == []  # a failed stage writes nothing
 
-    def test_simulate_error_cleans_partial_outputs(self, tmp_path, capsys):
+    def test_simulate_error_cleans_partial_outputs(
+        self, tmp_path, capsys, write_run_calls
+    ):
         # each constant is finite, but hdd + cdd overflows to an infinite load
         cfg = tmp_path / "surrogate.json"
         cfg.write_text(json.dumps({"hdd": 1e308, "cdd": 1e308}))
@@ -369,8 +414,11 @@ class TestErrorHandling:
         assert ("error in stage simulate: row 0, column load: must be finite and >= 0, got inf"
                 in capsys.readouterr().err)
         assert list(out.iterdir()) == []
+        assert write_run_calls == []  # a failed stage writes nothing
 
-    def test_split_failure_after_dataset_written_cleans_up(self, tmp_path, capsys):
+    def test_split_failure_after_dataset_written_cleans_up(
+        self, tmp_path, capsys, write_run_calls
+    ):
         loads = tmp_path / "loads.csv"
         rows = [f"{i},{95.0 if i == 0 else 60.0 + 20.0 * (i % 2)}" for i in range(60)]
         loads.write_text("row_index,load\n" + "\n".join(rows) + "\n")  # one high row
@@ -380,9 +428,12 @@ class TestErrorHandling:
         assert code == 2
         assert "error in stage split" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+        assert write_run_calls == []  # a failed stage writes nothing
 
     @pytest.mark.parametrize("n_per_material", [4, 5, 6])
-    def test_efs_with_every_subset_failed_is_an_efs_error(self, tmp_path, capsys, n_per_material):
+    def test_efs_with_every_subset_failed_is_an_efs_error(
+        self, tmp_path, capsys, write_run_calls, n_per_material
+    ):
         # a cv5 fold trains on one row of a class, so every one of the 127 fits
         # fails; the first-enumerated 4-subset is no selection
         out = tmp_path / "out"
@@ -392,18 +443,18 @@ class TestErrorHandling:
         assert ("error in stage efs: every 4-feature subset's LDA fit failed in the cv5 sweep"
                 in capsys.readouterr().err)
         assert list(out.iterdir()) == []
+        assert write_run_calls == []  # a failed stage writes nothing
 
-    @pytest.mark.parametrize("name, stage", [("train.csv", "split"),
-                                             ("summary.json", "train")])
-    def test_output_path_that_is_a_directory_is_a_stage_error(
-        self, tmp_path, capsys, name, stage
-    ):
+    @pytest.mark.parametrize("name", ["train.csv", "summary.json"])
+    def test_output_path_that_is_a_directory_is_a_stage_error(self, tmp_path, capsys, name):
+        # write_run opens train.csv with its first file and summary.json near
+        # its end; either way the files it wrote before are removed
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         (out / name / "kept.txt").write_text("kept\n")
         code = main(["run", "--out", str(out), "--n-per-material", "10"])
         assert code == 2
-        assert f"error in stage {stage}: " in capsys.readouterr().err
+        assert "error in stage write: " in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [name]  # no output file of the run
         assert [p.name for p in (out / name).iterdir()] == ["kept.txt"]
         assert (out / name / "kept.txt").read_text() == "kept\n"
@@ -428,7 +479,7 @@ class TestErrorHandling:
         (6, 5, "decision grid thermal_conductivity_specific_heat_capacity"),
     ], ids=["pca-4", "efs-4", "grid", "grid-last"])
     def test_failed_lda_member_is_a_train_error(
-        self, tmp_path, capsys, monkeypatch, members, member, name
+        self, tmp_path, capsys, monkeypatch, write_run_calls, members, member, name
     ):
         # the first stack of `members` members comes back with `member` failed:
         # PCA-4 and EFS-4 are one stack of two, the six grid pairs one of six
@@ -451,6 +502,7 @@ class TestErrorHandling:
                 in capsys.readouterr().err)
         assert not todo[0]
         assert list(out.iterdir()) == []
+        assert write_run_calls == []  # a failed stage writes nothing
 
     @pytest.mark.parametrize("option, value, message", [
         ("--train-frac", "1.5", "train_fraction must be in (0, 1), got 1.5"),

@@ -8,14 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from envload.pca import fit_pca, top_features
-from envload.preprocess import (
-    SplitConfig,
-    apply_normalizer,
-    fit_normalizer,
-    label_dataset,
-    split,
-)
+from envload.cli import configs, run
+from envload.pca import top_features
 from envload.surrogate import SurrogateConfig, simulate_dataset
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -42,14 +36,12 @@ def test_pipeline_stats_at_default(calibrate, default_dataset):
     assert min(stats["low"], stats["medium"], stats["high"]) >= 0.10
 
 
-def test_numpy_pc1_ranking_matches_package_pca(calibrate, default_dataset):
-    info = calibrate.pc1_ranking_numpy(default_dataset)
-    labeled = label_dataset(simulate_dataset(default_dataset, SurrogateConfig()))
-    in_train = split(labeled, SplitConfig())
-    train, test = labeled.select(in_train), labeled.select(~in_train)
-    model = fit_pca(apply_normalizer(fit_normalizer(train), train).features)
-    assert (info["n_train"], info["n_test"]) == (len(train), len(test))
-    assert info["ranking"] == [f.column_name for f in top_features(model, 7)]
+def test_numpy_pc1_ranking_matches_package_pca(calibrate):
+    result = run(configs())
+    info = calibrate.pc1_ranking_numpy(result)
+    assert (info["n_train"], info["n_test"]) == (210, 390)
+    assert info["ranking"] == [f.column_name for f in top_features(result.pca, 7)]
+    assert info["package_ranking"] == info["ranking"]
 
 
 def _ab_runs(a: Path, b: Path) -> subprocess.CompletedProcess:

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Calibration and verification harness for the surrogate defaults.
 
-Sweeps q_base >= 0 (SurrogateConfig rejects a negative one) on the
-default-seed pipeline, every other constant at its default, and reports for
-each value: the load range and median and the class shares under the 75/90
-thresholds. Then, at the default SurrogateConfig(), cross-checks the PC1
-loading ranking of the resulting training matrix with numpy's eigensolver,
-independently of the package's own eigendecomposition.
+Sweeps q_base >= 0 (SurrogateConfig rejects a negative one) on the features
+of a default `envload run`, every other constant at its default, and
+reports for each value: the load range and median and the class shares
+under the 75/90 thresholds. Then cross-checks that run's PC1 loading
+ranking with numpy's eigensolver, independently of the package's own
+eigendecomposition.
 
 Run:  python tools/calibrate_surrogate.py [q_base ...]
 """
@@ -15,16 +15,10 @@ import sys
 
 import numpy as np
 
-from envload.dataset import ClassLabel, FeatureId, builtin_material_library
-from envload.preprocess import (
-    SplitConfig,
-    Thresholds,
-    apply_normalizer,
-    fit_normalizer,
-    label_dataset,
-    split,
-)
-from envload.sampling import SamplerConfig, generate_dataset
+from envload.cli import configs, run
+from envload.dataset import ClassLabel, FeatureId
+from envload.pca import top_features
+from envload.preprocess import Thresholds, apply_normalizer
 from envload.surrogate import SurrogateConfig, thermal_loads
 
 
@@ -45,15 +39,12 @@ def pipeline_stats(dataset, q_base):
     }
 
 
-def pc1_ranking_numpy(dataset):
-    """Independent oracle at the default surrogate: split + normalize, then
-    numpy eigh on the 1/(n-1) covariance of the training matrix."""
-    loads = thermal_loads(dataset.features, SurrogateConfig())
-    labeled = label_dataset(dataset.with_loads(loads))
-    in_train = split(labeled, SplitConfig())
-    train, test = labeled.select(in_train), labeled.select(~in_train)
-    norm = fit_normalizer(train)
-    x = apply_normalizer(norm, train).features
+def pc1_ranking_numpy(result):
+    """Independent oracle of a run's PC1 ranking: numpy eigh on the 1/(n-1)
+    covariance of its normalized training rows, beside the ranking of the
+    package's PCA, top_features(result.pca, 7)."""
+    train = result.dataset.select(result.in_train)
+    x = apply_normalizer(result.norm, train).features
     xc = x - x.mean(axis=0)
     cov = xc.T @ xc / (len(train) - 1)
     w, v = np.linalg.eigh(cov)
@@ -67,33 +58,36 @@ def pc1_ranking_numpy(dataset):
     }
     return {
         "n_train": len(train),
-        "n_test": len(test),
+        "n_test": len(result.dataset) - len(train),
         "train_per_class": per_class,
         "eigenvalues": w,
         "ratios": w / w.sum(),
         "pc1_abs": pc1,
         "ranking": [f.column_name for f in ranking],
+        "package_ranking": [f.column_name for f in top_features(result.pca, 7)],
     }
 
 
 def main(argv):
-    dataset = generate_dataset(builtin_material_library(), SamplerConfig())
+    result = run(configs())
     q_values = [float(a) for a in argv[1:]] or [0.0, 2.0, 5.0, 10.0, 20.0]
     print(f"{'q_base':>8} {'min':>8} {'median':>8} {'max':>8} {'low':>7} {'med':>7} {'high':>7}")
     for q in q_values:
-        s = pipeline_stats(dataset, q)
+        s = pipeline_stats(result.dataset, q)
         print(
             f"{s['q_base']:8.1f} {s['min']:8.2f} {s['median']:8.2f} {s['max']:8.2f} "
             f"{s['low']:7.3f} {s['medium']:7.3f} {s['high']:7.3f}"
         )
     print("\nPC1 check at the default SurrogateConfig():")
-    info = pc1_ranking_numpy(dataset)
+    info = pc1_ranking_numpy(result)
     print(f"  split: {info['n_train']}/{info['n_test']}  per-class {info['train_per_class']}")
     print(f"  explained-variance ratios: {np.round(info['ratios'], 4)}")
     print(f"  |PC1| loadings by feature:")
     for f in FeatureId:
         print(f"    {f.column_name:24s} {info['pc1_abs'][f]:.4f}")
     print(f"  ranking: {info['ranking']}")
+    agree = "agrees" if info["ranking"] == info["package_ranking"] else "DISAGREES"
+    print(f"  package ranking {agree}: {info['package_ranking']}")
 
 
 if __name__ == "__main__":
