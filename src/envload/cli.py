@@ -3,8 +3,11 @@
     generate -> simulate (or ingest) -> label -> split -> pca -> efs -> train
 
 `envload run` is the one command, and it computes, then writes. Each stage
-is one function that takes values (Dataset, Normalizer, PcaModel,
-EfsReport) and returns values; no stage takes a path or writes a file.
+is one function that takes values and returns values; no stage takes a
+path or writes a file. A Dataset is built only where data enters: generate,
+simulate (or ingest) and label each return one. Past the split the stages
+pass numpy arrays, the dataset's columns indexed by the train mask, and the
+Normalizer, PcaModel and EfsReport that they fit.
 `run(cfg)` chains the stages in memory and returns a Run, the frozen value
 of all that the run found. `write_run(run, out)` is the only code that
 formats or writes: it writes each output file once and reads none back. It
@@ -104,17 +107,18 @@ def stage_split(dataset: Dataset, cfg: SplitConfig) -> np.ndarray:
     return split(dataset, cfg)
 
 
-def stage_pca(train: Dataset) -> tuple[Normalizer, pca_mod.PcaModel, np.ndarray]:
-    """The normalizer of the train rows, the PCA model of the normalized
-    rows and their PC1-3 scores."""
-    norm = fit_normalizer(train)
-    train_n = apply_normalizer(norm, train)
-    model = pca_mod.fit_pca(train_n.features)
-    return norm, model, pca_mod.project(model, train_n.features, [1, 2, 3])
+def stage_pca(x: np.ndarray) -> tuple[Normalizer, pca_mod.PcaModel, np.ndarray]:
+    """The normalizer of the raw train features x, the PCA model of the
+    normalized rows and their PC1-3 scores."""
+    norm = fit_normalizer(x)
+    x = apply_normalizer(norm, x)
+    model = pca_mod.fit_pca(x)
+    return norm, model, pca_mod.project(model, x, [1, 2, 3])
 
 
-def stage_efs(train: Dataset, metric: str, cv_seed: int) -> efs_mod.EfsReport:
-    report = efs_mod.run_efs(train, metric=metric, cv_seed=cv_seed)
+def stage_efs(x: np.ndarray, y: np.ndarray, metric: str, cv_seed: int) -> efs_mod.EfsReport:
+    """The sweep of the raw train features x and their label codes y."""
+    report = efs_mod.run_efs(x, y, metric=metric, cv_seed=cv_seed)
     if report.best_per_size[4].fit_failed:
         raise ValueError(f"every 4-feature subset's LDA fit failed in the {metric} "
                          "sweep, so there is no EFS-4 subset to select")
@@ -160,17 +164,19 @@ def stage_train(dataset: Dataset, in_train: np.ndarray, norm: Normalizer,
                 grid_resolution: int) -> tuple[dict, dict, dict]:
     """The PCA-4 and EFS-4 models, fit as one stack of two on the normalized
     train rows: each one's features and (train, test) accuracy, and the
-    decision grids of the PCA-4 features."""
-    def normalized(rows: np.ndarray) -> tuple:  # one part at a time: test is most rows
-        part = apply_normalizer(norm, dataset.select(rows))
-        return part.features, part.labels
+    decision grids of the PCA-4 features. Each part is normalized once, and
+    the train part is freed before the test part, most rows, is made."""
+    def normalized(rows: np.ndarray) -> tuple:
+        return apply_normalizer(norm, dataset.features[rows]), dataset.labels[rows]
 
     features = {"PCA-4": pca_mod.top_features(pca_model, 4),
                 "EFS-4": list(report.best_per_size[4].subset)}
-    stats = lda_mod.class_stats(*normalized(in_train))
+    x, y = normalized(in_train)
+    stats = lda_mod.class_stats(x, y)
     final = _fit_stack(stats, features)
-    train_acc, test_acc = (lda_mod.accuracy(final, *normalized(rows)).tolist()
-                           for rows in (in_train, ~in_train))
+    train_acc = lda_mod.accuracy(final, x, y).tolist()
+    del x, y
+    test_acc = lda_mod.accuracy(final, *normalized(~in_train)).tolist()
     lo, hi = (f(dataset.features, axis=0, where=in_train[:, None], initial=v)
               for f, v in ((np.min, np.inf), (np.max, -np.inf)))  # of the raw train rows
     bounds = np.array([lo - GRID_MARGIN * (hi - lo), hi + GRID_MARGIN * (hi - lo)])
@@ -193,10 +199,12 @@ def run(cfg: argparse.Namespace, on_stage: Callable[[str], object] = lambda stag
     dataset = stage_label(dataset, cfg.thresholds)
     on_stage("split")
     in_train = stage_split(dataset, cfg.split)
+    # each stage indexes the train rows afresh: a local would keep them alive in stage_train
     on_stage("pca")
-    norm, pca_model, scores = stage_pca(dataset.select(in_train))
+    norm, pca_model, scores = stage_pca(dataset.features[in_train])
     on_stage("efs")
-    report = stage_efs(dataset.select(in_train), cfg.metric, cfg.cv_seed)
+    report = stage_efs(dataset.features[in_train], dataset.labels[in_train], cfg.metric,
+                       cfg.cv_seed)
     on_stage("train")
     features, accuracy, grids = stage_train(dataset, in_train, norm, pca_model, report,
                                             cfg.grid_resolution)

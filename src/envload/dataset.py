@@ -11,9 +11,10 @@ fixed system design assumptions are the SYSTEM_CONSTANTS dict, which only
 the config echo reads.
 
 A Dataset holds one read-only numpy column per field: material index, the
-(n, 7) feature matrix, loads and int8 ClassLabel codes. Each pipeline stage
-works on whole columns and returns a new Dataset that shares the columns it
-did not change.
+(n, 7) feature matrix, loads and int8 ClassLabel codes. One is built, and
+every column checked, only where data enters: the sampler, attached loads
+and labels, and read_dataset. Past the split the stages pass plain arrays,
+its columns indexed by the train mask; feature_matrix checks their shape.
 """
 
 from __future__ import annotations
@@ -178,11 +179,8 @@ class Dataset:
             return NotImplemented
         return all(
             a is b if a is None or b is None else np.array_equal(a, b)
-            for a, b in zip(self._columns(), other._columns())
+            for a, b in ((getattr(self, c), getattr(other, c)) for c in _COLUMN_RULES)
         )
-
-    def _columns(self) -> tuple[np.ndarray | None, ...]:
-        return (self.material_index, self.features, self.loads, self.labels)
 
     def with_loads(self, loads: np.ndarray | Sequence[float]) -> "Dataset":
         return replace(self, loads=loads)
@@ -190,25 +188,13 @@ class Dataset:
     def with_labels(self, labels: np.ndarray | Sequence[ClassLabel]) -> "Dataset":
         return replace(self, labels=labels)
 
-    def with_features(self, features: np.ndarray) -> "Dataset":
-        return replace(self, features=features)
 
-    def select(self, rows: np.ndarray | Sequence[int]) -> "Dataset":
-        """The rows at the given integer indices, or where a boolean mask with
-        one entry per row is true; anything else raises ValueError."""
-        rows = np.asarray(rows)
-        if rows.dtype == np.bool_:
-            if rows.shape != (len(self),):
-                raise ValueError(f"a row mask of {rows.size} entries for {len(self)} rows")
-        elif rows.dtype.kind in "iu" or rows.size == 0:  # [] is no rows
-            rows = rows.astype(np.intp, copy=False)
-        else:
-            raise ValueError(f"row indices must be integers, got dtype {rows.dtype}")
-        picked = [None if c is None else c[rows] for c in self._columns()]
-        for c in picked:  # fresh arrays, frozen in place so that _column shares them
-            if c is not None:
-                c.setflags(write=False)
-        return Dataset(*picked)
+def feature_matrix(x) -> np.ndarray:
+    """x as a float64 array, which must be an (n, 7) feature matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != N_FEATURES:
+        raise ValueError(f"expected an (n, {N_FEATURES}) feature matrix, got shape {x.shape}")
+    return x
 
 
 def _column(values, dtype, shape: tuple, column: str, bad, rule: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FEATURE_COLUMNS, Dataset, FeatureId, N_FEATURES
+from .dataset import FEATURE_COLUMNS, N_FEATURES, ClassLabel, FeatureId, feature_matrix
 from .lda import class_stats, fit_lda, predict_many
 from .sampling import Xoshiro256pp, check_seed
 
@@ -87,18 +87,22 @@ def _pooled_accuracies(
             for c, f in zip(np.concatenate(correct).tolist(), np.concatenate(failed).tolist())]
 
 
-def run_efs(train: Dataset, metric: str = METRIC_TRAIN, cv_seed: int = 42) -> EfsReport:
-    """Evaluate LDA on every non-empty feature subset of the training set."""
+def run_efs(x: np.ndarray, y: np.ndarray, metric: str = METRIC_TRAIN,
+            cv_seed: int = 42) -> EfsReport:
+    """Evaluate LDA on every non-empty feature subset of an (n, 7) training
+    matrix x with one ClassLabel code per row in y."""
     if metric not in (METRIC_TRAIN, METRIC_CV5):
         raise ValueError(f"unknown metric {metric!r}")
     check_seed(cv_seed, "cv_seed")
-    y = train.labels
-    if y is None:
-        raise ValueError("training set must be labeled")
+    x, y = feature_matrix(x), np.asarray(y)
+    if y.shape != (len(x),):
+        raise ValueError(f"expected {len(x)} labels, one per row of x, got shape {y.shape}")
+    # checked here, as class_stats' ValueError would read as every subset failing
+    if y.dtype.kind not in "iu" or not ((y >= 0) & (y < len(ClassLabel))).all():
+        raise ValueError(f"labels must be ClassLabel codes 0..{len(ClassLabel) - 1}")
     # np.unique would import numpy.ma on its first call: 14 ms, mid-run
     if np.count_nonzero(np.bincount(y)) < 2:
         raise ValueError("need at least 2 classes for the sweep")
-    x = train.features
 
     if metric == METRIC_TRAIN:
         folds = [(slice(None), slice(None))]  # fit and score on every row

@@ -1,7 +1,7 @@
 """Principal component analysis of normalized training features.
 
 fit_pca and project take (n, p) feature matrices, normalized beforehand:
-apply_normalizer(norm, dataset).features.
+apply_normalizer(norm, x) of the raw train features x.
 
 Loadings are raw eigenvector components (signed, unit-norm columns); reports
 print their absolute values. Covariance uses 1/(n-1) scaling about the

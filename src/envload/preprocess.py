@@ -11,7 +11,7 @@ from numbers import Real
 
 import numpy as np
 
-from .dataset import FEATURE_COLUMNS, ClassLabel, Dataset, FeatureId
+from .dataset import FEATURE_COLUMNS, ClassLabel, Dataset, FeatureId, feature_matrix
 from .sampling import Xoshiro256pp, check_seed
 
 
@@ -64,8 +64,8 @@ class SplitConfig:
 
 
 def split(dataset: Dataset, cfg: SplitConfig) -> np.ndarray:
-    """Boolean mask of the train rows; dataset.select(mask) and
-    dataset.select(~mask) are the train and test parts, in row order.
+    """Boolean mask of the train rows: a column indexed by it, or by ~mask,
+    is the train or the test part, in row order.
 
     n_train = floor(n * f + 0.5) clipped to [1, n - 1], f the train fraction.
     The groups are the classes, or all rows as one group if unstratified.
@@ -124,22 +124,23 @@ class Normalizer:
                                  f"std_dev >= 0, got mean {m}, std_dev {s}")
 
 
-def fit_normalizer(train: Dataset) -> Normalizer:
-    if len(train) == 0:
+def fit_normalizer(x: np.ndarray) -> Normalizer:
+    """The z-score context of an (n, 7) matrix of training features."""
+    x = feature_matrix(x)
+    if len(x) == 0:
         raise ValueError("cannot fit normalizer on an empty training set")
-    x = train.features
     means = x.mean(axis=0)
     stds = x.std(axis=0)  # population (1/n) std
     return Normalizer(tuple(float(m) for m in means), tuple(float(s) for s in stds))
 
 
-def apply_normalizer(norm: Normalizer, dataset: Dataset) -> Dataset:
-    """Transform every row with the fitted training statistics."""
+def apply_normalizer(norm: Normalizer, x: np.ndarray) -> np.ndarray:
+    """The z-scores of every row of an (n, 7) feature matrix under the fitted
+    training statistics, as a fresh array."""
     means = np.array(norm.means)
     stds = np.array(norm.std_devs)
     safe = np.where(stds > 0.0, stds, 1.0)
-    z = dataset.features - means
+    z = feature_matrix(x) - means
     z /= safe
     z[:, stds == 0.0] = 0.0
-    z.setflags(write=False)  # fresh, so the Dataset shares it rather than copies it
-    return dataset.with_features(z)
+    return z

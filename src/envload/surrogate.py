@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import N_FEATURES, POSITIVE_FEATURES, Dataset, _cell
+from .dataset import POSITIVE_FEATURES, Dataset, _cell, feature_matrix
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,7 @@ def thermal_loads(x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
     exp is math.exp, element by element: np.exp differs from it in the last
     ulp on some inputs, and the loads are written out with repr.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != N_FEATURES:
-        raise ValueError(f"expected an (n, {N_FEATURES}) feature matrix, got shape {x.shape}")
+    x = feature_matrix(x)
     bad = np.argwhere(x[:, POSITIVE_FEATURES] <= 0.0)
     if len(bad):
         row, f = bad[0][0], POSITIVE_FEATURES[bad[0][1]]

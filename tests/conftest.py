@@ -30,23 +30,21 @@ def labeled_dataset(default_dataset):
 
 @pytest.fixture(scope="session")
 def default_split(labeled_dataset):
+    """The (x, y) raw features and label codes of the train and the test part."""
     in_train = split(labeled_dataset, SplitConfig())
-    return labeled_dataset.select(in_train), labeled_dataset.select(~in_train)
+    return tuple((labeled_dataset.features[rows], labeled_dataset.labels[rows])
+                 for rows in (in_train, ~in_train))
 
 
 @pytest.fixture(scope="session")
 def default_normalizer(default_split):
-    train, _ = default_split
-    return fit_normalizer(train)
+    (x, _), _ = default_split
+    return fit_normalizer(x)
 
 
 @pytest.fixture(scope="session")
 def normalized_train(default_split, default_normalizer):
-    train, _ = default_split
-    return apply_normalizer(default_normalizer, train)
+    """The (x, y) of the train part, x normalized."""
+    (x, y), _ = default_split
+    return apply_normalizer(default_normalizer, x), y
 
-
-@pytest.fixture(scope="session")
-def normalized_test(default_split, default_normalizer):
-    _, test = default_split
-    return apply_normalizer(default_normalizer, test)

@@ -47,9 +47,8 @@ def test_criterion_1_dataset_shape():
     dataset = generate_dataset(builtin_material_library(), SamplerConfig())
     labeled = label_dataset(simulate_dataset(dataset, SurrogateConfig()))
     in_train = split(labeled, SplitConfig())
-    train, test = labeled.select(in_train), labeled.select(~in_train)
     assert len(dataset) == 600
-    assert (len(train), len(test)) == (210, 390)
+    assert (np.count_nonzero(in_train), np.count_nonzero(~in_train)) == (210, 390)
     _report("criterion 1 - 600 rows, 210/390 stratified split",
             time.perf_counter() - start, 1.0)
 
@@ -65,15 +64,15 @@ def test_criterion_2_labeling_boundaries():
 
 def test_criterion_3_pca_structural_suite(normalized_train):
     start = time.perf_counter()
-    model = fit_pca(normalized_train.features)
+    x, _ = normalized_train
+    model = fit_pca(x)
     assert abs(model.explained_variance_ratio.sum() - 1.0) <= 1e-10
     assert np.all(np.diff(model.cumulative_ratio) >= -1e-15)
     gram = model.loadings.T @ model.loadings
     assert np.max(np.abs(gram - np.eye(7))) <= 1e-10
-    scores = project(model, normalized_train.features, list(range(1, 8)))
+    scores = project(model, x, list(range(1, 8)))
     rebuilt = scores @ model.loadings.T
-    assert np.max(np.abs(rebuilt - normalized_train.features)) <= 1e-8
-    x = normalized_train.features
+    assert np.max(np.abs(rebuilt - x)) <= 1e-8
     xc = x - x.mean(axis=0)
     trace = float(np.trace(xc.T @ xc / (len(x) - 1)))
     assert abs(model.eigenvalues.sum() - trace) <= 1e-8 * max(1.0, abs(trace))
@@ -82,11 +81,11 @@ def test_criterion_3_pca_structural_suite(normalized_train):
 
 def test_criterion_4_pca_top3_matches_fixture(normalized_train):
     start = time.perf_counter()
-    model = fit_pca(normalized_train.features)
+    x, _ = normalized_train
+    model = fit_pca(x)
     assert set(top_features(model, 3)) == EXPECTED_TOP3
     assert EXPECTED_TOP3 <= set(top_features(model, 4))
     # independent eigensolver on the identical matrix must agree
-    x = normalized_train.features
     xc = x - x.mean(axis=0)
     w, v = np.linalg.eigh(xc.T @ xc / (len(x) - 1))
     pc1 = np.abs(v[:, np.argmax(w)])
@@ -160,7 +159,7 @@ def test_criterion_6_lda_correctness_suite():
 
 def test_criterion_7_efs_exactness(normalized_train):
     start = time.perf_counter()
-    report = run_efs(normalized_train)  # the real 210-row training sweep
+    report = run_efs(*normalized_train)  # the real 210-row training sweep
     assert len(report.all_results) == 127
     assert len({r.subset for r in report.all_results}) == 127
     for size, best in report.best_per_size.items():
@@ -168,7 +167,7 @@ def test_criterion_7_efs_exactness(normalized_train):
         assert best.metric_value == max(pool)
 
     synthetic = make_single_informative()
-    synth_report = run_efs(synthetic)
+    synth_report = run_efs(*synthetic)
     best1 = synth_report.best_per_size[1]
     assert best1.subset == (FeatureId.SPECIFIC_HEAT_CAPACITY,)
     assert best1.metric_value == 1.0

@@ -16,6 +16,7 @@ from envload.dataset import (
     LABEL_NAMES,
     SYSTEM_CONSTANTS,
     ClassLabel,
+    Dataset,
     FeatureId,
     read_dataset,
     write_dataset,
@@ -103,16 +104,15 @@ class TestRunAll:
             count = int(np.count_nonzero(dataset.labels == lbl))
             assert summary["counts"]["per_class"][lbl.csv_value] == count
 
-        norm = fit_normalizer(train)
-        train_n = apply_normalizer(norm, train)
-        test_n = apply_normalizer(norm, test)
+        norm = fit_normalizer(train.features)
+        x_train, x_test = (apply_normalizer(norm, ds.features) for ds in (train, test))
         by_name = {f.column_name: f for f in FeatureId}
-        stats = class_stats(train_n.features, train_n.labels)
+        stats = class_stats(x_train, train.labels)
         for key in ("pca_selected", "efs_selected"):
             entry = summary["lda"][key]
             model = fit_lda(stats, [[int(by_name[n]) for n in entry["features"]]])
-            [train_acc] = accuracy(model, train_n.features, train_n.labels)
-            [test_acc] = accuracy(model, test_n.features, test_n.labels)
+            [train_acc] = accuracy(model, x_train, train.labels)
+            [test_acc] = accuracy(model, x_test, test.labels)
             assert entry["train_accuracy"] == train_acc
             assert entry["test_accuracy"] == test_acc
 
@@ -149,7 +149,7 @@ class TestRunAll:
         monkeypatch.setattr(lda_mod, "decision_grid", recording_grid)
         result = cli.run(cli.configs())
         assert [i for _, i, _, _ in calls] == list(range(6))
-        stats = class_stats(normalized_train.features, normalized_train.labels)
+        stats = class_stats(*normalized_train)
         for (model, i, xs, ys), (_, _, codes) in zip(calls, result.grids.values()):
             alone = fit_lda(stats, model.cols[[i]])
             assert codes.tolist() == decision_grid(alone, 0, xs, ys).tolist(), i
@@ -271,6 +271,21 @@ class TestDeterminismAndComposition:
         assert main(["run", "--out", str(tmp_path / "out"), "--n-per-material", "10"]) == 0
         assert calls == [("dataset.csv", ["train.csv", "test.csv"])]
 
+    @pytest.mark.parametrize("options", [[], ["--efs-metric", "cv5"], ["--ingest-loads"]],
+                             ids=["default", "cv5", "ingest"])
+    def test_a_dataset_is_built_only_where_data_enters(self, tmp_path, monkeypatch, options):
+        # one from the sampler, one as the loads attach and one as the labels
+        # do; past the split the stages pass arrays
+        if options == ["--ingest-loads"]:
+            loads = tmp_path / "loads.csv"
+            _write_synthetic_loads(loads, 60)
+            options = ["--n-per-material", "10", "--ingest-loads", str(loads)]
+        built = []
+        post_init = Dataset.__post_init__
+        monkeypatch.setattr(Dataset, "__post_init__", lambda ds: built.append(post_init(ds)))
+        cli.run(cli.configs(options))
+        assert len(built) == 3
+
 
 @pytest.fixture(scope="module", params=[["--grid-resolution", "2"],
                                         ["--no-stratify", "--grid-resolution", "7"]],
@@ -305,17 +320,19 @@ class TestFormattedOnce:
         dataset = read_dataset(out / "dataset.csv")
         in_train = split(dataset, SplitConfig(seed=42, stratified=stratified))
         for name, rows in (("train.csv", in_train), ("test.csv", ~in_train)):
-            write_dataset(dataset.select(rows), tmp_path / name)
+            part = Dataset(dataset.material_index[rows], dataset.features[rows],
+                           dataset.loads[rows], dataset.labels[rows])
+            write_dataset(part, tmp_path / name)
             assert _text(out / name) == _text(tmp_path / name), name
 
     def test_scores_equal_pairwise_projections(self, seed7_run):
         out, _, _ = seed7_run
         train = read_dataset(out / "train.csv")
-        train_n = apply_normalizer(fit_normalizer(train), train)
-        model = fit_pca(train_n.features)
-        labels = [LABEL_NAMES[c] for c in train_n.labels.tolist()]
+        x = apply_normalizer(fit_normalizer(train.features), train.features)
+        model = fit_pca(x)
+        labels = [LABEL_NAMES[c] for c in train.labels.tolist()]
         for i, j in ((1, 2), (1, 3), (2, 3)):
-            scores = project(model, train_n.features, [i, j]).tolist()
+            scores = project(model, x, [i, j]).tolist()
             expected = f"pc{i},pc{j},label\r\n" + "".join(
                 f"{a!r},{b!r},{lbl}\r\n" for (a, b), lbl in zip(scores, labels)
             )
@@ -326,14 +343,13 @@ class TestFormattedOnce:
         # over sigma, intercepts less coef . mu), applied to the raw grid points
         out, _, grids = seed7_run
         train = read_dataset(out / "train.csv")
-        norm = fit_normalizer(train)
-        train_n = apply_normalizer(norm, train)
+        norm = fit_normalizer(train.features)
         n = json.loads((out / "config.json").read_text())["train"]["grid_resolution"]
         names = {f"decision_grid_{a.column_name}_{b.column_name}.csv": [a, b]
                  for a in FeatureId for b in FeatureId}
         written = sorted(out.glob("decision_grid_*.csv"))
         assert len(grids) == len(written) == 6
-        stats = class_stats(train_n.features, train_n.labels)
+        stats = class_stats(apply_normalizer(norm, train.features), train.labels)
         for path in written:
             cols = names[path.name]
             model = fit_lda(stats, [cols])

@@ -221,38 +221,6 @@ class TestDomainTypes:
         assert ds.with_loads([3.0, 4.0]).features is ds.features
 
 
-    def test_select_holds_each_column_once(self):
-        ds = _synthetic_dataset(30_000)
-        rows = np.arange(30_000) % 3 != 0
-        tracemalloc.start()
-        try:
-            part = ds.select(rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = sum(c.nbytes for c in part._columns())
-        assert peak <= 1.25 * size, (peak, size)
-        assert part == ds.select(np.flatnonzero(rows))
-        assert not any(c.flags.writeable for c in part._columns())
-
-    @pytest.mark.parametrize("rows", [[0.7, 1.2], np.array([0.0, 1.0]), [0, 1.5], ["0"]],
-                             ids=["floats", "float-array", "mixed", "strings"])
-    def test_select_rejects_non_integer_indices(self, rows):
-        # truncation would silently pick rows 0 and 1
-        with pytest.raises(ValueError, match="row indices must be integers, got dtype"):
-            _synthetic_dataset(5).select(rows)
-
-    @pytest.mark.parametrize("n", [4, 6])
-    def test_select_rejects_a_mask_of_another_length(self, n):
-        with pytest.raises(ValueError, match=f"a row mask of {n} entries for 5 rows"):
-            _synthetic_dataset(5).select(np.ones(n, dtype=bool))
-
-    def test_select_of_no_rows(self):
-        ds = _synthetic_dataset(5)
-        for rows in ([], np.array([], dtype=np.int64), np.zeros(5, dtype=bool)):
-            assert len(ds.select(rows)) == 0
-        assert ds.select(np.array([4, 0], dtype=np.uint8)) == ds.select([4, 0])
-
 def _synthetic_dataset(n=600):
     i = np.arange(n)
     features = np.column_stack([
@@ -380,7 +348,7 @@ def _with_edges(ds: Dataset, column: str) -> Dataset:
     if column == "features":
         features = ds.features.copy()
         features[every_other, 1] = edges
-        return ds.with_features(features)
+        return Dataset(ds.material_index, features, ds.loads, ds.labels)
     if column == "loads":
         loads = ds.loads.copy()
         loads[every_other] = edges

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from envload.dataset import ClassLabel, Dataset, FeatureId, builtin_material_library
+from envload.dataset import ClassLabel, FeatureId, builtin_material_library
 from envload.efs import (
     CV_FOLDS,
     METRIC_CV5,
@@ -24,11 +26,6 @@ def fit_all_columns(x: np.ndarray, y):
     return fit_lda(class_stats(x, y), [range(x.shape[1])])
 
 
-def _dataset(x: np.ndarray, y) -> Dataset:
-    n = len(y)
-    return Dataset(np.zeros(n, dtype=np.int64), x, loads=np.ones(n), labels=y)
-
-
 def make_single_informative(n=120, seed=60):
     """Label determined solely by feature 3's sign; other features are noise.
 
@@ -41,8 +38,8 @@ def make_single_informative(n=120, seed=60):
     magnitudes = rng.uniform(0.5, 3.0, size=n)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     x[:, FeatureId.SPECIFIC_HEAT_CAPACITY] = signs * magnitudes
-    y = [HIGH if row[FeatureId.SPECIFIC_HEAT_CAPACITY] > 0 else LOW for row in x]
-    return _dataset(x, y)
+    y = np.array([HIGH if row[FeatureId.SPECIFIC_HEAT_CAPACITY] > 0 else LOW for row in x])
+    return x, y
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +66,7 @@ class TestEnumerate:
 
 class TestRunEfs:
     def test_report_shape(self, single_informative):
-        report = run_efs(single_informative)
+        report = run_efs(*single_informative)
         assert len(report.all_results) == 127
         assert len({r.subset for r in report.all_results}) == 127
         assert sorted(report.best_per_size) == [1, 2, 3, 4, 5, 6, 7]
@@ -78,13 +75,12 @@ class TestRunEfs:
             assert 0.0 <= r.metric_value <= 1.0
 
     def test_single_informative_feature_wins_size_one(self, single_informative):
-        report = run_efs(single_informative)
+        report = run_efs(*single_informative)
         best1 = report.best_per_size[1]
         assert best1.subset == (FeatureId.SPECIFIC_HEAT_CAPACITY,)
         assert best1.metric_value == 1.0
         # verified independently by evaluating all seven singletons
-        x = single_informative.features
-        y = single_informative.labels
+        x, y = single_informative
         for f in FeatureId:
             xs = x[:, [int(f)]]
             [acc] = accuracy(fit_all_columns(xs, y), xs, y)
@@ -94,7 +90,7 @@ class TestRunEfs:
                 assert acc < 1.0
 
     def test_best_per_size_survives_independent_second_pass(self, single_informative):
-        report = run_efs(single_informative)
+        report = run_efs(*single_informative)
         for size, best in report.best_per_size.items():
             candidates = [r for r in report.all_results if len(r.subset) == size]
             assert best.metric_value == max(r.metric_value for r in candidates)
@@ -105,7 +101,7 @@ class TestRunEfs:
             assert best is first_max
 
     def test_overall_best_prefers_smaller_then_lexicographic(self, single_informative):
-        report = run_efs(single_informative)
+        report = run_efs(*single_informative)
         best = report.overall_best
         same_metric = [
             r for r in report.all_results if r.metric_value == best.metric_value
@@ -121,7 +117,7 @@ class TestRunEfs:
         x[:, 1] = z        # density and conductivity carry identical signal
         x[:, 2] = z
         y = [HIGH if v > 0 else LOW for v in z]
-        report = run_efs(_dataset(x, y))
+        report = run_efs(x, y)
         best1 = report.best_per_size[1]
         assert best1.metric_value == 1.0
         assert best1.subset == (FeatureId.DENSITY,)  # index 1 beats index 2
@@ -131,7 +127,7 @@ class TestRunEfs:
         x = rng.normal(size=(60, 7))
         x[:, 0] = 3.25  # constant thickness: zero within-class variance alone
         y = [HIGH if v > 0 else LOW for v in x[:, 1]]
-        report = run_efs(_dataset(x, y))
+        report = run_efs(x, y)
         thickness_only = report.all_results[0]
         assert thickness_only.subset == (FeatureId.THICKNESS,)
         assert thickness_only.fit_failed
@@ -140,32 +136,52 @@ class TestRunEfs:
 
     def test_unknown_metric_rejected(self, single_informative):
         with pytest.raises(ValueError, match="metric"):
-            run_efs(single_informative, metric="auc")
+            run_efs(*single_informative, metric="auc")
 
-    def test_unlabeled_rows_rejected(self):
-        ds = Dataset([0] * 4, [(1.0,) * 7] * 4, loads=[1.0] * 4)
-        with pytest.raises(ValueError, match="label"):
-            run_efs(ds)
+    def test_unlabeled_rows_rejected(self, single_informative):
+        # class_stats would reject such labels in every fit: 127 failed
+        # subsets and no error
+        x, y = single_informative
+        for labels in ([None] * len(x), y + 5, y - 1, y + 0.5):
+            with pytest.raises(ValueError, match=r"labels must be ClassLabel codes 0\.\.2"):
+                run_efs(x, labels)
+
+    @pytest.mark.parametrize("reshape", [lambda y: np.resize(y, len(y) + 1),
+                                         lambda y: y[:-1], lambda y: y[:, None]],
+                             ids=["longer", "shorter", "column"])
+    def test_one_label_per_row(self, single_informative, reshape):
+        x, y = single_informative
+        labels = reshape(y)
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected {len(x)} labels, one per row of x, got shape {labels.shape}")):
+            run_efs(x, labels)
+
+    @pytest.mark.parametrize("shape", [(120, 6), (120,), (120, 7, 1)])
+    def test_features_must_be_an_n_by_7_matrix(self, single_informative, shape):
+        x, y = single_informative
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected an (n, 7) feature matrix, got shape {shape}")):
+            run_efs(np.resize(x, shape), y)
 
 
 class TestCrossValidation:
     def test_cv5_deterministic_in_seed(self, single_informative):
-        a = run_efs(single_informative, metric=METRIC_CV5, cv_seed=3)
-        b = run_efs(single_informative, metric=METRIC_CV5, cv_seed=3)
+        a = run_efs(*single_informative, metric=METRIC_CV5, cv_seed=3)
+        b = run_efs(*single_informative, metric=METRIC_CV5, cv_seed=3)
         assert a.all_results == b.all_results
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 4.5])
     def test_cv_seed_outside_the_generator_range_rejected(self, single_informative, seed):
         with pytest.raises(ValueError, match=r"cv_seed must be an integer in \[0, 2\*\*64\)"):
-            run_efs(single_informative, metric=METRIC_CV5, cv_seed=seed)
+            run_efs(*single_informative, metric=METRIC_CV5, cv_seed=seed)
 
     def test_largest_cv_seed_accepted(self, single_informative):
-        report = run_efs(single_informative, metric=METRIC_CV5, cv_seed=2**64 - 1)
+        report = run_efs(*single_informative, metric=METRIC_CV5, cv_seed=2**64 - 1)
         assert len(report.all_results) == 127
 
     def test_cv5_differs_from_train_metric(self, single_informative):
-        train = run_efs(single_informative, metric=METRIC_TRAIN)
-        cv = run_efs(single_informative, metric=METRIC_CV5)
+        train = run_efs(*single_informative, metric=METRIC_TRAIN)
+        cv = run_efs(*single_informative, metric=METRIC_CV5)
         assert train.metric_kind == METRIC_TRAIN
         assert cv.metric_kind == METRIC_CV5
         assert any(
@@ -174,23 +190,25 @@ class TestCrossValidation:
         )
 
     def test_cv5_metric_bounded(self, single_informative):
-        cv = run_efs(single_informative, metric=METRIC_CV5)
+        cv = run_efs(*single_informative, metric=METRIC_CV5)
         assert all(0.0 <= r.metric_value <= 1.0 for r in cv.all_results)
         # the informative singleton generalizes across folds too
         assert cv.best_per_size[1].subset == (FeatureId.SPECIFIC_HEAT_CAPACITY,)
         assert cv.best_per_size[1].metric_value == 1.0
 
 
-def _generated(seed: int) -> Dataset:
+def _generated(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The features and label codes of a labelled 180-row sample."""
     ds = generate_dataset(builtin_material_library(),
                           SamplerConfig(seed=seed, n_per_material=30))
-    return label_dataset(simulate_dataset(ds, SurrogateConfig()))
+    ds = label_dataset(simulate_dataset(ds, SurrogateConfig()))
+    return ds.features, ds.labels
 
 
-def _brute_force_efs(ds: Dataset, metric: str, cv_seed: int = 42) -> list[tuple[float, bool]]:
+def _brute_force_efs(x: np.ndarray, y: np.ndarray, metric: str,
+                     cv_seed: int = 42) -> list[tuple[float, bool]]:
     """(metric, fit failed) per subset from one fit on the subset's own
     columns per subset, and per fold for cv5."""
-    x, y = ds.features, ds.labels
     fold_of = _cv_fold_ids(len(y), cv_seed)
     out = []
     for cols in SUBSETS:
@@ -215,8 +233,8 @@ def _brute_force_efs(ds: Dataset, metric: str, cv_seed: int = 42) -> list[tuple[
     return out
 
 
-def _swept(ds: Dataset, metric: str) -> list[tuple[float, bool]]:
-    return [(r.metric_value, r.fit_failed) for r in run_efs(ds, metric=metric).all_results]
+def _swept(x: np.ndarray, y: np.ndarray, metric: str) -> list[tuple[float, bool]]:
+    return [(r.metric_value, r.fit_failed) for r in run_efs(x, y, metric=metric).all_results]
 
 
 class TestSharedStatisticsEquivalence:
@@ -226,8 +244,8 @@ class TestSharedStatisticsEquivalence:
     @pytest.mark.parametrize("metric", [METRIC_TRAIN, METRIC_CV5])
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_one_fit_per_subset(self, seed, metric):
-        ds = _generated(seed)
-        assert _swept(ds, metric) == _brute_force_efs(ds, metric)
+        x, y = _generated(seed)
+        assert _swept(x, y, metric) == _brute_force_efs(x, y, metric)
 
     @pytest.mark.parametrize("metric", [METRIC_TRAIN, METRIC_CV5])
     @pytest.mark.parametrize("value", [3.25, 0.1, 2700.0])
@@ -235,12 +253,11 @@ class TestSharedStatisticsEquivalence:
         # 3.25 and 2700 sum exactly and leave a zero variance; 0.1 leaves
         # rounding noise in the class means. Either way the column carries no
         # signal, so the shared statistics and per-subset fits agree
-        ds = _generated(0)
-        x = ds.features.copy()
+        x, y = _generated(0)
+        x = x.copy()
         x[:, FeatureId.DENSITY] = value
-        ds = Dataset(ds.material_index, x, loads=ds.loads, labels=ds.labels)
-        expected = _brute_force_efs(ds, metric)
-        assert _swept(ds, metric) == expected
+        expected = _brute_force_efs(x, y, metric)
+        assert _swept(x, y, metric) == expected
         subsets = SUBSETS
         assert [cols for cols, (_, failed) in zip(subsets, expected) if failed] == [
             cols for cols in subsets if FeatureId.DENSITY in cols]
@@ -248,24 +265,22 @@ class TestSharedStatisticsEquivalence:
     def test_column_flat_in_one_fold_fails_its_subsets(self):
         # density is constant but for two rows of fold 0: only the fit that
         # holds out fold 0 sees a flat column, and that one failure must stick
-        ds = _generated(0)
-        x = ds.features.copy()
+        x, y = _generated(0)
+        x = x.copy()
         x[:, FeatureId.DENSITY] = 3.25
         x[np.flatnonzero(_cv_fold_ids(len(x), 42) == 0)[:2], FeatureId.DENSITY] = [1.0, 5.0]
-        ds = Dataset(ds.material_index, x, loads=ds.loads, labels=ds.labels)
-        expected = _brute_force_efs(ds, METRIC_CV5)
-        assert _swept(ds, METRIC_CV5) == expected
+        expected = _brute_force_efs(x, y, METRIC_CV5)
+        assert _swept(x, y, METRIC_CV5) == expected
         subsets = SUBSETS
         assert [cols for cols, (_, failed) in zip(subsets, expected) if failed] == [
             cols for cols in subsets if FeatureId.DENSITY in cols]
 
     def test_fold_leaving_one_row_of_a_class_fails_every_subset(self):
         # one HIGH row: the four folds that train on it have a one-row class
-        ds = _generated(0)
-        labels = ds.labels.copy()
+        x, labels = _generated(0)
+        labels = labels.copy()
         high = np.flatnonzero(labels == HIGH)
         labels[high[1:]] = ClassLabel.MEDIUM
-        ds = Dataset(ds.material_index, ds.features, loads=ds.loads, labels=labels)
-        expected = _brute_force_efs(ds, METRIC_CV5)
+        expected = _brute_force_efs(x, labels, METRIC_CV5)
         assert expected == [(0.0, True)] * 127
-        assert _swept(ds, METRIC_CV5) == expected
+        assert _swept(x, labels, METRIC_CV5) == expected

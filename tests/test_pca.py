@@ -17,8 +17,14 @@ from envload.sampling import SamplerConfig, generate_dataset
 
 
 @pytest.fixture(scope="module")
-def default_model(normalized_train):
-    return fit_pca(normalized_train.features)
+def x_train(normalized_train):
+    """The normalized train features."""
+    return normalized_train[0]
+
+
+@pytest.fixture(scope="module")
+def default_model(x_train):
+    return fit_pca(x_train)
 
 
 class TestFit:
@@ -66,10 +72,9 @@ class TestFit:
             model = fit_pca(x)
             assert int(np.argmax(np.abs(model.loadings[:, 0]))) == j
 
-    def test_matches_numpy_eigh(self, normalized_train, default_model):
-        x = normalized_train.features
-        xc = x - x.mean(axis=0)
-        w, _ = np.linalg.eigh(xc.T @ xc / (len(x) - 1))
+    def test_matches_numpy_eigh(self, x_train, default_model):
+        xc = x_train - x_train.mean(axis=0)
+        w, _ = np.linalg.eigh(xc.T @ xc / (len(x_train) - 1))
         assert default_model.eigenvalues == pytest.approx(w[::-1], rel=1e-9, abs=1e-12)
 
     def test_permuting_features_permutes_loading_rows(self):
@@ -154,37 +159,37 @@ class TestTopFeatures:
                     FeatureId.SPECIFIC_HEAT_CAPACITY}
         for seed in range(20):
             ds = generate_dataset(default_library, SamplerConfig(seed, n_per_material))
-            model = fit_pca(apply_normalizer(fit_normalizer(ds), ds).features)
+            model = fit_pca(apply_normalizer(fit_normalizer(ds.features), ds.features))
             assert set(top_features(model, 4)) == expected, seed
 
 
 class TestProject:
-    def test_full_projection_reconstructs(self, default_model, normalized_train):
-        scores = project(default_model, normalized_train.features, list(range(1, 8)))
+    def test_full_projection_reconstructs(self, default_model, x_train):
+        scores = project(default_model, x_train, list(range(1, 8)))
         rebuilt = scores @ default_model.loadings.T
-        assert np.max(np.abs(rebuilt - normalized_train.features)) <= 1e-8
+        assert np.max(np.abs(rebuilt - x_train)) <= 1e-8
 
-    def test_scores_have_zero_mean_on_fit_data(self, default_model, normalized_train):
-        scores = project(default_model, normalized_train.features, [1, 2, 3])
+    def test_scores_have_zero_mean_on_fit_data(self, default_model, x_train):
+        scores = project(default_model, x_train, [1, 2, 3])
         assert np.max(np.abs(scores.mean(axis=0))) <= 1e-8
 
-    def test_pc1_score_variance_equals_top_eigenvalue(self, default_model, normalized_train):
-        scores = project(default_model, normalized_train.features, [1])[:, 0]
+    def test_pc1_score_variance_equals_top_eigenvalue(self, default_model, x_train):
+        scores = project(default_model, x_train, [1])[:, 0]
         var = float(np.sum((scores - scores.mean()) ** 2) / (len(scores) - 1))
         assert var == pytest.approx(float(default_model.eigenvalues[0]), rel=1e-8)
 
-    def test_score_covariance_is_diagonal(self, default_model, normalized_train):
-        scores = project(default_model, normalized_train.features, list(range(1, 8)))
+    def test_score_covariance_is_diagonal(self, default_model, x_train):
+        scores = project(default_model, x_train, list(range(1, 8)))
         sc = scores - scores.mean(axis=0)
         cov = sc.T @ sc / (len(scores) - 1)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) <= 1e-8
 
-    def test_component_index_validation(self, default_model, normalized_train):
+    def test_component_index_validation(self, default_model, x_train):
         with pytest.raises(ValueError):
-            project(default_model, normalized_train.features, [0])
+            project(default_model, x_train, [0])
         with pytest.raises(ValueError):
-            project(default_model, normalized_train.features, [8])
+            project(default_model, x_train, [8])
 
     @pytest.mark.parametrize("shape", [(3, 6), (7,), (3, 8)])
     def test_matrix_shape_validation(self, default_model, shape):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -91,16 +92,17 @@ def _labeled(counts: dict[ClassLabel, int]) -> Dataset:
     return Dataset([0] * n, features, loads=[1.0] * n, labels=labels)
 
 
-def _rows(ds: Dataset) -> Counter:
-    """The dataset as a multiset of (material_index, features, load, label) rows."""
-    return Counter(zip(ds.material_index.tolist(), map(tuple, ds.features.tolist()),
-                       ds.loads.tolist(), ds.labels.tolist()))
+def _rows(ds: Dataset, rows: np.ndarray | slice = slice(None)) -> list[tuple]:
+    """The (material_index, features, load, label) rows of ds where rows
+    picks them, in order."""
+    return list(zip(ds.material_index[rows].tolist(), map(tuple, ds.features[rows].tolist()),
+                    ds.loads[rows].tolist(), ds.labels[rows].tolist()))
 
 
-def _parts(ds: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
-    """(train, test) of the split's train mask."""
+def _parts(ds: Dataset, cfg: SplitConfig) -> tuple[list[tuple], list[tuple]]:
+    """The rows (see _rows) of the train and the test part of the split."""
     in_train = split(ds, cfg)
-    return ds.select(in_train), ds.select(~in_train)
+    return _rows(ds, in_train), _rows(ds, ~in_train)
 
 
 class TestSplit:
@@ -110,8 +112,7 @@ class TestSplit:
 
     def test_partition_no_loss_no_duplication(self, labeled_dataset):
         train, test = _parts(labeled_dataset, SplitConfig())
-        combined = _rows(train) + _rows(test)
-        assert combined == _rows(labeled_dataset)
+        assert Counter(train + test) == Counter(_rows(labeled_dataset))
 
     def test_same_seed_same_split(self, labeled_dataset):
         a = _parts(labeled_dataset, SplitConfig(seed=9))
@@ -142,14 +143,14 @@ class TestSplit:
         # goes to the earliest largest-remainder class (LOW)
         ds = _labeled({ClassLabel.LOW: 3, ClassLabel.MEDIUM: 3, ClassLabel.HIGH: 4})
         train, _ = _parts(ds, SplitConfig(train_fraction=0.5))
-        by_class = Counter(ClassLabel(c) for c in train.labels.tolist())
+        by_class = Counter(ClassLabel(row[-1]) for row in train)
         assert len(train) == 5
         assert by_class == {ClassLabel.LOW: 2, ClassLabel.MEDIUM: 1, ClassLabel.HIGH: 2}
 
     def test_stratification_preserves_class_shares(self, labeled_dataset):
         train, _ = _parts(labeled_dataset, SplitConfig())
         total = Counter(ClassLabel(c) for c in labeled_dataset.labels.tolist())
-        in_train = Counter(ClassLabel(c) for c in train.labels.tolist())
+        in_train = Counter(ClassLabel(row[-1]) for row in train)
         for lbl, n in total.items():
             assert in_train[lbl] == pytest.approx(0.35 * n, abs=1.0)
 
@@ -167,8 +168,7 @@ class TestSplit:
         cfg = SplitConfig(stratified=False)
         train, test = _parts(labeled_dataset, cfg)
         assert (len(train), len(test)) == (210, 390)
-        combined = _rows(train) + _rows(test)
-        assert combined == _rows(labeled_dataset)
+        assert Counter(train + test) == Counter(_rows(labeled_dataset))
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -267,52 +267,63 @@ def _mask_or_error(ds: Dataset, cfg: SplitConfig) -> list[bool] | str:
         return str(exc)
 
 
-def _feature_column(values):
-    n = len(values)
-    features = [(v, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5) for v in values]
-    return Dataset([0] * n, features, loads=[1.0] * n, labels=[ClassLabel.LOW] * n)
+def _feature_column(values) -> np.ndarray:
+    """A feature matrix whose first column holds values."""
+    return np.array([(v, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5) for v in values])
 
 
 class TestNormalizer:
     def test_z_scores_of_small_sample(self):
-        ds = _feature_column([1.0, 2.0, 3.0])
-        norm = fit_normalizer(ds)
-        out = apply_normalizer(norm, ds).features[:, 0]
+        x = _feature_column([1.0, 2.0, 3.0])
+        out = apply_normalizer(fit_normalizer(x), x)[:, 0]
         # population sigma of {1,2,3} is 0.816496580927726
         assert out == pytest.approx(
             [-1.224744871391589, 0.0, 1.224744871391589], rel=1e-12
         )
 
     def test_constant_feature_maps_to_zero(self):
-        ds = _feature_column([5.0, 5.0, 5.0])
-        norm = fit_normalizer(ds)
-        out = apply_normalizer(norm, ds).features
+        x = _feature_column([5.0, 5.0, 5.0])
+        out = apply_normalizer(fit_normalizer(x), x)
         assert np.all(out[:, 0] == 0.0)
 
     def test_training_set_becomes_standardized(self, default_split):
-        train, _ = default_split
-        norm = fit_normalizer(train)
-        z = apply_normalizer(norm, train).features
+        (x, _), _ = default_split
+        z = apply_normalizer(fit_normalizer(x), x)
         assert np.all(np.abs(z.mean(axis=0)) <= 1e-10)
         assert np.all(np.abs(z.std(axis=0) - 1.0) <= 1e-10)
 
     def test_test_rows_use_training_statistics(self, default_split):
-        train, _ = default_split
-        norm = fit_normalizer(train)
-        probe = Dataset([0], [norm.means], loads=[1.0], labels=[ClassLabel.LOW])
-        z = apply_normalizer(norm, probe).features
+        (x, _), _ = default_split
+        norm = fit_normalizer(x)
+        z = apply_normalizer(norm, [norm.means])
         assert np.all(np.abs(z) <= 1e-12)
 
     def test_not_idempotent(self, default_split):
-        train, _ = default_split
-        norm = fit_normalizer(train)
-        once = apply_normalizer(norm, train)
+        (x, _), _ = default_split
+        norm = fit_normalizer(x)
+        once = apply_normalizer(norm, x)
         twice = apply_normalizer(norm, once)
-        assert not np.allclose(once.features, twice.features)
+        assert not np.allclose(once, twice)
+
+    def test_result_is_a_fresh_array(self, default_split):
+        (x, _), _ = default_split
+        before = x.copy()
+        z = apply_normalizer(fit_normalizer(x), x)
+        assert not np.shares_memory(z, x)
+        assert np.array_equal(x, before)
 
     def test_empty_training_set_rejected(self):
-        with pytest.raises(ValueError):
-            fit_normalizer(Dataset(np.empty(0, dtype=np.int64), np.empty((0, 7))))
+        with pytest.raises(ValueError, match="empty training set"):
+            fit_normalizer(np.empty((0, 7)))
+
+    @pytest.mark.parametrize("shape", [(5, 6), (5, 8), (7,), (5, 7, 1)])
+    def test_a_matrix_that_is_not_n_by_7_rejected(self, shape):
+        message = re.escape(f"expected an (n, 7) feature matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            fit_normalizer(np.ones(shape))
+        norm = Normalizer((0.0,) * 7, (1.0,) * 7)
+        with pytest.raises(ValueError, match=message):
+            apply_normalizer(norm, np.ones(shape))
 
     def test_normalizer_shape_validation(self):
         with pytest.raises(ValueError):

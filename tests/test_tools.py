@@ -1,5 +1,6 @@
 """The scripts under tools/ run against the current library."""
 
+import hashlib
 import importlib.util
 import shutil
 import subprocess
@@ -17,14 +18,17 @@ SRC = TOOLS.parent / "src"
 TINY_RUN = ["--n-per-material", "10", "--grid-resolution", "3"]
 
 
-@pytest.fixture(scope="module")
-def calibrate():
-    spec = importlib.util.spec_from_file_location(
-        "calibrate_surrogate", TOOLS / "calibrate_surrogate.py"
-    )
+def _tool(name: str):
+    """The module of the script tools/<name>.py."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def calibrate():
+    return _tool("calibrate_surrogate")
 
 
 def test_pipeline_stats_at_default(calibrate, default_dataset):
@@ -56,6 +60,14 @@ def test_ab_runs_of_the_checkout_against_itself():
     proc = _ab_runs(SRC, SRC)
     assert proc.returncode == 0, proc.stderr
     assert "B faster in" in proc.stdout and "of 2 pairs" in proc.stdout
+
+
+def test_ab_runs_hashes_an_output_larger_than_a_block_whole(tmp_path):
+    ab_runs = _tool("ab_runs")
+    path = tmp_path / "out.csv"
+    path.write_bytes(bytes(range(256)) * (5 * ab_runs.HASH_BLOCK // 512) + b"tail")
+    assert path.stat().st_size > 2 * ab_runs.HASH_BLOCK
+    assert ab_runs.sha256_of(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_ab_runs_fails_when_outputs_differ(tmp_path):

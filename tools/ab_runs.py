@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+HASH_BLOCK = 1 << 20  # bytes read at a time to hash an output
 
 
 def _is_envload(name: str) -> bool:
@@ -63,8 +64,17 @@ def run_once(modules: dict, argv: list[str], out: Path) -> tuple[int, float, dic
     start = time.perf_counter()
     code = modules["envload.cli"].main(["run", *argv, "--out", str(out)])
     elapsed = time.perf_counter() - start
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    return code, elapsed, digests
+    return code, elapsed, {p.name: sha256_of(p) for p in out.iterdir()}
+
+
+def sha256_of(path: Path) -> str:
+    """The sha256 of a file, read 1 MiB at a time, so that hashing an output
+    adds no more than that to the peak memory of the process."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _summary(label: str, src: Path, times: list[float]) -> str:

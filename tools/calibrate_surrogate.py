@@ -43,10 +43,10 @@ def pc1_ranking_numpy(result):
     """Independent oracle of a run's PC1 ranking: numpy eigh on the 1/(n-1)
     covariance of its normalized training rows, beside the ranking of the
     package's PCA, top_features(result.pca, 7)."""
-    train = result.dataset.select(result.in_train)
-    x = apply_normalizer(result.norm, train).features
+    x = apply_normalizer(result.norm, result.dataset.features[result.in_train])
+    y = result.dataset.labels[result.in_train]
     xc = x - x.mean(axis=0)
-    cov = xc.T @ xc / (len(train) - 1)
+    cov = xc.T @ xc / (len(x) - 1)
     w, v = np.linalg.eigh(cov)
     order = np.argsort(-w)
     w = w[order]
@@ -54,11 +54,11 @@ def pc1_ranking_numpy(result):
     pc1 = np.abs(v[:, 0])
     ranking = sorted(FeatureId, key=lambda f: (-pc1[f], int(f)))
     per_class = {
-        lbl.csv_value: int(np.count_nonzero(train.labels == lbl)) for lbl in ClassLabel
+        lbl.csv_value: int(np.count_nonzero(y == lbl)) for lbl in ClassLabel
     }
     return {
-        "n_train": len(train),
-        "n_test": len(result.dataset) - len(train),
+        "n_train": len(x),
+        "n_test": len(result.dataset) - len(x),
         "train_per_class": per_class,
         "eigenvalues": w,
         "ratios": w / w.sum(),
