@@ -129,7 +129,7 @@ def _fit_stack(stats: lda_mod.ClassStats, members: dict[str, Sequence[FeatureId]
                ) -> lda_mod.LdaModel:
     """One stacked LDA fit of the named feature subsets. A run scores and
     writes every member, so a member whose fit failed is an error."""
-    model = lda_mod.fit_lda(stats, [[int(f) for f in fs] for fs in members.values()])
+    model = lda_mod.fit_lda(stats, lda_mod.padded(list(members.values())))
     for name, failed in zip(members, model.failed.tolist()):
         if failed:
             raise ValueError(
@@ -139,17 +139,14 @@ def _fit_stack(stats: lda_mod.ClassStats, members: dict[str, Sequence[FeatureId]
     return model
 
 
-def _decision_grids(features: list[FeatureId], bounds: np.ndarray, stats: lda_mod.ClassStats,
-                    norm: Normalizer, resolution: int) -> dict[str, tuple[np.ndarray, ...]]:
-    """Six pairwise decision-region grids over the selected features, in raw
-    units within bounds, a (2, 7) array of lows and highs, fit as one stack
-    of six from `stats`, each grid scored on its member. The model works in
-    normalized space, so each axis is z-scored as apply_normalizer does; a
-    constant feature (sigma = 0) has zero-width bounds, which grid_axes rejects."""
-    # canonical order keeps the file names stable
-    pairs = {f"{f1.column_name}_{f2.column_name}": (f1, f2)
-             for f1, f2 in combinations(sorted(features, key=int), 2)}
-    model = _fit_stack(stats, {f"decision grid {pair}": fs for pair, fs in pairs.items()})
+def _decision_grids(pairs: dict[str, tuple[FeatureId, FeatureId]], model: lda_mod.LdaModel,
+                    bounds: np.ndarray, norm: Normalizer,
+                    resolution: int) -> dict[str, tuple[np.ndarray, ...]]:
+    """The pairwise decision-region grids of pairs, in raw units within
+    bounds, a (2, 7) array of lows and highs, the i-th scored on member i of
+    model. The model works in normalized space, so each axis is z-scored as
+    apply_normalizer does; a constant feature (sigma = 0) has zero-width
+    bounds, which grid_axes rejects."""
     grids = {}
     for i, (pair, fs) in enumerate(pairs.items()):
         axes = lda_mod.grid_axes(tuple(bounds[:, fs].T.ravel().tolist()), resolution)
@@ -162,25 +159,31 @@ def _decision_grids(features: list[FeatureId], bounds: np.ndarray, stats: lda_mo
 def stage_train(dataset: Dataset, in_train: np.ndarray, norm: Normalizer,
                 pca_model: pca_mod.PcaModel, report: efs_mod.EfsReport,
                 grid_resolution: int) -> tuple[dict, dict, dict]:
-    """The PCA-4 and EFS-4 models, fit as one stack of two on the normalized
-    train rows: each one's features and (train, test) accuracy, and the
-    decision grids of the PCA-4 features. Each part is normalized once, and
-    the train part is freed before the test part, most rows, is made."""
+    """The PCA-4 and EFS-4 models on the normalized train rows: each one's
+    features and (train, test) accuracy, and the decision grids of the six
+    pairs of PCA-4 features. All eight are fit as one stack from one
+    class_stats. Each part is normalized once, and the train part is freed
+    before the test part, most rows, is made."""
     def normalized(rows: np.ndarray) -> tuple:
         return apply_normalizer(norm, dataset.features[rows]), dataset.labels[rows]
 
     features = {"PCA-4": pca_mod.top_features(pca_model, 4),
                 "EFS-4": list(report.best_per_size[4].subset)}
+    # canonical order keeps the file names stable
+    pairs = {f"{f1.column_name}_{f2.column_name}": (f1, f2)
+             for f1, f2 in combinations(sorted(features["PCA-4"], key=int), 2)}
     x, y = normalized(in_train)
-    stats = lda_mod.class_stats(x, y)
-    final = _fit_stack(stats, features)
+    model = _fit_stack(lda_mod.class_stats(x, y), {
+        **features, **{f"decision grid {pair}": fs for pair, fs in pairs.items()}})
+    final = model.members(slice(0, len(features)))
     train_acc = lda_mod.accuracy(final, x, y).tolist()
     del x, y
     test_acc = lda_mod.accuracy(final, *normalized(~in_train)).tolist()
     lo, hi = (f(dataset.features, axis=0, where=in_train[:, None], initial=v)
               for f, v in ((np.min, np.inf), (np.max, -np.inf)))  # of the raw train rows
     bounds = np.array([lo - GRID_MARGIN * (hi - lo), hi + GRID_MARGIN * (hi - lo)])
-    grids = _decision_grids(features["PCA-4"], bounds, stats, norm, grid_resolution)
+    grids = _decision_grids(pairs, model.members(slice(len(features), None)), bounds, norm,
+                            grid_resolution)
     return features, dict(zip(features, zip(train_acc, test_acc))), grids
 
 

@@ -4,10 +4,10 @@ Every feature subset is scored in enumeration order, that of SUBSETS: size
 ascending, then lexicographic. The class means and within-class scatter of
 all 7 features are computed once per training matrix: once for the train
 metric, once per fold for cv5. Each subset's LDA is fit from a slice of
-them, so no subset re-reads the training rows. The subsets of one size are
-fit as one stacked LDA and scored in one pass, so a training matrix takes 7
-fits, not 127. A subset whose LDA fit fails scores 0 with a diagnostic flag
-instead of aborting the sweep.
+them, so no subset re-reads the training rows. All 127 subsets are fit as
+one stacked LDA, each padded to 7 columns, and scored in one pass per block
+of rows, so a training matrix takes one fit, not 127. A subset whose LDA fit
+fails scores 0 with a diagnostic flag instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -20,17 +20,18 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import FEATURE_COLUMNS, N_FEATURES, ClassLabel, FeatureId, feature_matrix
-from .lda import class_stats, fit_lda, predict_many
+from .lda import check_finite, class_stats, fit_lda, padded, predict_many
 from .sampling import Xoshiro256pp, check_seed
 
 METRIC_TRAIN = "train_accuracy"
 METRIC_CV5 = "cv5"
 CV_FOLDS = 5
-# The subsets of each size s as one (C, s) array of feature indices, fit as
-# one stacked LDA; SUBSETS is every non-empty subset, in enumeration order.
-_STACKS = tuple(np.array(list(combinations(range(N_FEATURES), size)))
-                for size in range(1, N_FEATURES + 1))
-SUBSETS = tuple(tuple(cols) for stack in _STACKS for cols in stack.tolist())
+SUBSETS = tuple(cols for size in range(1, N_FEATURES + 1)
+                for cols in combinations(range(N_FEATURES), size))
+_PADDED = padded(SUBSETS)  # one (127, 7) column array
+# predict_many scores this many rows at a time: its (rows, 127) codes and the
+# hits stay small beside the training matrix
+SCORE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,22 +70,22 @@ def _pooled_accuracies(
     correct predictions on the scored rows are counted; accuracy is the
     total over all len(y) rows. A subset whose fit fails in any fold scores 0.
 
-    The subsets of one size are fit as one stacked model and scored in one
-    predict_many pass."""
-    correct, failed = [0] * len(_STACKS), [False] * len(_STACKS)  # summed per stack
+    Every subset is one member of one stacked model per fold."""
+    correct, failed = np.zeros(len(SUBSETS), dtype=np.int64), np.zeros(len(SUBSETS), dtype=bool)
     for fit_rows, scored_rows in folds:
         try:
             stats = class_stats(x[fit_rows], y[fit_rows])
         except ValueError:
             return [(0.0, True)] * len(SUBSETS)
+        model = fit_lda(stats, _PADDED)
+        failed |= model.failed
         x_scored, y_scored = x[scored_rows], y[scored_rows]
-        for k, cols in enumerate(_STACKS):
-            model = fit_lda(stats, cols)
-            hits = predict_many(model, x_scored) == y_scored[:, None]
-            correct[k] += np.count_nonzero(hits, axis=0)
-            failed[k] |= model.failed
+        for start in range(0, len(y_scored), SCORE_BLOCK_ROWS):
+            block = slice(start, start + SCORE_BLOCK_ROWS)
+            hits = predict_many(model, x_scored[block]) == y_scored[block, None]
+            correct += np.count_nonzero(hits, axis=0)
     return [(0.0, True) if f else (c / len(y), False)
-            for c, f in zip(np.concatenate(correct).tolist(), np.concatenate(failed).tolist())]
+            for c, f in zip(correct.tolist(), failed.tolist())]
 
 
 def run_efs(x: np.ndarray, y: np.ndarray, metric: str = METRIC_TRAIN,
@@ -95,6 +96,8 @@ def run_efs(x: np.ndarray, y: np.ndarray, metric: str = METRIC_TRAIN,
         raise ValueError(f"unknown metric {metric!r}")
     check_seed(cv_seed, "cv_seed")
     x, y = feature_matrix(x), np.asarray(y)
+    # checked here, as a non-finite cell would fail every subset's fit
+    check_finite(x)
     if y.shape != (len(x),):
         raise ValueError(f"expected {len(x)} labels, one per row of x, got shape {y.shape}")
     # checked here, as class_stats' ValueError would read as every subset failing

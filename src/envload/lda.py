@@ -13,12 +13,14 @@ constant within every class, up to rounding, fails the fit instead.
 Every model is a stack of C feature subsets, fit in one pass.
 `class_stats(x, y)` checks the labels and computes the class means and the
 within-class scatter of the full (n, p) matrix once; `fit_lda(stats, cols)`
-slices them for a (C, s) array of columns, without touching the rows again,
+slices them for a (C, w) array of columns, without touching the rows again,
 fits all C members and marks a member that fails instead of raising.
+Members of different sizes share one stack, padded with -1 columns.
 `predict_many` scores full-width rows for every member with one matrix
-product per chunk of rows, and `decision_grid` scores a grid for one
-member. One subset is a stack of one, and each member of a stack equals its
-own stack of one, to the bit.
+product per chunk of rows and picks each class by comparisons, not an
+argmax; `decision_grid` scores a grid for one member. One subset is a stack
+of one, and each member's fit equals that of its own unpadded stack of one,
+to the bit.
 """
 
 from __future__ import annotations
@@ -38,26 +40,35 @@ RIDGE_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 # can be off by a few ulps, which leaves a pooled standard deviation near
 # 1e-16 of the value. Fitting such a column would treat that noise as signal.
 FLAT_RELATIVE_STD = 1e-10
-# predict_many scores this many bytes of rows at a time
-SCORE_CHUNK_BYTES = 2 << 20
+# predict_many scores this many bytes of rows at a time: small enough that
+# the scores of a 127-member stack stay in cache and add nothing to the peak
+SCORE_CHUNK_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
 class LdaModel:
-    """C models in one, the fit of class statistics at a (C, s) column
-    array: member i reads columns cols[i] of full-width rows. A member whose
-    fit failed has ridge_used nan and coef and intercept 0."""
+    """C models in one, the fit of class statistics at a (C, w) column
+    array: member i reads columns cols[i] of full-width rows. A padded slot
+    (column -1) has mean and coef +0.0 and identity in the pooled
+    covariance. A member whose fit failed has ridge_used nan and coef and
+    intercept 0."""
 
     classes: tuple[ClassLabel, ...]
-    means: np.ndarray        # (C, K, s)
-    pooled_covariance: np.ndarray  # (C, s, s), symmetric and read-only
+    means: np.ndarray        # (C, K, w)
+    pooled_covariance: np.ndarray  # (C, w, w), symmetric and read-only
     ridge_used: np.ndarray   # (C,) the RIDGE_LADDER step that made S factorizable
     log_priors: np.ndarray   # (K,)
     # cached discriminant parameters: delta_k(x) = coef[i, k] . x[cols[i]] + intercept[i, k]
-    coef: np.ndarray         # (C, K, s) rows are S^-1 mu_k
+    coef: np.ndarray         # (C, K, w) rows are S^-1 mu_k
     intercept: np.ndarray    # (C, K)
-    cols: np.ndarray         # (C, s) each member's columns of the full matrix
+    cols: np.ndarray         # (C, w) each member's columns of the full matrix, -1 padded
     failed: np.ndarray       # (C,) bool
+
+    def members(self, at: slice) -> LdaModel:
+        """The members at, as a stack of their own."""
+        return replace(self, means=self.means[at], pooled_covariance=self.pooled_covariance[at],
+                       ridge_used=self.ridge_used[at], coef=self.coef[at],
+                       intercept=self.intercept[at], cols=self.cols[at], failed=self.failed[at])
 
 
 @dataclass(frozen=True)
@@ -108,39 +119,46 @@ def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassSta
 
 
 def fit_lda(stats: ClassStats, cols: Sequence[Sequence[int]] | np.ndarray) -> LdaModel:
-    """Fit one member per row of a (C, s) array of columns, each on the
-    distinct columns of its row, in that order, all in one pass. A member
-    with a column that is constant within every class, or whose pooled
-    covariance does not factor at any ridge of the ladder, is marked in
-    `failed`."""
+    """Fit one member per row of a (C, w) array of columns, each on the
+    distinct columns of its row up to its trailing run of -1 padding, in
+    that order, all in one pass. A member with a column that is constant
+    within every class, or whose pooled covariance does not factor at any
+    ridge of the ladder, is marked in `failed`."""
     cols = np.asarray(cols)
     if cols.ndim != 2:
-        raise ValueError(f"need a (C, s) column array, got {cols.shape}")
+        raise ValueError(f"need a (C, w) column array, got {cols.shape}")
     if cols.dtype.kind not in "iu":
         raise ValueError(f"columns must be integers, got dtype {cols.dtype}")
     cols = cols.astype(np.intp)
     p = stats.means.shape[1]
-    outside = cols[(cols < 0) | (cols >= p)]
+    pad = np.logical_and.accumulate(cols[:, ::-1] == -1, axis=1)[:, ::-1]
+    outside = cols[~pad & ((cols < 0) | (cols >= p))]
     if outside.size:
         raise ValueError(f"column {outside[0]} is outside 0..{p - 1}")
-    if (np.diff(np.sort(cols, axis=1), axis=1) == 0).any():
+    sizes = np.count_nonzero(~pad, axis=1)
+    if not sizes.all():
+        raise ValueError("a member of a stacked subset has no columns")
+    ordered = np.sort(cols, axis=1)  # padding first, and only padding is negative
+    if ((np.diff(ordered, axis=1) == 0) & (ordered[:, 1:] >= 0)).any():
         raise ValueError("a member of a stacked subset repeats a column")
-    means = stats.means[:, cols].swapaxes(0, 1)  # (C, K, s)
+    means = np.where(pad[:, None, :], 0.0, stats.means[:, cols].swapaxes(0, 1))  # (C, K, w)
     k = len(stats.classes)
     pooled = stats.scatter[cols[:, :, None], cols[:, None, :]] / (stats.n - k)
+    pooled = np.where(pad[:, :, None] | pad[:, None, :], np.eye(cols.shape[1]), pooled)
     pooled.setflags(write=False)
     variances = np.diagonal(pooled, axis1=1, axis2=2)
     scale = abs(means).max(axis=1)  # each column's largest class mean
     failed = (variances <= FLAT_RELATIVE_STD ** 2 * (scale * scale)).any(axis=1)
 
-    # the ladder retries only the members that no smaller ridge factored
+    # the ladder retries only the members that no smaller ridge factored; a
+    # pivot's tolerance is of the member's own size, so padding moves no step
     coef = np.zeros(means.shape)
     ridge_used = np.full(len(means), np.nan)
     todo = np.flatnonzero(~failed)
     for ridge in RIDGE_LADDER:
         if not todo.size:
             break
-        factor = CholeskyFactor(pooled[todo], ridge)
+        factor = CholeskyFactor(pooled[todo], ridge, sizes[todo])
         coef[todo[factor.ok]] = factor.solve(means[todo])[factor.ok]
         ridge_used[todo[factor.ok]] = ridge
         todo = todo[~factor.ok]
@@ -153,29 +171,62 @@ def fit_lda(stats: ClassStats, cols: Sequence[Sequence[int]] | np.ndarray) -> Ld
                     cols, failed)
 
 
+def padded(subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Column subsets of any sizes as one (C, w) column array for fit_lda,
+    each padded with -1 to the largest size w."""
+    width = max(map(len, subsets))
+    return np.array([list(cols) + [-1] * (width - len(cols)) for cols in subsets])
+
+
+def check_finite(x: np.ndarray) -> None:
+    """Raise ValueError naming the row and column of the first cell of the
+    2-D array x that is not finite."""
+    if not np.isfinite(x).all():
+        row, col = np.argwhere(~np.isfinite(x))[0].tolist()
+        raise ValueError(f"row {row}, column {col}: not finite, got {x[row, col]}")
+
+
 def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
-    """ClassLabel codes (int8) of full-width rows, of which each member reads
-    its own columns: an (n, C) array, one code per row and member. Ties
-    break to the lower class."""
+    """ClassLabel codes (int8) of full-width, finite rows, of which each
+    member reads its own columns: an (n, C) array, one code per row and
+    member, in Fortran order. Ties break to the lower class."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    codes = np.asarray(model.classes, dtype=np.int8)
     c, k, _ = model.coef.shape
     if x.ndim != 2 or x.shape[1] <= model.cols.max():
         raise ValueError(f"expected rows of at least {model.cols.max() + 1} features, "
                          f"got shape {x.shape}")
-    # every member's coefficients at its own columns, zero elsewhere: one
-    # product scores all members, and the zero terms add nothing
-    weights = np.zeros((x.shape[1], c, k))
-    weights[model.cols, np.arange(c)[:, None]] = model.coef.swapaxes(1, 2)
-    weights = weights.reshape(x.shape[1], c * k)
-    intercept = model.intercept.reshape(c * k)
-    out = np.empty((len(x), c), dtype=np.int8)
+    # a NaN score would make the comparisons below disagree with an argmax
+    check_finite(x)
+    # every member's coefficients at its own columns, zero elsewhere, class
+    # major: one product scores all members, the zero terms add nothing, and
+    # each class's scores of a chunk are one contiguous (C, rows) block
+    members, slots = np.nonzero(model.cols >= 0)
+    weights = np.zeros((k, c, x.shape[1]))
+    weights[:, members, model.cols[members, slots]] = model.coef[members, :, slots].T
+    weights = weights.reshape(k * c, x.shape[1])
+    intercept = model.intercept.T[:, :, None]
+    codes = np.asarray(model.classes, dtype=np.int8)
+    out = np.empty((c, len(x)), dtype=np.int8)  # returned as its (n, C) transpose
     rows = max(1, SCORE_CHUNK_BYTES // (8 * c * k))
+    scores, won = np.empty(k * c * min(rows, len(x))), np.empty((c, min(rows, len(x))), np.int8)
     for start in range(0, len(x), rows):
-        scores = x[start : start + rows] @ weights
-        scores += intercept
-        out[start : start + rows] = codes[np.argmax(scores.reshape(-1, c, k), axis=2)]
-    return out
+        m = min(rows, len(x) - start)
+        score = np.matmul(weights, x[start : start + m].T, out=scores[: k * c * m].reshape(-1, m))
+        score = score.reshape(k, c, m)
+        score += intercept
+        best, label, won_m = score[0], out[:, start : start + m], won[:, :m]
+        label.fill(codes[0])
+        # class j wins where it beats the running maximum of the lower
+        # classes; a strict > keeps a tie on the lower class, as argmax does.
+        # The label is the last class that won: the largest code that won,
+        # as codes ascend with the classes
+        for j in range(1, k):
+            np.greater(score[j], best, out=won_m)
+            won_m *= codes[j]
+            np.maximum(label, won_m, out=label)
+            if j + 1 < k:
+                np.maximum(best, score[j], out=best)
+    return out.T
 
 
 def accuracy(
@@ -218,17 +269,13 @@ def decision_grid(
     Points are in row-major order, y outer, x inner: code k is at
     (xs[k % len(xs)], ys[k // len(xs)]).
     """
-    if model.cols.shape[1] != 2:
-        raise ValueError(f"decision grid needs 2-column members, got columns "
-                         f"of shape {model.cols.shape}")
     if not 0 <= i < len(model.cols):
         raise ValueError(f"member {i} is outside 0..{len(model.cols) - 1}")
-    # member i alone, a stack of one: predict_many scores every member, and
-    # its argmax over all six made a default run's six grids 2.5 times slower
-    at = slice(i, i + 1)
-    alone = replace(model, means=model.means[at], pooled_covariance=model.pooled_covariance[at],
-                    ridge_used=model.ridge_used[at], coef=model.coef[at],
-                    intercept=model.intercept[at], cols=model.cols[at], failed=model.failed[at])
-    points = np.zeros((len(xs) * len(ys), alone.cols.max() + 1))
-    points[:, alone.cols[0]] = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
-    return predict_many(alone, points)[:, 0]
+    cols = model.cols[i][model.cols[i] >= 0]
+    if len(cols) != 2:
+        raise ValueError(f"decision grid needs 2-column members, member {i} has "
+                         f"{len(cols)} column(s)")
+    # member i alone, a stack of one: predict_many scores every member
+    points = np.zeros((len(xs) * len(ys), cols.max() + 1))
+    points[:, cols] = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+    return predict_many(model.members(slice(i, i + 1)), points)[:, 0]

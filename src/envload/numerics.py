@@ -8,7 +8,8 @@ implementations favor being explicit and portable over being fast.
 one elementwise step per matrix entry across the stack, and marks each
 member that does not factor instead of raising. Its sums go through
 `ordered_dot`, which adds in index order, so each member gets the same bits
-as in a stack of one, on any BLAS build.
+as in a stack of one, on any BLAS build, and a member padded with identity
+keeps the bits of its unpadded self.
 """
 
 from __future__ import annotations
@@ -63,47 +64,43 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
 def jacobi_eigen(matrix: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
     """Cyclic Jacobi rotations until the off-diagonal Frobenius norm drops
     below 1e-12 * ||A||_F (or max_sweeps, then ConvergenceError)."""
-    a = symmetric(matrix).copy()
+    a = symmetric(matrix)
     if a.ndim != 2:
         raise ValueError(f"need one matrix, got shape {a.shape}")
     n = len(a)
     v = np.eye(n)
     target = 1e-12 * float(np.sqrt(np.sum(a * a)))
 
-    if _off_diagonal_norm(a) > target:
-        converged = False
-        for _ in range(max_sweeps):
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _rotate(a, v, p, q)
-            if _off_diagonal_norm(a) <= target:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"no convergence after {max_sweeps} sweeps; off-diagonal "
-                f"residual {_off_diagonal_norm(a):g} (target {target:g})"
-            )
+    for _ in range(max_sweeps):
+        if _off_diagonal_norm(a) <= target:
+            break
+        # a sweep's rotations on Python floats: the same IEEE arithmetic as
+        # numpy scalars, without a numpy scalar per element access
+        rows, vrows = a.tolist(), v.tolist()
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _rotate(rows, vrows, p, q)
+        a, v = np.array(rows), np.array(vrows)
+    residual = _off_diagonal_norm(a)
+    if residual > target:
+        raise ConvergenceError(f"no convergence after {max_sweeps} sweeps; off-diagonal "
+                               f"residual {residual:g} (target {target:g})")
 
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = v[:, order].copy()
-    for j in range(n):
-        col = vectors[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            vectors[:, j] = -col
-    return EigenDecomposition(eigenvalues, vectors)
+    order = np.argsort(-np.diag(a), kind="stable")
+    vectors = v[:, order]
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), range(n)]
+    return EigenDecomposition(np.diag(a)[order], np.where(lead < 0.0, -vectors, vectors))
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing a[p, q], applied to a and accumulated in v."""
-    apq = a[p, q]
+def _rotate(a: list[list[float]], v: list[list[float]], p: int, q: int) -> None:
+    """One Jacobi rotation zeroing a[p][q], applied to the rows of a and
+    accumulated in the rows of v."""
+    ap, aq = a[p], a[q]
+    apq = ap[q]
     if apq == 0.0:
         return
-    app = a[p, p]
-    aqq = a[q, q]
+    app = ap[p]
+    aqq = aq[q]
     theta = (aqq - app) / (2.0 * apq)
     if theta >= 0.0:
         t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
@@ -112,22 +109,21 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     c = 1.0 / math.sqrt(t * t + 1.0)
     s = t * c
 
-    n = a.shape[0]
-    for i in range(n):
+    for i, ai in enumerate(a):
         if i != p and i != q:
-            aip = a[i, p]
-            aiq = a[i, q]
-            a[i, p] = a[p, i] = aip * c - aiq * s
-            a[i, q] = a[q, i] = aiq * c + aip * s
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = a[q, p] = 0.0
+            aip = ai[p]
+            aiq = ai[q]
+            ai[p] = ap[i] = aip * c - aiq * s
+            ai[q] = aq[i] = aiq * c + aip * s
+    ap[p] = app - t * apq
+    aq[q] = aqq + t * apq
+    ap[q] = aq[p] = 0.0
 
-    for i in range(n):
-        vip = v[i, p]
-        viq = v[i, q]
-        v[i, p] = vip * c - viq * s
-        v[i, q] = viq * c + vip * s
+    for vi in v:
+        vip = vi[p]
+        viq = vi[q]
+        vi[p] = vip * c - viq * s
+        vi[q] = viq * c + vip * s
 
 
 def ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,19 +142,24 @@ class CholeskyFactor:
     """Lower-triangular factors of a (C, n, n) stack of matrices A, each plus
     ridge*I; a reusable solver context.
 
-    A pivot at or below n * eps times its diagonal entry is zero up to
-    rounding, so that member does not factor: `ok` marks the members that
-    did. A member that hits such a pivot continues with unit pivots, so its
-    factor and its solves stay finite but mean nothing.
+    Member i may be of size sizes[i] < n (n by default), padded with
+    identity in its trailing rows and columns: padded terms come last in
+    every sum and add +0.0. A pivot at or below sizes[i] * eps times its
+    diagonal entry is zero up to rounding, so that member does not factor:
+    `ok` marks the members that did. A member that hits such a pivot
+    continues with unit pivots, so its factor and solves stay finite but
+    mean nothing.
     """
 
-    def __init__(self, matrix: np.ndarray, ridge: float = 0.0) -> None:
+    def __init__(self, matrix: np.ndarray, ridge: float = 0.0,
+                 sizes: np.ndarray | None = None) -> None:
         if ridge < 0.0:
             raise ValueError(f"ridge must be >= 0, got {ridge}")
         a = symmetric(matrix)
         if a.ndim != 3:
             raise ValueError(f"need a (C, n, n) stack of matrices, got shape {a.shape}")
         c, n, _ = a.shape
+        tolerance = _EPS * (n if sizes is None else np.asarray(sizes, dtype=np.float64))
         if ridge > 0.0:
             a = a.copy()
             a[:, range(n), range(n)] += ridge
@@ -167,7 +168,7 @@ class CholeskyFactor:
         self.ok = np.ones(c, dtype=bool)
         for j in range(n):
             pivot = a[:, j, j] - ordered_dot(lower[:, j, :j], lower[:, j, :j])
-            self.ok &= pivot > n * _EPS * a[:, j, j]
+            self.ok &= pivot > tolerance * a[:, j, j]
             lower[:, j, j] = np.sqrt(np.where(self.ok, pivot, 1.0))
             below = a[:, j + 1 :, j] - ordered_dot(lower[:, j + 1 :, :j], lower[:, j, None, :j])
             lower[:, j + 1 :, j] = below / lower[:, j, j, None]

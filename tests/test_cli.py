@@ -137,8 +137,9 @@ class TestRunAll:
         assert digests == PINNED_DIGESTS
 
     def test_each_grid_equals_its_member_alone(self, tmp_path, monkeypatch, normalized_train):
-        # the default run's grids, each scored on its member of the stack of
-        # six, are the grids of each pair fit alone, and the pinned files
+        # the default run's grids, scored on the six padded grid members of
+        # the one stack of eight, are the grids of each pair fit alone, and
+        # the pinned files
         calls = []
         decision_grid = lda_mod.decision_grid
 
@@ -151,7 +152,8 @@ class TestRunAll:
         assert [i for _, i, _, _ in calls] == list(range(6))
         stats = class_stats(*normalized_train)
         for (model, i, xs, ys), (_, _, codes) in zip(calls, result.grids.values()):
-            alone = fit_lda(stats, model.cols[[i]])
+            assert model.cols[i, 2:].tolist() == [-1, -1]
+            alone = fit_lda(stats, model.cols[[i], :2])
             assert codes.tolist() == decision_grid(alone, 0, xs, ys).tolist(), i
         cli.write_run(result, tmp_path)
         grids = sorted(tmp_path.glob("decision_grid_*.csv"))
@@ -490,15 +492,15 @@ class TestErrorHandling:
         assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("members, member, name", [
-        (2, 0, "PCA-4"), (2, 1, "EFS-4"),
-        (6, 0, "decision grid thickness_density"),
-        (6, 5, "decision grid thermal_conductivity_specific_heat_capacity"),
+        (8, 0, "PCA-4"), (8, 1, "EFS-4"),
+        (8, 2, "decision grid thickness_density"),
+        (8, 7, "decision grid thermal_conductivity_specific_heat_capacity"),
     ], ids=["pca-4", "efs-4", "grid", "grid-last"])
     def test_failed_lda_member_is_a_train_error(
         self, tmp_path, capsys, monkeypatch, write_run_calls, members, member, name
     ):
         # the first stack of `members` members comes back with `member` failed:
-        # PCA-4 and EFS-4 are one stack of two, the six grid pairs one of six
+        # PCA-4, EFS-4 and the six grid pairs are one stack of eight
         fit = lda_mod.fit_lda
         todo = [True]
 

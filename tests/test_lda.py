@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +18,26 @@ from envload.lda import (
     grid_axes,
     predict_many,
 )
+from envload.numerics import CholeskyFactor
 from envload.preprocess import label_dataset
 from envload.sampling import SamplerConfig, generate_dataset
 from envload.surrogate import SurrogateConfig, simulate_dataset
 
 LOW, MED, HIGH = ClassLabel.LOW, ClassLabel.MEDIUM, ClassLabel.HIGH
+
+
+def reference_predict(model, x):
+    """predict_many as one member-major product and np.argmax over each
+    member's classes: the reference that its comparisons must match."""
+    x = np.asarray(x, dtype=np.float64)
+    c, k, _ = model.coef.shape
+    weights = np.zeros((x.shape[1], c, k))
+    for i, cols in enumerate(model.cols):
+        real = cols >= 0
+        weights[cols[real], i] = model.coef[i][:, real].T
+    scores = x @ weights.reshape(x.shape[1], c * k) + model.intercept.reshape(c * k)
+    codes = np.asarray(model.classes, dtype=np.int8)
+    return codes[np.argmax(scores.reshape(len(x), c, k), axis=2)]
 
 
 def _fit(x, y):
@@ -115,7 +131,7 @@ class TestFit:
         x, y = _two_class_1d()
         stats = class_stats(x, y)
         for cols in ([0], 0, np.zeros((1, 1, 1), dtype=int)):
-            with pytest.raises(ValueError, match=r"\(C, s\) column array"):
+            with pytest.raises(ValueError, match=r"\(C, w\) column array"):
                 fit_lda(stats, cols)
 
     @pytest.mark.parametrize("bad", [3, -1, 0.5])
@@ -230,6 +246,55 @@ class TestPredict:
         y = [LOW, LOW, HIGH, HIGH]
         model = _fit(x, y)
         assert _predict(model, [[0.7]]) == [LOW]
+
+    @pytest.mark.parametrize("labels", [[LOW, HIGH], [LOW, MED, HIGH]], ids=["2-class", "3-class"])
+    def test_exact_ties_match_the_argmax_reference(self, labels):
+        # small integers make every score exact in any summation order, so
+        # two classes tie exactly wherever their integer scores are equal;
+        # member 3 failed, so its scores are all zero and it predicts the
+        # lowest class everywhere
+        rng = np.random.default_rng(4)
+        y = np.repeat(labels, 4)
+        stats = class_stats(rng.normal(size=(len(y), 4)), y)
+        cols = np.array([[0, 1, 2], [3, -1, -1], [2, 0, -1], [1, 3, -1], [0, 1, 2]])
+        model = fit_lda(stats, cols)
+        coef = rng.integers(-2, 3, size=model.coef.shape) * (cols >= 0)[:, None, :]
+        intercept = rng.integers(-2, 3, size=model.intercept.shape)
+        coef[4], intercept[4] = 0, 0
+        model = dataclasses.replace(model, coef=coef.astype(float),
+                                    intercept=intercept.astype(float),
+                                    failed=np.arange(5) == 4)
+        x = rng.integers(-3, 4, size=(500, 4)).astype(float)
+        codes = predict_many(model, x)
+        assert codes.tolist() == reference_predict(model, x).tolist()
+        assert (codes[:, 4] == labels[0]).all()
+        # the ties are there: many rows share a member's best score
+        real = cols >= 0
+        exact = np.stack([x[:, cols[i][real[i]]] @ coef[i][:, real[i]].T + intercept[i]
+                          for i in range(4)], axis=1)
+        assert ((exact == exact.max(axis=2, keepdims=True)).sum(axis=2) > 1).sum() > 100
+
+    def test_fits_match_the_argmax_reference(self):
+        rng = np.random.default_rng(19)
+        x, y = _three_blobs(rng, spread=1.5)
+        x = np.column_stack([x, rng.normal(size=(len(y), 2))])
+        cols = [list(c) + [-1] * (4 - len(c))
+                for size in range(1, 5) for c in itertools.combinations(range(4), size)]
+        model = fit_lda(class_stats(x, y), cols)
+        probes = rng.uniform(-3.0, 7.0, size=(2000, 4))
+        assert predict_many(model, probes).tolist() == reference_predict(model, probes).tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        # a NaN score would make the comparisons disagree with np.argmax
+        x, y = _three_blobs(np.random.default_rng(6))
+        model = _fit(x, y)
+        probes = x.copy()
+        probes[7, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"row 7, column 1: not finite, got {bad}")):
+            predict_many(model, probes)
+        with pytest.raises(ValueError, match=re.escape(f"row 7, column 1: not finite, got {bad}")):
+            accuracy(model, probes, y)
 
     def test_dimension_mismatch(self):
         # a member of column 1 needs rows of at least 2 features
@@ -420,8 +485,15 @@ def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def _ragged(p=7):
+    """Every non-empty subset of range(p) as one (2**p - 1, p) column array,
+    each row padded with -1."""
+    return np.array([list(cols) + [-1] * (p - size) for size in range(1, p + 1)
+                     for cols in itertools.combinations(range(p), size)])
+
+
 class TestStacked:
-    """fit_lda and predict_many on a (C, s) column array: each member as if
+    """fit_lda and predict_many on a (C, w) column array: each member as if
     fit and scored alone."""
 
     @pytest.fixture(scope="class", params=range(5))
@@ -429,12 +501,12 @@ class TestStacked:
         ds = generate_dataset(builtin_material_library(),
                               SamplerConfig(seed=request.param, n_per_material=30))
         ds = label_dataset(simulate_dataset(ds, SurrogateConfig()))
-        return class_stats(ds.features, ds.labels), ds.features
+        return class_stats(ds.features, ds.labels), ds.features, ds.labels
 
     def test_every_member_equals_its_stack_of_one(self, stats):
         # member i of a stack has the bits of fitting it alone in every field:
         # entry i of a per-member field, and all of a shared one
-        full, _ = stats
+        full, _, _ = stats
         shared = {"classes", "log_priors"}
         for cols in _members_of_every_size():
             model = fit_lda(full, cols)
@@ -450,7 +522,7 @@ class TestStacked:
                     assert _same_bits(a, b), field.name
 
     def test_predict_many_equals_each_member_alone(self, stats):
-        full, x = stats
+        full, x, _ = stats
         rng = np.random.default_rng(0)
         probes = np.vstack([x, x + rng.normal(size=x.shape) * x.std(axis=0)])
         for cols in _members_of_every_size():
@@ -460,6 +532,73 @@ class TestStacked:
             for i, member in enumerate(cols):
                 alone = fit_lda(full, [member])
                 assert codes[:, i].tolist() == predict_many(alone, probes)[:, 0].tolist()
+
+    @pytest.mark.parametrize("collinear", [False, True], ids=["generated", "near-collinear"])
+    def test_every_ragged_member_equals_its_stack_of_one(self, stats, collinear):
+        # all 127 subsets in one stack, padded to 7 columns: each member's real
+        # slots have the bits of its unpadded stack of one, and its padded
+        # slots hold +0.0 means and coefficients and identity covariance. A
+        # near-collinear column makes the subsets that hold it and its two
+        # sources climb the ridge ladder, where a pivot tolerance of the
+        # padded size would move the step
+        full, x, y = stats
+        if collinear:
+            z = (x - x.mean(axis=0)) / x.std(axis=0)
+            z[:, 6] = z[:, 4] - 0.5 * z[:, 5] + 1e-9 * np.random.default_rng(1).normal(size=len(z))
+            full = class_stats(z, y)
+        cols = _ragged()
+        model = fit_lda(full, cols)
+        if collinear:
+            assert (model.ridge_used > 0).sum() >= 8
+        for i, row in enumerate(cols):
+            s = int((row >= 0).sum())
+            alone = fit_lda(full, [row[:s]])
+            assert model.cols[i].tolist() == row.tolist()
+            assert model.failed[i] == alone.failed[0]
+            assert _same_bits(model.ridge_used[i], alone.ridge_used[0])
+            assert _same_bits(model.intercept[i], alone.intercept[0])
+            assert _same_bits(model.coef[i, :, :s], alone.coef[0])
+            assert _same_bits(model.means[i, :, :s], alone.means[0])
+            assert _same_bits(model.pooled_covariance[i, :s, :s], alone.pooled_covariance[0])
+            assert _same_bits(model.coef[i, :, s:], np.zeros((len(full.classes), 7 - s)))
+            assert _same_bits(model.means[i, :, s:], np.zeros((len(full.classes), 7 - s)))
+            assert _same_bits(model.pooled_covariance[i, s:, :], np.eye(7)[s:])
+            assert _same_bits(model.pooled_covariance[i, :s, s:], np.zeros((s, 7 - s)))
+
+    def test_ragged_predictions_equal_each_member_alone(self, stats):
+        full, x, _ = stats
+        cols = _ragged()
+        codes = predict_many(fit_lda(full, cols), x)
+        for i, row in enumerate(cols):
+            alone = fit_lda(full, [row[row >= 0]])
+            assert codes[:, i].tolist() == predict_many(alone, x)[:, 0].tolist()
+
+    def test_padding_keeps_the_members_pivot_tolerance(self):
+        # pooled covariance [[1, r], [r, 1]] with r = 1 - 3 * 2**-53: the
+        # second pivot is 1 - r * r = 3 eps, above the 2 eps tolerance of a
+        # 2-column member and below the 7 eps of a 7-wide stack, so only a
+        # tolerance of the member's own size keeps it at ridge 0 when padded
+        r = 1.0 - 3 * 2.0 ** -53
+        scatter = np.eye(7)
+        scatter[0, 1] = scatter[1, 0] = r
+        stats = lda_mod.ClassStats((LOW, HIGH), np.array([5, 5]), np.eye(2, 7), 8 * scatter, 10)
+        padded = fit_lda(stats, [[0, 1, -1, -1, -1, -1, -1]])
+        assert not CholeskyFactor(padded.pooled_covariance).ok.any()
+        alone = fit_lda(stats, [[0, 1]])
+        assert alone.ridge_used.tolist() == padded.ridge_used.tolist() == [0.0]
+        assert _same_bits(padded.coef[0, :, :2], alone.coef[0])
+
+    @pytest.mark.parametrize("cols, message", [
+        ([[0, 1], [-1, 0]], "column -1 is outside 0..6"),
+        ([[0, -1, 1]], "column -1 is outside 0..6"),
+        ([[0, 1], [-1, -1]], "a member of a stacked subset has no columns"),
+        ([[2, 2, -1]], "a member of a stacked subset repeats a column"),
+    ], ids=["leading", "inner", "empty", "repeat"])
+    def test_padding_is_a_trailing_run_of_minus_one(self, cols, message):
+        x = np.random.default_rng(0).normal(size=(9, 7))
+        stats = class_stats(x, np.repeat([LOW, HIGH], [4, 5]))
+        with pytest.raises(ValueError, match=message):
+            fit_lda(stats, cols)
 
     def test_members_fail_and_retry_on_their_own(self):
         # column 1 is flat; columns 2 and 3 are one column with pooled variance
@@ -499,14 +638,14 @@ class TestStacked:
             assert predict_many(alone, probes)[:, 0].tolist() == [LOW] * 3
 
     def test_chunks_do_not_change_codes(self, stats, monkeypatch):
-        full, x = stats
+        full, x, _ = stats
         model = fit_lda(full, _members_of_every_size()[3])
         whole = predict_many(model, x)
         monkeypatch.setattr(lda_mod, "SCORE_CHUNK_BYTES", 8 * 35 * 3 * 7)  # 7 rows a chunk
         assert predict_many(model, x).tolist() == whole.tolist()
 
     def test_bad_stacks_rejected(self, stats):
-        full, x = stats
+        full, x, _ = stats
         with pytest.raises(ValueError, match="repeats a column"):
             fit_lda(full, np.array([[0, 1], [2, 2]]))
         model = fit_lda(full, np.array([[0, 6]]))

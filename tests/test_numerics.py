@@ -261,6 +261,31 @@ class TestStackedCholesky:
         assert factor.ok.tolist() == [False, True]
         assert CholeskyFactor(np.stack([a]), 1e-8).ok.all()
 
+    def test_padded_member_equals_itself_unpadded(self):
+        # a member of size s in a stack of width 5, identity in its trailing
+        # rows and columns: its real entries keep their bits, its padded
+        # solution slots are +0.0, and its pivot tolerance is s * eps
+        rng = np.random.default_rng(11)
+        r = 1.0 - 3 * 2.0 ** -53  # second pivot 1 - r * r = 3 eps
+        members = [_spd_stack(rng, 1, 3)[0], np.array([[1.0, r], [r, 1.0]]),
+                   _spd_stack(rng, 1, 5)[0]]
+        sizes = [len(m) for m in members]
+        padded = np.stack([np.eye(5)] * 3)
+        for i, m in enumerate(members):
+            padded[i, : sizes[i], : sizes[i]] = m
+        real = np.arange(5) < np.array(sizes)[:, None, None]
+        b = np.where(real, rng.normal(size=(3, 2, 5)), 0.0)
+        assert CholeskyFactor(padded).ok.tolist() == [True, False, True]
+        for ridge in (0.0, 1e-8):
+            factor = CholeskyFactor(padded, ridge, sizes)
+            assert factor.ok.all()
+            x = factor.solve(b)
+            for i, (m, s) in enumerate(zip(members, sizes)):
+                alone = CholeskyFactor(m[None], ridge)
+                assert alone.lower[0].tobytes() == factor.lower[i, :s, :s].tobytes()
+                assert alone.solve(b[i : i + 1, :, :s]).tobytes() == x[i, :, :s].tobytes()
+                assert x[i, :, s:].tobytes() == np.zeros((2, 5 - s)).tobytes()
+
     def test_stack_shapes_validated(self):
         factor = CholeskyFactor(np.stack([np.eye(2)] * 3))
         with pytest.raises(ValueError, match="shape"):
