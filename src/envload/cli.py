@@ -47,7 +47,7 @@ from .dataset import (
     read_dataset,  # unused here; bench/spans.py wraps it by this name, so it goes with that site
 )
 from .preprocess import (Normalizer, SplitConfig, Thresholds, apply_normalizer, fit_normalizer,
-                         label_dataset, split)
+                         label_dataset, normalize_in_place, split)
 from .sampling import SamplerConfig, check_seed, generate_dataset
 from .surrogate import SurrogateConfig, ingest_external_loads, load_config, simulate_dataset
 
@@ -162,10 +162,11 @@ def stage_train(dataset: Dataset, in_train: np.ndarray, norm: Normalizer,
     """The PCA-4 and EFS-4 models on the normalized train rows: each one's
     features and (train, test) accuracy, and the decision grids of the six
     pairs of PCA-4 features. All eight are fit as one stack from one
-    class_stats. Each part is normalized once, and the train part is freed
-    before the test part, most rows, is made."""
+    class_stats. Each part is one array, its rows gathered from the dataset
+    and then normalized in place, and the train part is freed before the
+    test part, most rows, is made."""
     def normalized(rows: np.ndarray) -> tuple:
-        return apply_normalizer(norm, dataset.features[rows]), dataset.labels[rows]
+        return normalize_in_place(norm, dataset.features[rows]), dataset.labels[rows]
 
     features = {"PCA-4": pca_mod.top_features(pca_model, 4),
                 "EFS-4": list(report.best_per_size[4].subset)}

@@ -132,6 +132,9 @@ SYSTEM_CONSTANTS = {
 }
 
 
+# Rows of a column tested for bad values at once.
+_CHECK_ROWS = 1 << 14
+
 # Each Dataset column: its dtype, its name in errors and CSV files, the test
 # for a bad value and the rule that value breaks.
 _COLUMN_RULES = {
@@ -209,11 +212,12 @@ def _column(values, dtype, shape: tuple, column: str, bad, rule: str) -> np.ndar
         raise ValueError(f"column {column}: expected shape {shape}, got {array.shape}")
     if not np.can_cast(given.dtype, dtype) and not np.array_equal(array, given):
         raise ValueError(f"column {column}: values do not fit {array.dtype}")
-    hits = np.argwhere(bad(array))
-    if len(hits):
-        at = tuple(hits[0])
-        name = FEATURE_COLUMNS[at[1]] if array.ndim == 2 else column
-        raise ValueError(f"row {at[0]}, column {name}: {rule}, got {array[at].item()}")
+    for start in range(0, len(array), _CHECK_ROWS):  # bad's masks stay small at any n
+        hits = np.argwhere(bad(array[start:start + _CHECK_ROWS]))
+        if len(hits):
+            at = (start + int(hits[0][0]), *hits[0][1:].tolist())
+            name = FEATURE_COLUMNS[at[1]] if array.ndim == 2 else column
+            raise ValueError(f"row {at[0]}, column {name}: {rule}, got {array[at].item()}")
     if array.flags.writeable or not array.flags.c_contiguous:
         array = np.array(array, order="C")
         array.setflags(write=False)

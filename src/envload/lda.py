@@ -110,10 +110,10 @@ def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassSta
         n_class = int(counts[lbl])
         if n_class < 2:
             raise ValueError(f"class {lbl.csv_value!r} has {n_class} row(s); need >= 2")
-        xc = x[y == lbl]
+        xc = x[y == lbl]  # a fresh gather, centered in place
         means[ci] = xc.mean(axis=0)
-        centered = xc - means[ci]
-        scatter += centered.T @ centered
+        xc -= means[ci]
+        scatter += xc.T @ xc
     # symmetric once here, so that every subset's slice is symmetric too
     return ClassStats(classes, counts[list(classes)], means, symmetric(scatter), n)
 

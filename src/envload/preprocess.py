@@ -136,11 +136,16 @@ def fit_normalizer(x: np.ndarray) -> Normalizer:
 
 def apply_normalizer(norm: Normalizer, x: np.ndarray) -> np.ndarray:
     """The z-scores of every row of an (n, 7) feature matrix under the fitted
-    training statistics, as a fresh array."""
+    training statistics, as a fresh array (normalize_in_place on a copy)."""
+    return normalize_in_place(norm, feature_matrix(np.array(x, dtype=np.float64)))
+
+
+def normalize_in_place(norm: Normalizer, x: np.ndarray) -> np.ndarray:
+    """Replace every row of x, a writable (n, 7) float64 matrix, by its
+    z-scores under the fitted training statistics, and return x."""
     means = np.array(norm.means)
     stds = np.array(norm.std_devs)
-    safe = np.where(stds > 0.0, stds, 1.0)
-    z = feature_matrix(x) - means
-    z /= safe
-    z[:, stds == 0.0] = 0.0
-    return z
+    x -= means
+    x /= np.where(stds > 0.0, stds, 1.0)
+    x[:, stds == 0.0] = 0.0
+    return x

@@ -30,11 +30,12 @@ INFORMS J. Computing 20(3), 2008; Blackman & Vigna, "Scrambled linear
 pseudorandom number generators", ACM TOMS 47(4), 2021).
 
 * A block of count outputs is L lanes of M = 2^m steps, m =
-  floor(log2(count) / 2), so both are about sqrt(count). Lane j starts at
-  s_(jM): from lane 0 alone, each T^(2^k), k = m, m+1, ..., doubles the
-  lanes. All lanes then step M times together as numpy uint64 rows; read
-  lane by lane, their outputs are the serial stream, and the stream
-  continues from the state of the lane that made the last output.
+  max(floor(log2(count) / 2) - 2, 0): a step is a fixed cost, a lane a
+  share of a bit-matrix product, and a step costs about 25 lanes. Lane j
+  starts at s_(jM): from lane 0 alone, each T^(2^k), k = m, m+1, ...,
+  doubles the lanes. All lanes then step M times together as numpy uint64
+  rows; read lane by lane, their outputs are the serial stream, and the
+  stream continues from the state of the lane that made the last output.
 * T is built on first use by stepping the 256 basis states as lanes, and
   T^(2^(k+1)) is T^(2^k) applied to its own rows. Each power is kept for
   the life of the process as lookup tables (64 groups of 4 state bits, 16
@@ -45,9 +46,16 @@ pseudorandom number generators", ACM TOMS 47(4), 2021).
   versions may differ from libm in the last bit, depending on the build
   (`np.log` does on numpy 2.4 with AVX-512). The arithmetic around them
   is IEEE-exact in numpy as in Python.
-* Rejection is a mask over the block: each feature keeps its first n
-  valid draws, and the next feature starts after the n-th. A short block
-  is extended by as many outputs again.
+* A material's stream is drawn in blocks of at most _BLOCK outputs, each
+  sized to what the features left can need, so the sampler's transient
+  does not grow with n. Each feature scans windows of the current block,
+  each sized to the feature's remaining draws and a few rejections, times
+  2^k after k windows fell short (not counting those cut by the block's
+  end). A window's valid values, up to the feature's n-th, are written
+  straight into the output column, and the count of invalid draws since
+  the last valid one carries across window and block edges, so a draw
+  fails after MAX_REJECTIONS_PER_DRAW misses wherever they fall. The next
+  feature starts after the n-th valid draw.
 """
 
 from __future__ import annotations
@@ -68,6 +76,12 @@ from .dataset import (
 
 # A draw fails after this many consecutive invalid values.
 MAX_REJECTIONS_PER_DRAW = 1000
+
+# The most raw outputs, and so gaussians, the sampler draws at once: its
+# lane states and Box-Muller temporaries stay a few MiB whatever the n.
+# 2^16 sampled 60 000 rows about 4% faster, but held 1.2 MiB more beyond
+# its result (2.8 MiB more at 600 000 rows).
+_BLOCK = 1 << 15
 
 _MASK64 = (1 << 64) - 1
 _U64 = np.uint64
@@ -119,7 +133,9 @@ def _run_lanes(lanes: np.ndarray, steps: int) -> np.ndarray:
 def _scrambled(s0: np.ndarray, s3: np.ndarray) -> np.ndarray:
     """The ++ output rotl(s0 + s3, 23) + s0, elementwise in uint64."""
     x = s0 + s3
-    out = (x << _U64(23)) | (x >> _U64(41))
+    out = x << _U64(23)
+    x >>= _U64(41)
+    out |= x
     out += s0
     return out
 
@@ -137,11 +153,12 @@ def _tables(rows: np.ndarray) -> np.ndarray:
 
 def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The (L, 4) states times the bit matrix of tables over GF(2)."""
-    octets = states.astype("<u8", copy=False).view(np.uint8)  # bit c is in byte c // 8
-    nibbles = np.empty((len(states), 64), dtype=np.uint8)
-    nibbles[:, 0::2] = octets & 15
-    nibbles[:, 1::2] = octets >> 4
-    return np.bitwise_xor.reduce(tables[np.arange(64)[:, None], nibbles.T], axis=0)
+    octets = states.astype("<u8", copy=False).view(np.uint8).T  # bit c is in byte c // 8
+    rows = np.empty((64, len(states)), dtype=np.intp)  # group g's row of tables.reshape(1024, 4)
+    rows[0::2] = octets & 15
+    rows[1::2] = octets >> 4
+    rows += np.arange(0, 1024, 16)[:, None]
+    return np.bitwise_xor.reduce(np.take(tables.reshape(1024, 4), rows, axis=0), axis=0)
 
 
 @functools.cache
@@ -162,11 +179,11 @@ def _jump_tables(k: int) -> np.ndarray:
 def _u64_block(state: list[int], count: int) -> tuple[np.ndarray, list[int]]:
     """The next count outputs from state, as uint64, and the state after them.
 
-    Lanes of 2^m steps with m = floor(log2(count) / 2): the steps (a fixed
-    cost each) and the lanes (a share of a bit-matrix product each) are
-    both about sqrt(count).
+    Lanes of 2^m steps with m = max(floor(log2(count) / 2) - 2, 0): a step
+    costs about 25 times a lane's share of a bit-matrix product, so the
+    cheapest block has about sqrt(count) / 5 steps and 5 sqrt(count) lanes.
     """
-    steps = 1 << (count.bit_length() - 1) // 2
+    steps = 1 << max((count.bit_length() - 1) // 2 - 2, 0)
     n_lanes = -(-count // steps)
     lanes = np.array([state], dtype=_U64)
     k = steps.bit_length() - 1
@@ -284,41 +301,54 @@ class SamplerConfig:
 
 def sample_material(library: MaterialLibrary, index: int, n: int, seed: int) -> np.ndarray:
     """Draw n feature vectors of material `index` from its own stream,
-    material_stream(seed, index); returns an (n, 7) array.
+    material_stream(seed, index); returns a fresh (n, 7) array, written as
+    generate_dataset writes the material's rows of its matrix.
 
     Raises ValueError for a seed outside [0, 2**64), an n that is not an
     integer >= 1, or when a component stays invalid for
     MAX_REJECTIONS_PER_DRAW consecutive draws.
     """
     check_seed(seed)
-    _check_count(n, "n")
+    n = _check_count(n, "n")
     if not 0 <= index < len(library):
         raise ValueError(f"material index {index} is outside 0..{len(library) - 1}")
+    out = np.empty((n, N_FEATURES))
+    _draw_into(out, library, index, seed)
+    return out
+
+
+def _draw_into(out: np.ndarray, library: MaterialLibrary, index: int, seed: int) -> None:
+    """Write the len(out) draws of material index into out, an (n, 7) array
+    or a row slot of a larger one, one feature column after another."""
     stream = material_stream(seed, index)
+    n = len(out)
     means, std_devs = library.means[index], library.std_devs[index]
-    # room for every feature and a few rejections
-    gauss = _box_muller(stream.next_u64_block(2 * ((N_FEATURES * n + n // 16 + 16) // 2)))
-    columns = np.empty((N_FEATURES, n), dtype=np.float64)
-    used = 0  # gaussians consumed
+    gauss, used = np.empty(0), 0  # the current block of gaussians, and how many are consumed
     for f in FeatureId:
         upper = math.inf if f in POSITIVE_FEATURES else 1.0
-        while True:
-            values = means[f] + std_devs[f] * gauss[used:]
-            kept = np.flatnonzero((0.0 < values) & (values < upper))[:n]
-            # a draw ends at its valid value, or unfinished at the end of the block
-            ends = kept if len(kept) == n else np.append(kept, len(values))
-            misses = ends - np.append(-1, ends[:-1]) - 1
-            if np.any(misses >= MAX_REJECTIONS_PER_DRAW):
+        row = run = 0  # rows written, and invalid draws since the last valid one
+        grow = 1  # doubles after each window not cut by the block's end that falls short
+        while row < n:
+            if used == len(gauss):  # room for the features left and a few rejections
+                count = (N_FEATURES - f) * n - row + n // 16 + 16
+                gauss, used = _box_muller(stream.next_u64_block(min(count + count % 2, _BLOCK))), 0
+            want = grow * (n - row + (n - row) // 16 + 16)
+            values = means[f] + std_devs[f] * gauss[used:used + want]
+            kept = np.flatnonzero((0.0 < values) & (values < upper))[:n - row]
+            # a draw ends at its valid value, or unfinished at the end of the window
+            ends = kept if row + len(kept) == n else np.append(kept, len(values))
+            misses = np.diff(ends, prepend=-1) - 1
+            misses[0] += run
+            if misses.max() >= MAX_REJECTIONS_PER_DRAW:
                 raise ValueError(
                     f"material {library.names[index]!r}, feature {f.column_name!r}: "
                     f"no valid draw in {MAX_REJECTIONS_PER_DRAW} attempts"
                 )
-            if len(kept) == n:
-                columns[f] = values[kept]
-                used += int(kept[-1]) + 1
-                break
-            gauss = np.concatenate([gauss, _box_muller(stream.next_u64_block(len(gauss)))])
-    return columns.T.copy()
+            out[row:row + len(kept), f] = values[kept]
+            row += len(kept)
+            run = int(misses[-1])
+            used += int(ends[-1]) + (row == n)
+            grow *= 1 + (len(values) == want)
 
 
 def _box_muller(raw: np.ndarray) -> np.ndarray:
@@ -335,12 +365,16 @@ def _box_muller(raw: np.ndarray) -> np.ndarray:
 
 
 def generate_dataset(library: MaterialLibrary, cfg: SamplerConfig) -> Dataset:
-    """Sample cfg.n_per_material rows per material, grouped in library order."""
-    blocks = [
-        sample_material(library, index, cfg.n_per_material, cfg.seed)
-        for index in range(len(library))
-    ]
-    return Dataset(
-        np.repeat(np.arange(len(library)), cfg.n_per_material),
-        np.concatenate([np.empty((0, N_FEATURES)), *blocks]),
-    )
+    """Sample cfg.n_per_material rows per material, grouped in library order.
+
+    Each material's draws are written straight into its rows of one
+    preallocated (M * n, 7) matrix, which is frozen and shared by the
+    Dataset, so the rows are held once."""
+    n = cfg.n_per_material
+    material_index = np.repeat(np.arange(len(library), dtype=np.int64), n)
+    features = np.empty((len(library) * n, N_FEATURES))
+    for index in range(len(library)):
+        _draw_into(features[index * n:(index + 1) * n], library, index, cfg.seed)
+    for column in (material_index, features):
+        column.setflags(write=False)
+    return Dataset(material_index, features)
