@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import ClassLabel
-from .numerics import CholeskyFactor, ordered_dot, symmetric
+from .numerics import CholeskyFactor, libm, ordered_dot, symmetric
 
 RIDGE_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 # A column whose pooled standard deviation is at most this fraction of its
@@ -84,6 +84,16 @@ class ClassStats:
     n: int
 
 
+def _label_codes(y: np.ndarray | Sequence[ClassLabel], n: int) -> np.ndarray:
+    """y as int8 codes, after checking that it holds n ClassLabel codes."""
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise ValueError(f"got {n} rows but {y.size} labels")
+    if not np.isin(y, list(ClassLabel)).all():
+        raise ValueError(f"labels must be ClassLabel codes, got {np.unique(y)}")
+    return y.astype(np.int8)
+
+
 def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassStats:
     """Class means and within-class scatter of an (n, p) matrix with one
     ClassLabel code per row."""
@@ -91,12 +101,8 @@ def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassSta
     if x.ndim != 2:
         raise ValueError(f"x must be 2-D, got shape {x.shape}")
     n, p = x.shape
-    y = np.asarray(y)
-    if y.shape != (n,):
-        raise ValueError(f"got {n} rows but {y.size} labels")
-    if not np.isin(y, list(ClassLabel)).all():
-        raise ValueError(f"labels must be ClassLabel codes, got {np.unique(y)}")
-    counts = np.bincount(y.astype(np.int8), minlength=len(ClassLabel))
+    y = _label_codes(y, n)
+    counts = np.bincount(y, minlength=len(ClassLabel))
     classes = tuple(lbl for lbl in ClassLabel if counts[lbl])
     k = len(classes)
     if k < 2:
@@ -164,7 +170,7 @@ def fit_lda(stats: ClassStats, cols: Sequence[Sequence[int]] | np.ndarray) -> Ld
         todo = todo[~factor.ok]
     failed[todo] = True
 
-    log_priors = np.array([math.log(count / stats.n) for count in stats.counts])
+    (log_priors,) = libm(stats.counts / stats.n, math.log)
     intercept = -0.5 * ordered_dot(means, coef) + log_priors
     intercept[failed] = 0.0
     return LdaModel(stats.classes, means, pooled, ridge_used, log_priors, coef, intercept,
@@ -234,12 +240,10 @@ def accuracy(
 ) -> np.ndarray:
     """Each member's fraction of full-width rows where predict_many matches
     the label: a (C,) array."""
-    y = np.asarray(y, dtype=np.int8)
     if len(y) == 0:
         raise ValueError("cannot score an empty dataset")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != len(y):
-        raise ValueError(f"got {x.shape[0]} rows but {len(y)} labels")
+    y = _label_codes(y, x.shape[0])
     return np.count_nonzero(predict_many(model, x) == y[:, None], axis=0) / len(y)
 
 

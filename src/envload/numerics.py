@@ -10,17 +10,31 @@ member that does not factor instead of raising. Its sums go through
 `ordered_dot`, which adds in index order, so each member gets the same bits
 as in a stack of one, on any BLAS build, and a member padded with identity
 keeps the bits of its unpadded self.
+
+`libm` is the one place where the package takes log, exp, cos or sin of
+array values, by Python's `math` (the platform's libm) one element at a
+time: numpy's ufuncs may differ from libm in the last bit, depending on the
+build (`np.log` does on numpy 2.4 with AVX-512), and the values reach CSVs
+written with repr. The arithmetic around them is IEEE-exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def libm(x: np.ndarray, *functions: Callable[[float], float]) -> tuple[np.ndarray, ...]:
+    """Each of functions (math.log, math.exp, math.cos or math.sin) of every
+    element of the 1-D array x, one array per function."""
+    values = np.asarray(x, dtype=np.float64).tolist()
+    return tuple(np.fromiter(map(f, values), np.float64, len(values)) for f in functions)
 
 
 class ConvergenceError(RuntimeError):

@@ -41,11 +41,8 @@ pseudorandom number generators", ACM TOMS 47(4), 2021).
   the life of the process as lookup tables (64 groups of 4 state bits, 16
   XOR combinations each: 32 KiB), which turn a product into 64 lookups
   per state. Nothing is computed at import.
-* Box-Muller runs on whole blocks with the formulas above. `math.log`,
-  `math.cos` and `math.sin` are applied element by element: numpy's
-  versions may differ from libm in the last bit, depending on the build
-  (`np.log` does on numpy 2.4 with AVX-512). The arithmetic around them
-  is IEEE-exact in numpy as in Python.
+* Box-Muller runs on whole blocks with the formulas above, its log, cos
+  and sin through `numerics.libm`.
 * A material's stream is drawn in blocks of at most _BLOCK outputs, each
   sized to what the features left can need, so the sampler's transient
   does not grow with n. Each feature scans windows of the current block,
@@ -73,6 +70,7 @@ from .dataset import (
     FeatureId,
     MaterialLibrary,
 )
+from .numerics import libm
 
 # A draw fails after this many consecutive invalid values.
 MAX_REJECTIONS_PER_DRAW = 1000
@@ -355,13 +353,9 @@ def _box_muller(raw: np.ndarray) -> np.ndarray:
     """z0, z1 of each pair of raw outputs, interleaved, as next_gaussian
     computes them."""
     u = (raw >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-    logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, len(u) // 2)
-    r = np.sqrt(-2.0 * logs)
-    theta = (2.0 * math.pi * u[1::2]).tolist()
-    z = np.empty(len(u))
-    z[0::2] = r * np.fromiter(map(math.cos, theta), np.float64, len(theta))
-    z[1::2] = r * np.fromiter(map(math.sin, theta), np.float64, len(theta))
-    return z
+    r = np.sqrt(-2.0 * libm(1.0 - u[0::2], math.log)[0])
+    cos, sin = libm(2.0 * math.pi * u[1::2], math.cos, math.sin)
+    return np.column_stack((r * cos, r * sin)).ravel()
 
 
 def generate_dataset(library: MaterialLibrary, cfg: SamplerConfig) -> Dataset:

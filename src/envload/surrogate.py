@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import POSITIVE_FEATURES, Dataset, _cell, feature_matrix
+from .numerics import libm
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,7 @@ def thermal_loads(x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
     """Annual heating + cooling load per floor area [kWh/m2] of every row of
     an (n, 7) feature matrix, by the formula in the module docstring. Raises
     ValueError for any other shape, or naming the first row and column whose
-    thickness, density, conductivity or specific heat is not > 0.
-
-    exp is math.exp, element by element: np.exp differs from it in the last
-    ulp on some inputs, and the loads are written out with repr.
-    """
+    thickness, density, conductivity or specific heat is not > 0."""
     x = feature_matrix(x)
     bad = np.argwhere(x[:, POSITIVE_FEATURES] <= 0.0)
     if len(bad):
@@ -89,7 +86,7 @@ def thermal_loads(x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
         raise ValueError(f"row {row}, column {f.column_name}: must be > 0, got {x[row, f]}")
     t, rho, k, c, a_solar, a_visual, a_thermal = x.T
     u = 1.0 / (cfg.r_si + t / k + cfg.r_so)
-    decay = np.fromiter(map(math.exp, (-(rho * c * t) / cfg.c_ref).tolist()), np.float64, len(x))
+    (decay,) = libm(-(rho * c * t) / cfg.c_ref, math.exp)
     return (
         (1.0 - cfg.d_max * (1.0 - decay))
         * (u * cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0 + cfg.q_base)

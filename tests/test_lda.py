@@ -364,6 +364,24 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy(model, np.zeros((0, 1)), [])
 
+    def test_labels_must_be_class_codes(self):
+        # unchecked, an int8 conversion would score the floats, wrap y + 256
+        # to y and overflow on its list; accuracy checks as class_stats does
+        rng = np.random.default_rng(14)
+        x, y = _three_blobs(rng)
+        model = _fit(x, y)
+        y = np.asarray(y, dtype=np.int64)
+        for bad in ([0.7] * len(y), y - 3, y + 256, (y + 256).tolist(), y + 0.5):
+            with pytest.raises(ValueError, match="^labels must be ClassLabel codes, got "):
+                accuracy(model, x, bad)
+        assert accuracy(model, x, y.astype(np.float64)).tolist() == accuracy(model, x, y).tolist()
+
+    def test_label_count_must_match_rows(self):
+        x, y = _two_class_1d()
+        model = _fit(x, y)
+        with pytest.raises(ValueError, match=re.escape("got 4 rows but 3 labels")):
+            accuracy(model, x, y[:3])
+
 
 def _grid(model, bounds, resolution):
     """decision_grid over the grid_axes values as (x, y, ClassLabel) points,
