@@ -14,7 +14,7 @@ A Dataset holds one read-only numpy column per field: material index, the
 (n, 7) feature matrix, loads and int8 ClassLabel codes. One is built, and
 every column checked, only where data enters: the sampler, attached loads
 and labels, and read_dataset. Past the split the stages pass plain arrays,
-its columns indexed by the train mask; feature_matrix checks their shape.
+checked by the same rules: feature_matrix, check_features and label_codes.
 """
 
 from __future__ import annotations
@@ -168,11 +168,9 @@ class Dataset:
 
     def __post_init__(self) -> None:
         n = len(self.material_index)
-        for attr, (dtype, column, bad, rule) in _COLUMN_RULES.items():
+        for attr in _COLUMN_RULES:
             if getattr(self, attr) is not None:
-                shape = (n, N_FEATURES) if attr == "features" else (n,)
-                array = _column(getattr(self, attr), dtype, shape, column, bad, rule)
-                object.__setattr__(self, attr, array)
+                object.__setattr__(self, attr, _column(getattr(self, attr), attr, n))
 
     def __len__(self) -> int:
         return len(self.material_index)
@@ -200,24 +198,46 @@ def feature_matrix(x) -> np.ndarray:
     return x
 
 
-def _column(values, dtype, shape: tuple, column: str, bad, rule: str) -> np.ndarray:
-    """values as a frozen C-contiguous array, copied unless it already is
-    one. Raises ValueError for a wrong shape or a value that dtype cannot
-    hold, or naming the first row (and, in the features matrix, the first
-    feature of that row) where bad holds."""
+def check_cells(array: np.ndarray, column: str, bad: Callable, rule: str) -> None:
+    """Raise ValueError as "row R, column C: rule, got V" for the first cell
+    of array where bad, a mask of a block of rows, holds; a 2-D array's
+    columns are the features."""
+    for start in range(0, len(array), _CHECK_ROWS):  # bad's masks stay small at any n
+        hits = np.flatnonzero(bad(array[start:start + _CHECK_ROWS]))
+        if len(hits):  # the first hit, from its flat index in the block
+            at = np.unravel_index(start * array[0].size + hits[0], array.shape)
+            if array.ndim == 2:  # a column past the seventh is named by its index
+                column = FEATURE_COLUMNS[at[1]] if at[1] < N_FEATURES else at[1]
+            raise ValueError(f"row {at[0]}, column {column}: {rule}, got {array[at].item()}")
+
+
+def check_features(x: np.ndarray) -> None:
+    """Check every cell of a 2-D array by the features rule of a Dataset."""
+    check_cells(x, *_COLUMN_RULES["features"][1:])
+
+
+def label_codes(y, n: int) -> np.ndarray:
+    """y as read-only int8 ClassLabel codes, n of them, checked as a Dataset's labels."""
+    return _column(y, "labels", n)
+
+
+def _column(values, attr: str, n: int) -> np.ndarray:
+    """values as the Dataset column attr of n rows, frozen and C-contiguous,
+    copied unless it already is. Raises ValueError for a wrong shape, a value
+    its dtype cannot hold, or naming the first cell that breaks its rule."""
+    dtype, column, bad, rule = _COLUMN_RULES[attr]
+    shape = (n, N_FEATURES) if attr == "features" else (n,)
     given = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # a value that does not fit is the error below
-        array = given.astype(dtype, copy=False)
+    try:  # a None or text cell raises here
+        with np.errstate(invalid="ignore"):  # a value that does not fit is the error below
+            array = given.astype(dtype, copy=False)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or not (np.can_cast(given.dtype, dtype) or np.array_equal(array, given)):
+        raise ValueError(f"column {column}: values do not fit {np.dtype(dtype)}")
     if array.shape != shape:
         raise ValueError(f"column {column}: expected shape {shape}, got {array.shape}")
-    if not np.can_cast(given.dtype, dtype) and not np.array_equal(array, given):
-        raise ValueError(f"column {column}: values do not fit {array.dtype}")
-    for start in range(0, len(array), _CHECK_ROWS):  # bad's masks stay small at any n
-        hits = np.argwhere(bad(array[start:start + _CHECK_ROWS]))
-        if len(hits):
-            at = (start + int(hits[0][0]), *hits[0][1:].tolist())
-            name = FEATURE_COLUMNS[at[1]] if array.ndim == 2 else column
-            raise ValueError(f"row {at[0]}, column {name}: {rule}, got {array[at].item()}")
+    check_cells(array, column, bad, rule)
     if array.flags.writeable or not array.flags.c_contiguous:
         array = np.array(array, order="C")
         array.setflags(write=False)

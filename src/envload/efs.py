@@ -7,7 +7,8 @@ metric, once per fold for cv5. Each subset's LDA is fit from a slice of
 them, so no subset re-reads the training rows. All 127 subsets are fit as
 one stacked LDA, each padded to 7 columns, and scored in one pass per block
 of rows, so a training matrix takes one fit, not 127. A subset whose LDA fit
-fails scores 0 with a diagnostic flag instead of aborting the sweep.
+fails scores 0 with a diagnostic flag instead of aborting the sweep. A bad
+cell or label would fail every fit, so run_efs checks them first.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FEATURE_COLUMNS, N_FEATURES, ClassLabel, FeatureId, feature_matrix
-from .lda import check_finite, class_stats, fit_lda, padded, predict_many
+from .dataset import (FEATURE_COLUMNS, N_FEATURES, FeatureId, check_features, feature_matrix,
+                      label_codes)
+from .lda import class_stats, fit_lda, padded, predict_many
 from .sampling import Xoshiro256pp, check_seed
 
 METRIC_TRAIN = "train_accuracy"
@@ -95,14 +97,9 @@ def run_efs(x: np.ndarray, y: np.ndarray, metric: str = METRIC_TRAIN,
     if metric not in (METRIC_TRAIN, METRIC_CV5):
         raise ValueError(f"unknown metric {metric!r}")
     check_seed(cv_seed, "cv_seed")
-    x, y = feature_matrix(x), np.asarray(y)
-    # checked here, as a non-finite cell would fail every subset's fit
-    check_finite(x)
-    if y.shape != (len(x),):
-        raise ValueError(f"expected {len(x)} labels, one per row of x, got shape {y.shape}")
-    # checked here, as class_stats' ValueError would read as every subset failing
-    if y.dtype.kind not in "iu" or not ((y >= 0) & (y < len(ClassLabel))).all():
-        raise ValueError(f"labels must be ClassLabel codes 0..{len(ClassLabel) - 1}")
+    x = feature_matrix(x)
+    check_features(x)
+    y = label_codes(y, len(x))
     # np.unique would import numpy.ma on its first call: 14 ms, mid-run
     if np.count_nonzero(np.bincount(y)) < 2:
         raise ValueError("need at least 2 classes for the sweep")

@@ -11,16 +11,16 @@ covariances, as happen for collinear feature subsets. A column that is
 constant within every class, up to rounding, fails the fit instead.
 
 Every model is a stack of C feature subsets, fit in one pass.
-`class_stats(x, y)` checks the labels and computes the class means and the
-within-class scatter of the full (n, p) matrix once; `fit_lda(stats, cols)`
-slices them for a (C, w) array of columns, without touching the rows again,
-fits all C members and marks a member that fails instead of raising.
-Members of different sizes share one stack, padded with -1 columns.
-`predict_many` scores full-width rows for every member with one matrix
-product per chunk of rows and picks each class by comparisons, not an
-argmax; `decision_grid` scores a grid for one member. One subset is a stack
-of one, and each member's fit equals that of its own unpadded stack of one,
-to the bit.
+`class_stats(x, y)` checks the rows and labels by the Dataset's rules and
+computes the class means and the within-class scatter of the full (n, p)
+matrix once; `fit_lda(stats, cols)` slices them for a (C, w) array of
+columns, without touching the rows again, fits all C members and marks a
+member that fails instead of raising. Members of different sizes share one
+stack, padded with -1 columns. `predict_many` checks its rows the same way,
+scores them for every member with one matrix product per chunk of rows and
+picks each class by comparisons, not an argmax; `decision_grid` scores a
+grid for one member. One subset is a stack of one, and each member's fit
+equals that of its own unpadded stack of one, to the bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ClassLabel
+from .dataset import ClassLabel, check_features, label_codes
 from .numerics import CholeskyFactor, libm, ordered_dot, symmetric
 
 RIDGE_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
@@ -84,16 +84,6 @@ class ClassStats:
     n: int
 
 
-def _label_codes(y: np.ndarray | Sequence[ClassLabel], n: int) -> np.ndarray:
-    """y as int8 codes, after checking that it holds n ClassLabel codes."""
-    y = np.asarray(y)
-    if y.shape != (n,):
-        raise ValueError(f"got {n} rows but {y.size} labels")
-    if not np.isin(y, list(ClassLabel)).all():
-        raise ValueError(f"labels must be ClassLabel codes, got {np.unique(y)}")
-    return y.astype(np.int8)
-
-
 def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassStats:
     """Class means and within-class scatter of an (n, p) matrix with one
     ClassLabel code per row."""
@@ -101,7 +91,8 @@ def class_stats(x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> ClassSta
     if x.ndim != 2:
         raise ValueError(f"x must be 2-D, got shape {x.shape}")
     n, p = x.shape
-    y = _label_codes(y, n)
+    check_features(x)
+    y = label_codes(y, n)
     counts = np.bincount(y, minlength=len(ClassLabel))
     classes = tuple(lbl for lbl in ClassLabel if counts[lbl])
     k = len(classes)
@@ -184,14 +175,6 @@ def padded(subsets: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array([list(cols) + [-1] * (width - len(cols)) for cols in subsets])
 
 
-def check_finite(x: np.ndarray) -> None:
-    """Raise ValueError naming the row and column of the first cell of the
-    2-D array x that is not finite."""
-    if not np.isfinite(x).all():
-        row, col = np.argwhere(~np.isfinite(x))[0].tolist()
-        raise ValueError(f"row {row}, column {col}: not finite, got {x[row, col]}")
-
-
 def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
     """ClassLabel codes (int8) of full-width, finite rows, of which each
     member reads its own columns: an (n, C) array, one code per row and
@@ -202,7 +185,7 @@ def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected rows of at least {model.cols.max() + 1} features, "
                          f"got shape {x.shape}")
     # a NaN score would make the comparisons below disagree with an argmax
-    check_finite(x)
+    check_features(x)
     # every member's coefficients at its own columns, zero elsewhere, class
     # major: one product scores all members, the zero terms add nothing, and
     # each class's scores of a chunk are one contiguous (C, rows) block
@@ -242,8 +225,7 @@ def accuracy(
     the label: a (C,) array."""
     if len(y) == 0:
         raise ValueError("cannot score an empty dataset")
-    x = np.asarray(x, dtype=np.float64)
-    y = _label_codes(y, x.shape[0])
+    y = label_codes(y, len(x))
     return np.count_nonzero(predict_many(model, x) == y[:, None], axis=0) / len(y)
 
 

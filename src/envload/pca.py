@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FeatureId, N_FEATURES
+from .dataset import FeatureId, N_FEATURES, check_features
 from .numerics import jacobi_eigen
 
 # Row order used by loading_report, chosen for side-by-side comparison with
@@ -46,10 +46,11 @@ class PcaModel:
 
 
 def fit_pca(x: np.ndarray) -> PcaModel:
-    """Fit on an (n, p) matrix of normalized features."""
+    """Fit on an (n, p) matrix of normalized features, each cell finite."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"need a 2-D matrix, got shape {x.shape}")
+    check_features(x)
     n, p = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 rows to fit, got {n}")

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import POSITIVE_FEATURES, Dataset, _cell, feature_matrix
+from .dataset import POSITIVE_FEATURES, Dataset, _cell, check_cells, check_features, feature_matrix
 from .numerics import libm
 
 
@@ -77,13 +77,12 @@ class SurrogateConfig:
 def thermal_loads(x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
     """Annual heating + cooling load per floor area [kWh/m2] of every row of
     an (n, 7) feature matrix, by the formula in the module docstring. Raises
-    ValueError for any other shape, or naming the first row and column whose
-    thickness, density, conductivity or specific heat is not > 0."""
+    ValueError for any other shape, or naming the first cell that is not
+    finite or, in a thickness, density, conductivity or specific heat, not > 0."""
     x = feature_matrix(x)
-    bad = np.argwhere(x[:, POSITIVE_FEATURES] <= 0.0)
-    if len(bad):
-        row, f = bad[0][0], POSITIVE_FEATURES[bad[0][1]]
-        raise ValueError(f"row {row}, column {f.column_name}: must be > 0, got {x[row, f]}")
+    check_features(x)
+    positive = np.array([f in POSITIVE_FEATURES for f in range(x.shape[1])])
+    check_cells(x, "features", lambda c: (c <= 0.0) & positive, "must be > 0")
     t, rho, k, c, a_solar, a_visual, a_thermal = x.T
     u = 1.0 / (cfg.r_si + t / k + cfg.r_so)
     (decay,) = libm(-(rho * c * t) / cfg.c_ref, math.exp)

@@ -189,10 +189,17 @@ class TestDomainTypes:
         ("labels", np.array([256])),
         ("material_index", [1.5]),
         ("loads", [None]),
+        # a None or text cell, which the dtype cannot hold at all
+        ("labels", [None]),
+        ("labels", ["low"]),
+        ("loads", ["a"]),
+        ("material_index", ["x"]),
+        ("material_index", [None]),
     ])
     def test_values_that_do_not_fit_the_column_dtype_rejected(self, column, values):
         columns = {"material_index": [0], "features": [(1.0,) * 7], column: values}
-        with pytest.raises(ValueError, match="do not fit"):
+        name = {"labels": "label", "loads": "load"}.get(column, column)
+        with pytest.raises(ValueError, match=f"^column {name}: values do not fit"):
             Dataset(**columns)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e30])

@@ -143,8 +143,12 @@ class TestRunEfs:
         # class_stats would reject such labels in every fit: 127 failed
         # subsets and no error
         x, y = single_informative
-        for labels in ([None] * len(x), y + 5, y - 1, y + 0.5):
-            with pytest.raises(ValueError, match=r"labels must be ClassLabel codes 0\.\.2"):
+        unfit = "column label: values do not fit int8"
+        for labels, message in (([None] * len(x), unfit),
+                                (y + 5, "row 0, column label: not a class code, got 7"),
+                                (y - 1, "row 1, column label: not a class code, got -1"),
+                                (y + 0.5, unfit)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 run_efs(x, labels)
 
     @pytest.mark.parametrize("reshape", [lambda y: np.resize(y, len(y) + 1),
@@ -154,7 +158,7 @@ class TestRunEfs:
         x, y = single_informative
         labels = reshape(y)
         with pytest.raises(ValueError, match=re.escape(
-                f"expected {len(x)} labels, one per row of x, got shape {labels.shape}")):
+                f"column label: expected shape ({len(x)},), got {labels.shape}")):
             run_efs(x, labels)
 
     @pytest.mark.parametrize("shape", [(120, 6), (120,), (120, 7, 1)])
@@ -172,7 +176,8 @@ class TestRunEfs:
         x, y = single_informative
         x = x.copy()
         x[5, 3] = bad
-        with pytest.raises(ValueError, match=re.escape(f"row 5, column 3: not finite, got {bad}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"row 5, column specific_heat_capacity: not finite, got {bad}")):
             run_efs(x, y, metric=metric)
 
     @pytest.mark.parametrize("metric, bound_mib", [(METRIC_TRAIN, 5.43), (METRIC_CV5, 4.27)])

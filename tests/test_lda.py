@@ -134,10 +134,14 @@ class TestFit:
             with pytest.raises(ValueError, match=r"\(C, w\) column array"):
                 fit_lda(stats, cols)
 
-    @pytest.mark.parametrize("bad", [3, -1, 0.5])
-    def test_label_not_a_class_code_rejected(self, bad):
+    @pytest.mark.parametrize("bad, message", [
+        (3, "row 4, column label: not a class code, got 3"),
+        (-1, "row 4, column label: not a class code, got -1"),
+        (0.5, "column label: values do not fit int8"),
+    ], ids=["3", "-1", "0.5"])
+    def test_label_not_a_class_code_rejected(self, bad, message):
         x = np.arange(6.0).reshape(6, 1)
-        with pytest.raises(ValueError, match="ClassLabel codes"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             class_stats(x, [LOW, LOW, HIGH, HIGH, bad, bad])
 
     def test_label_count_mismatch(self):
@@ -291,9 +295,10 @@ class TestPredict:
         model = _fit(x, y)
         probes = x.copy()
         probes[7, 1] = bad
-        with pytest.raises(ValueError, match=re.escape(f"row 7, column 1: not finite, got {bad}")):
+        message = re.escape(f"row 7, column density: not finite, got {bad}")
+        with pytest.raises(ValueError, match=message):
             predict_many(model, probes)
-        with pytest.raises(ValueError, match=re.escape(f"row 7, column 1: not finite, got {bad}")):
+        with pytest.raises(ValueError, match=message):
             accuracy(model, probes, y)
 
     def test_dimension_mismatch(self):
@@ -371,15 +376,19 @@ class TestAccuracy:
         x, y = _three_blobs(rng)
         model = _fit(x, y)
         y = np.asarray(y, dtype=np.int64)
-        for bad in ([0.7] * len(y), y - 3, y + 256, (y + 256).tolist(), y + 0.5):
-            with pytest.raises(ValueError, match="^labels must be ClassLabel codes, got "):
+        unfit = "column label: values do not fit int8"
+        for bad, message in (([0.7] * len(y), unfit),
+                             (y - 3, "row 0, column label: not a class code, got -3"),
+                             (y + 256, unfit), ((y + 256).tolist(), unfit), (y + 0.5, unfit)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 accuracy(model, x, bad)
         assert accuracy(model, x, y.astype(np.float64)).tolist() == accuracy(model, x, y).tolist()
 
     def test_label_count_must_match_rows(self):
         x, y = _two_class_1d()
         model = _fit(x, y)
-        with pytest.raises(ValueError, match=re.escape("got 4 rows but 3 labels")):
+        with pytest.raises(ValueError,
+                           match=re.escape("column label: expected shape (4,), got (3,)")):
             accuracy(model, x, y[:3])
 
 
