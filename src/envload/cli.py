@@ -162,9 +162,10 @@ def stage_train(dataset: Dataset, in_train: np.ndarray, norm: Normalizer,
     """The PCA-4 and EFS-4 models on the normalized train rows: each one's
     features and (train, test) accuracy, and the decision grids of the six
     pairs of PCA-4 features. All eight are fit as one stack from one
-    class_stats. Each part is one array, its rows gathered from the dataset
-    and then normalized in place, and the train part is freed before the
-    test part, most rows, is made."""
+    class_stats. Each part is gathered from the dataset and normalized in
+    place: the train part as one array, freed before the test part, most
+    rows, is scored in blocks of lda.chunk_rows rows, whose lda.hits add up
+    to those of the whole part."""
     def normalized(rows: np.ndarray) -> tuple:
         return normalize_in_place(norm, dataset.features[rows]), dataset.labels[rows]
 
@@ -179,7 +180,11 @@ def stage_train(dataset: Dataset, in_train: np.ndarray, norm: Normalizer,
     final = model.members(slice(0, len(features)))
     train_acc = lda_mod.accuracy(final, x, y).tolist()
     del x, y
-    test_acc = lda_mod.accuracy(final, *normalized(~in_train)).tolist()
+    test, rows = np.flatnonzero(~in_train), lda_mod.chunk_rows(final)
+    hits = sum(lda_mod.hits(final, *normalized(test[start:start + rows]))
+               for start in range(0, len(test), rows))
+    test_acc = (hits / len(test)).tolist()
+    del test
     lo, hi = (f(dataset.features, axis=0, where=in_train[:, None], initial=v)
               for f, v in ((np.min, np.inf), (np.max, -np.inf)))  # of the raw train rows
     bounds = np.array([lo - GRID_MARGIN * (hi - lo), hi + GRID_MARGIN * (hi - lo)])

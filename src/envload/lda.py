@@ -175,6 +175,13 @@ def padded(subsets: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array([list(cols) + [-1] * (width - len(cols)) for cols in subsets])
 
 
+def chunk_rows(model: LdaModel) -> int:
+    """The rows predict_many scores with one matrix product. Blocks that
+    start at multiples of it get the codes of one predict_many call."""
+    c, k, _ = model.coef.shape
+    return max(1, SCORE_CHUNK_BYTES // (8 * c * k))
+
+
 def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
     """ClassLabel codes (int8) of full-width, finite rows, of which each
     member reads its own columns: an (n, C) array, one code per row and
@@ -196,7 +203,7 @@ def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
     intercept = model.intercept.T[:, :, None]
     codes = np.asarray(model.classes, dtype=np.int8)
     out = np.empty((c, len(x)), dtype=np.int8)  # returned as its (n, C) transpose
-    rows = max(1, SCORE_CHUNK_BYTES // (8 * c * k))
+    rows = chunk_rows(model)
     scores, won = np.empty(k * c * min(rows, len(x))), np.empty((c, min(rows, len(x))), np.int8)
     for start in range(0, len(x), rows):
         m = min(rows, len(x) - start)
@@ -218,15 +225,21 @@ def predict_many(model: LdaModel, x: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def hits(model: LdaModel, x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]) -> np.ndarray:
+    """Each member's count of full-width rows where predict_many matches the
+    label: a (C,) integer array."""
+    y = label_codes(y, len(x))
+    return np.count_nonzero(predict_many(model, x) == y[:, None], axis=0)
+
+
 def accuracy(
     model: LdaModel, x: np.ndarray, y: np.ndarray | Sequence[ClassLabel]
 ) -> np.ndarray:
     """Each member's fraction of full-width rows where predict_many matches
-    the label: a (C,) array."""
+    the label, its hits over the rows: a (C,) array."""
     if len(y) == 0:
         raise ValueError("cannot score an empty dataset")
-    y = label_codes(y, len(x))
-    return np.count_nonzero(predict_many(model, x) == y[:, None], axis=0) / len(y)
+    return hits(model, x, y) / len(y)
 
 
 def grid_axes(

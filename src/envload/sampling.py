@@ -243,16 +243,15 @@ class Xoshiro256pp:
     def shuffled(self, items: list) -> list:
         """Fisher-Yates shuffle (copy). The swap with an index below i + 1 takes
         one next_u64 draw modulo i + 1, whose bias is at most (i + 1) / 2**64:
-        below 4e-15 for a 60 000-row shuffle. The draws come as one block, the
-        swaps run in order."""
+        below 4e-15 for a 60 000-row shuffle. The draws come in blocks of at
+        most _BLOCK, the swaps run in order."""
         out = list(items)
-        m = len(out) - 1
-        if m < 1:
-            return out
-        bounds = np.arange(m + 1, 1, -1, dtype=_U64)
-        draws = (self.next_u64_block(m) % bounds).tolist()
-        for i, j in zip(range(m, 0, -1), draws):
-            out[i], out[j] = out[j], out[i]
+        for top in range(len(out) - 1, 0, -_BLOCK):  # the swaps of i = top down to top - count + 1
+            count = min(top, _BLOCK)
+            bounds = np.arange(top + 1, top + 1 - count, -1, dtype=_U64)
+            draws = (self.next_u64_block(count) % bounds).tolist()
+            for i, j in zip(range(top, top - count, -1), draws):
+                out[i], out[j] = out[j], out[i]
         return out
 
 

@@ -37,6 +37,8 @@ import numpy as np
 from .dataset import POSITIVE_FEATURES, Dataset, _cell, check_cells, check_features, feature_matrix
 from .numerics import libm
 
+_BLOCK_ROWS = 1 << 14  # thermal_loads' rows per block: about 1 MiB of temporaries
+
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -76,23 +78,27 @@ class SurrogateConfig:
 
 def thermal_loads(x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
     """Annual heating + cooling load per floor area [kWh/m2] of every row of
-    an (n, 7) feature matrix, by the formula in the module docstring. Raises
-    ValueError for any other shape, or naming the first cell that is not
-    finite or, in a thickness, density, conductivity or specific heat, not > 0."""
+    an (n, 7) feature matrix, by the formula in the module docstring, filled
+    _BLOCK_ROWS rows at a time. Raises ValueError for any other shape, or
+    naming the first cell that is not finite or, in a thickness, density,
+    conductivity or specific heat, not > 0."""
     x = feature_matrix(x)
     check_features(x)
     positive = np.array([f in POSITIVE_FEATURES for f in range(x.shape[1])])
     check_cells(x, "features", lambda c: (c <= 0.0) & positive, "must be > 0")
-    t, rho, k, c, a_solar, a_visual, a_thermal = x.T
-    u = 1.0 / (cfg.r_si + t / k + cfg.r_so)
-    (decay,) = libm(-(rho * c * t) / cfg.c_ref, math.exp)
-    return (
-        (1.0 - cfg.d_max * (1.0 - decay))
-        * (u * cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0 + cfg.q_base)
-        + cfg.w_solar * a_solar
-        + cfg.w_thermal * a_thermal
-        + cfg.w_visual * a_visual
-    )
+    loads = np.empty(len(x))
+    for start in range(0, len(x), _BLOCK_ROWS):  # each load depends on its own row alone
+        t, rho, k, c, a_solar, a_visual, a_thermal = x[start:start + _BLOCK_ROWS].T
+        u = 1.0 / (cfg.r_si + t / k + cfg.r_so)
+        (decay,) = libm(-(rho * c * t) / cfg.c_ref, math.exp)
+        loads[start:start + _BLOCK_ROWS] = (
+            (1.0 - cfg.d_max * (1.0 - decay))
+            * (u * cfg.r_wall * 24.0 * (cfg.hdd + cfg.cdd) / 1000.0 + cfg.q_base)
+            + cfg.w_solar * a_solar
+            + cfg.w_thermal * a_thermal
+            + cfg.w_visual * a_visual
+        )
+    return loads
 
 
 def simulate_dataset(dataset: Dataset, cfg: SurrogateConfig) -> Dataset:
@@ -107,7 +113,7 @@ def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
     file, the physical line (the header is line 1) and the column.
     """
     n = len(dataset)
-    loads: list[float | None] = [None] * n
+    loads, seen = np.empty(n), np.zeros(n, dtype=bool)
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -122,13 +128,14 @@ def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
             idx = _cell(where, "row_index", cells[0], int, "an integer")
             if not 0 <= idx < n:
                 raise ValueError(f"{where}, column row_index: {idx} out of range 0..{n - 1}")
-            if loads[idx] is not None:
+            if seen[idx]:
                 raise ValueError(f"{where}, column row_index: duplicate row index {idx}")
+            seen[idx] = True
             loads[idx] = _cell(where, "load", cells[1], float, "a finite number >= 0",
                                lambda v: math.isfinite(v) and v >= 0.0)
-    for idx, q in enumerate(loads):
-        if q is None:
-            raise ValueError(f"{path}: row {idx} missing")
+    if not seen.all():
+        raise ValueError(f"{path}: row {seen.argmin()} missing")
+    loads.setflags(write=False)  # the Dataset keeps this column, not a copy
     return dataset.with_loads(loads)
 
 

@@ -305,15 +305,18 @@ class TestDeterminismAndComposition:
         assert len(slots) == 6
         assert all(np.shares_memory(result.dataset.features, slot) for slot in slots)
 
-    @pytest.mark.parametrize("options, bound_mib", [([], 3.2), (["--train-frac", "0.7"], 4.2)],
+    @pytest.mark.parametrize("options, bound_mib", [([], 2.2), (["--train-frac", "0.7"], 4.2)],
                              ids=["bulk-split", "42000-train-rows"])
     def test_stage_train_holds_each_part_once(self, monkeypatch, options, bound_mib):
-        # 60 000 rows. Each part is gathered and then normalized in place,
-        # and class_stats centres each class's gather in place. When the
+        # 60 000 rows. The train part is gathered and then normalized in
+        # place, class_stats centres each class's gather in place, and the
+        # test part is scored in blocks of lda.chunk_rows rows. When the
         # z-scores and the centred rows were second arrays, the tracemalloc
         # peaks were 4.29 MiB at the bulk workload's split (21 000 train rows,
         # 39 000 test rows: 2.08 MiB) and 4.75 MiB at 42 000 train rows
-        # (2.24 MiB), with numpy 2.4 on x86-64, against 2.45 and 3.79 MiB now
+        # (2.24 MiB), with numpy 2.4 on x86-64; 2.45 and 3.83 MiB when the
+        # test part was one array, and 1.92 and 3.83 MiB now: the train part
+        # sets the second peak
         peaks = []
         stage_train = cli.stage_train
 
@@ -328,6 +331,32 @@ class TestDeterminismAndComposition:
         monkeypatch.setattr(cli, "stage_train", traced)
         cli.run(cli.configs(["--n-per-material", "10000", *options]))
         assert peaks[0] <= bound_mib * 2**20, peaks
+
+    @pytest.mark.parametrize("options, several_blocks", [
+        (["--n-per-material", "10000", "--train-frac", "0.05"], True),
+        (["--n-per-material", "100"], False),
+    ], ids=["57000-test-rows", "390-test-rows"])
+    def test_blocked_test_accuracy_equals_accuracy(self, monkeypatch, options, several_blocks):
+        # stage_train scores the test part a block of chunk_rows rows at a
+        # time; its test accuracies equal lda.accuracy on the whole part,
+        # here where the part spans several blocks and ends mid-block, and
+        # where it is less than one
+        stacks = []
+        fit_stack = cli._fit_stack
+
+        def recording_fit(*args):
+            stacks.append(fit_stack(*args))
+            return stacks[-1]
+
+        monkeypatch.setattr(cli, "_fit_stack", recording_fit)
+        result = cli.run(cli.configs(options))
+        final = stacks[0].members(slice(0, len(result.features)))
+        test = ~result.in_train
+        n_test, rows = int(test.sum()), lda_mod.chunk_rows(final)
+        assert (n_test > 2 * rows and n_test % rows > 0) if several_blocks else n_test < rows
+        x = apply_normalizer(result.norm, result.dataset.features[test])
+        whole = accuracy(final, x, result.dataset.labels[test]).tolist()
+        assert [test_acc for _, test_acc in result.accuracy.values()] == whole
 
 
 @pytest.fixture(scope="module", params=[["--grid-resolution", "2"],
