@@ -36,13 +36,13 @@ from contextlib import suppress
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import efs as efs_mod, lda as lda_mod, pca as pca_mod
 from .dataset import (
-    LABEL_NAMES, N_FEATURES, SYSTEM_CONSTANTS, ClassLabel, Dataset, FeatureId,
+    FLOAT_CELL, LABEL_NAMES, N_FEATURES, SYSTEM_CONSTANTS, ClassLabel, Dataset, FeatureId,
     builtin_material_library, csv_text, float_cells, text_cells, write_csvs, write_dataset,
     read_dataset,  # unused here; bench/spans.py wraps it by this name, so it goes with that site
 )
@@ -279,7 +279,7 @@ def write_run(run: Run, out: str | Path) -> None:
 
     def csv(name: str, header: Sequence[str], blocks: Sequence[np.ndarray]) -> None:
         """A CSV file whose cells are the blocks side by side (see csv_text)."""
-        write_csvs([(new(name), header)], len(blocks[0]),
+        write_csvs([(new(name), header)], len(blocks[0]), sum(b[0].size for b in blocks) + 2,
                    lambda rows: csv_text([b[rows] for b in blocks]))
 
     try:
@@ -296,14 +296,16 @@ def write_run(run: Run, out: str | Path) -> None:
         pairs = ((1, 2), (1, 3), (2, 3))
         train_labels = run.dataset.labels[run.in_train]
 
-        def chunk_text(rows: slice) -> list:
+        def chunk_text(rows: slice) -> Iterator[np.ndarray]:
             # each PC's scores are formatted once and shared by the two files that show it
             cells = float_cells(run.scores[rows])
             labels = text_cells(LABEL_NAMES, train_labels[rows])
-            return [csv_text([cells[:, i - 1], cells[:, j - 1], labels])[0] for i, j in pairs]
+            return (next(csv_text([cells[:, i - 1], cells[:, j - 1], labels])) for i, j in pairs)
 
+        # a row's three lines: two kernel cells, the widest label and "\r\n" each
         write_csvs([(new(f"scores_{i}_{j}.csv"), (f"pc{i}", f"pc{j}", "label"))
-                    for i, j in pairs], len(run.scores), chunk_text)
+                    for i, j in pairs], len(run.scores),
+                   len(pairs) * (2 * FLOAT_CELL + len(",medium\r\n")), chunk_text)
         results = run.efs.all_results
         sizes = np.array([len(r.subset) for r in results])
         csv("efs_accuracy.csv", ["subset", "size", "metric", "flag"],

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -291,23 +291,26 @@ def builtin_material_library() -> MaterialLibrary:
 # Every CSV file is written by write_csvs, a chunk of rows at a time, from
 # cell blocks. A block is a uint8 array with one row per line; each cell is
 # a comma and its text, with NUL bytes wherever the block's fixed layout
-# holds no text. A line is its blocks side by side, less the NULs and its
-# first comma, then "\r\n", which csv_text adds. So no per-line Python runs,
-# and only one chunk's cells are alive at a time, never a whole file's text.
+# holds no text. csv_text copies a chunk's blocks side by side into one
+# preallocated array of lines, ends each with "\r\n" and drops the first
+# comma, then strips the NULs of each file's part in one bytes.translate. So
+# no per-line Python runs, and only one chunk's cells are alive at a time,
+# never a whole file's text.
 
 CSV_HEADER = ("material_index",) + FEATURE_COLUMNS + ("load", "label")
 
-# Rows per chunk of write_csvs. At 1 024 rows a chunk's arrays raised the
-# peak RSS of repeated 6 000-row runs by about 1 MiB; 512 rows cost a few
-# percent more time and almost no memory.
-_FORMAT_CHUNK = 512
-_LINE_END = np.frombuffer(b"\r\n", dtype=np.uint8).reshape(1, 2)
-
-_U64 = np.uint64
 # A float cell, 40 bytes: ',' '-' 17 integer digits '.' 20 fraction digits,
 # ten 4-byte words of _repr_tables' word table.
+FLOAT_CELL = 40
 _POINT = 19  # the byte of the '.'
-_CELL = 40
+
+# A chunk of write_csvs is as many rows as fit _CHUNK_BYTES of lines: 512
+# dataset lines (1 024 raised the peak RSS of repeated 6 000-row runs by
+# about 1 MiB), or a whole 2 500-line decision grid of about 50-byte lines.
+_DATASET_LINE = len(",0") + 8 * FLOAT_CELL + len(",medium\r\n")
+_CHUNK_BYTES = 512 * _DATASET_LINE
+
+_U64 = np.uint64
 # float_cells writes a shorter array by repr. The kernel costs about 0.3-0.4
 # ms a call up to a few hundred values, repr about 1.5 us a value, so they
 # cross near 300 values (2-core x86-64 VM, Python 3.11, numpy 2.4).
@@ -335,7 +338,7 @@ def _repr_tables() -> _ReprTables:
     words = np.frombuffer("".join(
         [f"{v:04d}" for v in range(10000)] + [f",-{v:02d}" for v in range(100)]
         + [f"{v:03d}." for v in range(1000)]).encode(), dtype=np.uint32)
-    col = np.arange(_CELL)
+    col = np.arange(FLOAT_CELL)
     neg, int_len, frac_len = (a.reshape(-1, 1) for a in np.meshgrid(
         np.arange(2), np.arange(18), np.arange(21), indexing="ij"))
     text = ((col == 0) | ((col == 1) & (neg == 1))
@@ -382,7 +385,7 @@ def _ryu_cells(values: np.ndarray) -> np.ndarray:
     cells &= np.take(_repr_tables().text, row, axis=0)  # NUL where the cell has no text
     slow = np.flatnonzero(~fast)
     if len(slow):
-        cells[slow] = _repr_cells(values[slow], _CELL)
+        cells[slow] = _repr_cells(values[slow], FLOAT_CELL)
     return cells
 
 
@@ -408,7 +411,7 @@ def _digit_cells(out: np.ndarray, frac: np.ndarray) -> np.ndarray:
     second = (part - first * cut) * np.take(pow10, 8 - tail)
     first *= np.take(pow10, np.maximum(12 - frac, 0))
     # the ten 4-byte words of each cell, right to left
-    cells = np.empty((len(out), _CELL // 4), dtype=np.uint32)
+    cells = np.empty((len(out), FLOAT_CELL // 4), dtype=np.uint32)
     for number, columns in ((whole, (4, 3, 2, 1, 0)), (first, (7, 6, 5)), (second, (9, 8))):
         for c in columns:
             size = _U64(1000 if c == 4 else 10000)  # word 4 is 3 digits and the '.'
@@ -490,30 +493,39 @@ def text_cells(texts: Sequence[object], codes: np.ndarray, width: int = 0) -> np
     return np.take(table, codes).view(np.uint8).reshape(*codes.shape, table.itemsize)
 
 
-def csv_text(blocks: Sequence[np.ndarray], row_masks: Iterable[np.ndarray] = ()) -> list:
+def csv_text(blocks: Sequence[np.ndarray], row_masks: Iterable[np.ndarray] = ()
+             ) -> Iterator[np.ndarray]:
     """The text, as uint8, of the lines whose cells are the blocks side by
     side, each ended by "\r\n", then of the lines where each row mask is
-    true. A block's first axis is the lines; the rest hold their cells in C
-    order."""
+    true, one part at a time. A block's first axis is the lines; the rest
+    hold their cells in C order."""
     n = len(blocks[0])
-    line_ends = np.repeat(_LINE_END, n, axis=0)
-    lines = np.concatenate([b.reshape(n, -1) for b in blocks] + [line_ends], axis=1)
+    cells = [b.reshape(n, -1) for b in blocks]
+    lines = np.empty((n, sum(c.shape[1] for c in cells) + 2), dtype=np.uint8)
+    np.concatenate(cells, axis=1, out=lines[:, :-2])
+    del blocks, cells  # freed here unless the caller keeps them
+    lines[:, -2:] = tuple(b"\r\n")
     lines[:, 0] = 0  # a line has no leading comma
-    return [part[part != 0] for part in chain([lines], (lines[m] for m in row_masks))]
+    for part in chain([lines], (lines[m] for m in row_masks)):
+        yield np.frombuffer(part.tobytes().translate(None, b"\0"), dtype=np.uint8)
 
 
 def write_csvs(files: Sequence[tuple[str | Path, Sequence[str]]], n_rows: int,
-               chunk_text: Callable[[slice], Sequence[np.ndarray]]) -> None:
+               line_bytes: int, chunk_text: Callable[[slice], Iterable[np.ndarray]]) -> None:
     """Write CSV files in one pass over chunks of n_rows rows: files gives
     each path and its column names, and chunk_text(rows) each file's text of
-    a slice of rows (see csv_text)."""
+    a slice of rows in turn (see csv_text). A chunk is as many rows as fit
+    _CHUNK_BYTES at line_bytes, the bytes of the lines chunk_text builds for
+    a row, and at least one."""
+    rows = max(_CHUNK_BYTES // line_bytes, 1)
     with ExitStack() as stack:
         handles = [stack.enter_context(open(path, "wb")) for path, _ in files]
         for fh, (_, header) in zip(handles, files):
             fh.write(f"{','.join(header)}\r\n".encode())
-        for start in range(0, n_rows, _FORMAT_CHUNK):
-            for fh, text in zip(handles, chunk_text(slice(start, start + _FORMAT_CHUNK))):
+        for start in range(0, n_rows, rows):
+            for fh, text in zip(handles, chunk_text(slice(start, start + rows))):
                 fh.write(text)
+                del text  # a file's part is dropped before the next one is built
 
 
 def write_dataset(dataset: Dataset, path: str | Path,
@@ -525,14 +537,15 @@ def write_dataset(dataset: Dataset, path: str | Path,
         if getattr(dataset, column) is None:
             raise ValueError(f"cannot write a dataset without {column}")
 
-    def chunk_text(rows: slice) -> list:
+    def chunk_text(rows: slice) -> Iterator[np.ndarray]:
         ids, codes = np.unique(dataset.material_index[rows], return_inverse=True)
         blocks = [text_cells(ids, codes),
                   float_cells(np.column_stack([dataset.features[rows], dataset.loads[rows]])),
                   text_cells(LABEL_NAMES, dataset.labels[rows])]
         return csv_text(blocks, [mask[rows] for mask in parts.values()])
 
-    write_csvs([(p, CSV_HEADER) for p in (path, *parts)], len(dataset), chunk_text)
+    write_csvs([(p, CSV_HEADER) for p in (path, *parts)], len(dataset), _DATASET_LINE,
+               chunk_text)
 
 
 def read_dataset(path: str | Path) -> Dataset:

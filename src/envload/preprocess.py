@@ -72,7 +72,9 @@ def split(dataset: Dataset, cfg: SplitConfig) -> np.ndarray:
     Each group gets the floor of its quota len(group) * f, and the
     n_train - sum(floors) groups with the largest remainder one row more,
     ties by class order. Each group, in class order, then takes the first
-    rows of a shuffle of its row indices, seeded by cfg.seed.
+    rows of a shuffle of its row indices. The shuffles draw in turn from one
+    stream seeded by cfg.seed, through Xoshiro256pp.shuffled_each: in shared
+    blocks, with each group's index list built only when its turn comes.
     """
     labels = dataset.labels
     if labels is None:
@@ -93,14 +95,16 @@ def split(dataset: Dataset, cfg: SplitConfig) -> np.ndarray:
     # so the shortfall is at most the number of groups: one row each at most.
     takes[np.lexsort((present, takes - quotas))[:n_train - takes.sum()]] += 1
 
-    rng = Xoshiro256pp(cfg.seed)
-    in_train = np.zeros(n, dtype=bool)
-    for group, take in zip(present, takes):
-        pool = np.flatnonzero(groups == group)
-        if not 0 < take < len(pool):
+    sizes = sizes[present].tolist()
+    for group, take, size in zip(present, takes, sizes):
+        if not 0 < take < size:
             raise ValueError(f"stratified split leaves class {ClassLabel(group).csv_value!r} "
-                             f"with an empty train or test part ({take} of {len(pool)} rows)")
-        in_train[rng.shuffled(pool.tolist())[:take]] = True
+                             f"with an empty train or test part ({take} of {size} rows)")
+    in_train = np.zeros(n, dtype=bool)
+    pools = Xoshiro256pp(cfg.seed).shuffled_each(
+        (np.flatnonzero(groups == group).tolist() for group in present), sizes)
+    for take in takes:  # one group's shuffled rows alive at a time
+        in_train[next(pools)[:take]] = True
     return in_train
 
 

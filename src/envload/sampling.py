@@ -60,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -240,19 +241,37 @@ class Xoshiro256pp:
         out, self._s = _u64_block(self._s, count)
         return out
 
-    def shuffled(self, items: list) -> list:
-        """Fisher-Yates shuffle (copy). The swap with an index below i + 1 takes
-        one next_u64 draw modulo i + 1, whose bias is at most (i + 1) / 2**64:
-        below 4e-15 for a 60 000-row shuffle. The draws come in blocks of at
-        most _BLOCK, the swaps run in order."""
+    def shuffled(self, items: Iterable) -> list:
+        """Fisher-Yates shuffle (copy): shuffled_each of one list."""
         out = list(items)
-        for top in range(len(out) - 1, 0, -_BLOCK):  # the swaps of i = top down to top - count + 1
-            count = min(top, _BLOCK)
-            bounds = np.arange(top + 1, top + 1 - count, -1, dtype=_U64)
-            draws = (self.next_u64_block(count) % bounds).tolist()
-            for i, j in zip(range(top, top - count, -1), draws):
-                out[i], out[j] = out[j], out[i]
-        return out
+        return next(self.shuffled_each([out], [len(out)]))
+
+    def shuffled_each(self, lists: Iterable[list], lengths: Sequence[int]) -> Iterator[list]:
+        """Fisher-Yates shuffle each of lists in place, in turn, taking it only
+        when its turn comes, and yield it; lengths gives their lengths. The
+        swap with an index below i + 1 takes one next_u64 draw modulo i + 1,
+        whose bias is at most (i + 1) / 2**64: below 4e-15 for 60 000 rows. All
+        the swaps draw from one run of blocks of at most _BLOCK, pieces of the
+        serial stream, so each list is shuffled as by shuffled in turn."""
+        left = sum(max(n - 1, 0) for n in lengths)  # swaps of the lists not yet drawn
+        block = np.empty(0, dtype=_U64)  # the current block's draws not yet used
+        lists = iter(lists)
+        for n in lengths:
+            out = next(lists)
+            if len(out) != n:
+                raise ValueError(f"expected a list of {n} items, got {len(out)}")
+            top = n - 1  # the swaps of i = top down to 1
+            while top > 0:
+                if not len(block):
+                    block = self.next_u64_block(min(left, _BLOCK))
+                    left -= len(block)
+                count = min(top, len(block))
+                bounds = np.arange(top + 1, top + 1 - count, -1, dtype=_U64)
+                for i, j in zip(range(top, top - count, -1), (block[:count] % bounds).tolist()):
+                    out[i], out[j] = out[j], out[i]
+                block, top = block[count:], top - count
+            yield out
+            del out  # the caller's now: the next list is built only after this one is dropped
 
 
 def material_stream(seed: int, material_index: int) -> Xoshiro256pp:
@@ -334,7 +353,8 @@ def _draw_into(out: np.ndarray, library: MaterialLibrary, index: int, seed: int)
             kept = np.flatnonzero((0.0 < values) & (values < upper))[:n - row]
             # a draw ends at its valid value, or unfinished at the end of the window
             ends = kept if row + len(kept) == n else np.append(kept, len(values))
-            misses = np.diff(ends, prepend=-1) - 1
+            misses = ends.copy()  # the draws between a valid value and the one before
+            misses[1:] -= ends[:-1] + 1
             misses[0] += run
             if misses.max() >= MAX_REJECTIONS_PER_DRAW:
                 raise ValueError(

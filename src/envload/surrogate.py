@@ -103,7 +103,9 @@ def thermal_loads(x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
 
 def simulate_dataset(dataset: Dataset, cfg: SurrogateConfig) -> Dataset:
     """Attach a surrogate load to every row; other columns untouched."""
-    return dataset.with_loads(thermal_loads(dataset.features, cfg))
+    loads = thermal_loads(dataset.features, cfg)
+    loads.setflags(write=False)  # the Dataset keeps this column, not a copy
+    return dataset.with_loads(loads)
 
 
 def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:

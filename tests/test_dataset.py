@@ -13,13 +13,18 @@ import pytest
 from envload import dataset as dataset_mod
 from envload.dataset import (
     CSV_HEADER,
+    LABEL_NAMES,
     ClassLabel,
     Dataset,
     SYSTEM_CONSTANTS,
     FeatureId,
     MaterialLibrary,
     builtin_material_library,
+    csv_text,
+    float_cells,
     read_dataset,
+    text_cells,
+    write_csvs,
     write_dataset,
 )
 
@@ -368,11 +373,15 @@ def _text(path: Path) -> str:
         return fh.read()
 
 
+# rows per write_dataset chunk: the byte budget holds 512 dataset lines
+_DATASET_CHUNK_ROWS = dataset_mod._CHUNK_BYTES // dataset_mod._DATASET_LINE
+
+
 class TestFormatRows:
     @pytest.mark.parametrize("columns", ["features", "loads", "labels"])
     @pytest.mark.parametrize("edge", [-1, 0, 1])
     def test_equals_per_row_formula_at_chunk_edges(self, tmp_path, edge, columns):
-        ds = _with_edges(_synthetic_dataset(dataset_mod._FORMAT_CHUNK + edge), columns)
+        ds = _with_edges(_synthetic_dataset(_DATASET_CHUNK_ROWS + edge), columns)
         expected = [_row_line(ds, i) for i in range(len(ds))]
         every = np.ones(len(ds), dtype=bool)
         parts = {tmp_path / "all.csv": every, tmp_path / "none.csv": ~every,
@@ -400,3 +409,69 @@ class TestFormatRows:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def old_csv_text(blocks, row_masks=()):
+    """csv_text as it was: the blocks side by side, then a "\r\n" column,
+    then each part without its NULs."""
+    n = len(blocks[0])
+    line_ends = np.repeat(np.frombuffer(b"\r\n", dtype=np.uint8).reshape(1, 2), n, axis=0)
+    lines = np.concatenate([b.reshape(n, -1) for b in blocks] + [line_ends], axis=1)
+    lines[:, 0] = 0
+    return [part[part != 0] for part in [lines, *(lines[m] for m in row_masks)]]
+
+
+def _random_cells(rng, shape):
+    """Random text bytes, a third of them NUL."""
+    return np.where(rng.random(shape) < 1 / 3, 0, rng.integers(1, 256, shape)).astype(np.uint8)
+
+
+class TestCsvAssembly:
+    @pytest.mark.parametrize("n", [1, 2, 7, 600])
+    def test_equals_the_concatenated_blocks_without_nuls(self, n):
+        rng = np.random.default_rng(n)
+        nul_column = _random_cells(rng, (n, 2, 5))
+        nul_column[:, 1] = 0  # an all-NUL cell column
+        blocks = [_random_cells(rng, (n, 3, 9)), nul_column, _random_cells(rng, (n,)),
+                  _random_cells(rng, (n, 4))]
+        masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), rng.random(n) < 0.5]
+        got = list(csv_text(blocks, masks))
+        assert all(part.dtype == np.uint8 for part in got)
+        assert [part.tobytes() for part in got] == [
+            part.tobytes() for part in old_csv_text(blocks, masks)]
+
+    def test_the_dataset_keeps_its_512_line_chunks(self):
+        assert _DATASET_CHUNK_ROWS == 512
+
+    def test_a_grid_table_reads_the_same_in_byte_chunks_as_in_one(self, tmp_path, monkeypatch):
+        xs, ys = float_cells(np.linspace(-1.0, 2.0, 90)), float_cells(np.linspace(5.0, 7.5, 80))
+        codes = np.arange(len(xs) * len(ys)) % 3
+        blocks = [np.tile(xs, (len(ys), 1)), np.repeat(ys, len(xs), axis=0),
+                  text_cells(LABEL_NAMES, codes)]
+        line_bytes = sum(b[0].size for b in blocks) + 2
+        assert dataset_mod._CHUNK_BYTES // line_bytes < len(codes)  # more than one chunk
+        texts = []
+        for whole in (False, True):
+            if whole:  # one chunk holds every row
+                monkeypatch.setattr(dataset_mod, "_CHUNK_BYTES", len(codes) * line_bytes)
+            path = tmp_path / f"grid_{whole}.csv"
+            write_csvs([(path, ["x", "y", "label"])], len(codes), line_bytes,
+                       lambda rows: csv_text([b[rows] for b in blocks]))
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+        assert texts[0].count(b"\r\n") == len(codes) + 1
+
+    @pytest.mark.parametrize("edge", [-1, 1])
+    def test_a_dataset_reads_the_same_in_byte_chunks_as_in_one(self, tmp_path, monkeypatch,
+                                                                edge):
+        ds = _synthetic_dataset(_DATASET_CHUNK_ROWS + edge)
+        texts = []
+        for whole in (False, True):
+            if whole:
+                monkeypatch.setattr(dataset_mod, "_CHUNK_BYTES",
+                                    len(ds) * dataset_mod._DATASET_LINE)
+            paths = [tmp_path / f"{name}_{whole}.csv" for name in ("ds", "train", "test")]
+            third = np.arange(len(ds)) % 3 == 0
+            write_dataset(ds, paths[0], {paths[1]: third, paths[2]: ~third})
+            texts.append([p.read_bytes() for p in paths])
+        assert texts[0] == texts[1]

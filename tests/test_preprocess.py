@@ -217,6 +217,20 @@ class TestSplit:
         cfg = SplitConfig(train_fraction=fraction, seed=5, stratified=False)
         assert np.array_equal(split(_labeled_as(labels), cfg), expected)
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_split_equals_shuffled_per_group_in_turn(self, stratified):
+        # three classes of over 2^15 rows each: the shared blocks straddle classes
+        labels = np.random.default_rng(4).permutation(np.arange(100_000) % 3)
+        dataset = Dataset(np.zeros(len(labels), dtype=np.int64), np.ones((len(labels), 7)),
+                          loads=np.ones(len(labels)), labels=labels)
+        mask = split(dataset, SplitConfig(seed=9, stratified=stratified))
+        groups = labels if stratified else np.zeros_like(labels)
+        rng, expected = Xoshiro256pp(9), np.zeros(len(labels), dtype=bool)
+        for group in np.unique(groups):  # each group's train rows from its own shuffled call
+            pool = np.flatnonzero(groups == group)
+            expected[rng.shuffled(pool.tolist())[:np.count_nonzero(mask[pool])]] = True
+        assert np.array_equal(mask, expected)
+
 
 def reference_split(labels: list[ClassLabel], cfg: SplitConfig) -> list[bool] | str:
     """The per-class loop that split replaced: a list of rows per class,

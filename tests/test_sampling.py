@@ -412,6 +412,40 @@ class TestBlockGenerator:
         assert block.shuffled(items) == reference_shuffled(scalar, items)
         assert_streams_continue_alike(block, scalar)
 
+    @pytest.mark.parametrize("lengths", [[0], [1], [2], [0, 1, 2], [32_768, 32_769], [70_000],
+                                         [3, 0, 2100, 1, 5]])
+    def test_shuffled_each_equals_shuffled_in_turn(self, lengths, monkeypatch):
+        # 32 767 + 32 768 swaps: the second list's first swap ends the first block
+        lists = [[f"list{k} row{i}" for i in range(n)] for k, n in enumerate(lengths)]
+        shared, in_turn = Xoshiro256pp(len(lengths)), Xoshiro256pp(len(lengths))
+        expected = [in_turn.shuffled(items) for items in lists]
+        blocks = []
+        draw = Xoshiro256pp.next_u64_block
+        monkeypatch.setattr(Xoshiro256pp, "next_u64_block",
+                            lambda rng, count: blocks.append(count) or draw(rng, count))
+        assert list(shared.shuffled_each([list(items) for items in lists], lengths)) == expected
+        swaps = sum(max(n - 1, 0) for n in lengths)
+        assert len(blocks) == -(-swaps // sampling._BLOCK) and sum(blocks) == swaps
+        assert_streams_continue_alike(shared, in_turn)
+
+    def test_shuffled_each_takes_a_list_when_its_turn_comes(self):
+        built = []
+
+        def lists():
+            for n in (4, 3):
+                built.append(n)
+                yield list(range(n))
+
+        shuffles = Xoshiro256pp(3).shuffled_each(lists(), [4, 3])
+        next(shuffles)
+        assert built == [4]
+        next(shuffles)
+        assert built == [4, 3]
+
+    def test_shuffled_each_rejects_a_list_of_another_length(self):
+        with pytest.raises(ValueError, match="^expected a list of 3 items, got 2$"):
+            list(Xoshiro256pp(3).shuffled_each([[1, 2]], [3]))
+
     def test_jump_powers_are_lazy_and_small(self):
         code = (
             "from envload import sampling\n"

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -60,6 +61,8 @@ def test_ab_runs_of_the_checkout_against_itself():
     proc = _ab_runs(SRC, SRC)
     assert proc.returncode == 0, proc.stderr
     assert "B faster in" in proc.stdout and "of 2 pairs" in proc.stdout
+    assert re.search(r"^B - A per pair: median -?\d+\.\d ms \(quartiles -?\d+\.\d to "
+                     r"-?\d+\.\d\) of 2$", proc.stdout, re.M), proc.stdout
 
 
 def test_ab_runs_hashes_an_output_larger_than_a_block_whole(tmp_path):

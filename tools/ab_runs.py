@@ -11,8 +11,10 @@ after `--` are passed to `envload run`; the tool adds `--out`.
 
 Every run must exit 0, and in each pair both sides must write the same files
 with the same sha256; otherwise the tool exits 1. It prints each side's
-median and quartiles of the wall time of `main` and the number of pairs in
-which B was faster. One process pays the interpreter and numpy start-up
+median and quartiles of the wall time of `main`, the median and quartiles
+of the per-pair difference B - A, and the number of pairs in which B was
+faster. A gain of 1 % shows more clearly in the paired differences than as
+the gap between two medians. One process pays the interpreter and numpy start-up
 once, so pairs vary far less than pairs of processes do; it supplements
 `bench/run.py` and does not replace it.
 """
@@ -77,9 +79,9 @@ def sha256_of(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _summary(label: str, src: Path, times: list[float]) -> str:
+def _quartiles(times: list[float]) -> str:
     q1, median, q3 = (1e3 * q for q in statistics.quantiles(times, n=4))
-    return f"{label} {src}: median {median:.1f} ms (quartiles {q1:.1f}-{q3:.1f}) of {len(times)}"
+    return f"median {median:.1f} ms (quartiles {q1:.1f} to {q3:.1f}) of {len(times)}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,8 +124,9 @@ def main(argv: list[str] | None = None) -> int:
                 times[0].append(time_a)
                 times[1].append(time_b)
                 b_won += time_b < time_a
-    print(_summary("A", args.a, times[0]))
-    print(_summary("B", args.b, times[1]))
+    print(f"A {args.a}: {_quartiles(times[0])}")
+    print(f"B {args.b}: {_quartiles(times[1])}")
+    print(f"B - A per pair: {_quartiles([b - a for a, b in zip(*times)])}")
     print(f"B faster in {b_won} of {args.pairs} pairs")
     return 0
 
