@@ -13,15 +13,17 @@ the config echo reads.
 A Dataset holds one read-only numpy column per field: material index, the
 (n, 7) feature matrix, loads and int8 ClassLabel codes. One is built, and
 every column checked, only where data enters: the sampler, attached loads
-and labels, and read_dataset. Past the split the stages pass plain arrays,
-checked by the same rules: feature_matrix, check_features and label_codes.
+(simulated or ingested) and labels, and read_dataset. Past the split the
+stages pass plain arrays, checked by the same rules: feature_matrix,
+check_features and label_codes. The two CSV readers, read_dataset and
+surrogate.ingest_external_loads, read rows through csv_rows and only parse
+their cells (parsed); the Dataset they build checks every value.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import math
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -228,10 +230,10 @@ def _column(values, attr: str, n: int) -> np.ndarray:
     dtype, column, bad, rule = _COLUMN_RULES[attr]
     shape = (n, N_FEATURES) if attr == "features" else (n,)
     given = np.asarray(values)
-    try:  # a None or text cell raises here
+    try:  # a None or text cell, or a Python int past int64, raises here
         with np.errstate(invalid="ignore"):  # a value that does not fit is the error below
             array = given.astype(dtype, copy=False)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         array = None
     if array is None or not (np.can_cast(given.dtype, dtype) or np.array_equal(array, given)):
         raise ValueError(f"column {column}: values do not fit {np.dtype(dtype)}")
@@ -548,50 +550,41 @@ def write_dataset(dataset: Dataset, path: str | Path,
                chunk_text)
 
 
-def read_dataset(path: str | Path) -> Dataset:
-    """Read a dataset CSV, with a load and a label on every row. Raises
-    ValueError naming row and column on bad input."""
+def csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
+    """("PATH, line N", cells) for each non-blank row of a CSV file after its
+    header line. Raises ValueError naming the file and the physical line for
+    a header other than header or a row of another number of cells."""
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError("empty file: missing header row") from None
-        if header != list(CSV_HEADER):
-            raise ValueError(f"bad header: expected columns {list(CSV_HEADER)}, got {header}")
-        rows = [_parse_row(rownum, cells)
-                for rownum, cells in enumerate(reader, start=1) if cells]
+        if [h.strip() for h in next(reader, [])] != list(header):
+            raise ValueError(f"{path}, line 1: expected header {','.join(header)!r}")
+        for cells in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(cells) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} cells, got {len(cells)}")
+            yield where, cells
+
+
+def parsed(where: str, column: str, text: str, parse: Callable, expected: str):
+    """parse(text), or a ValueError naming the place (e.g. "PATH, line 3")
+    and the column when parse fails (ValueError or LookupError)."""
+    try:
+        return parse(text)
+    except (ValueError, LookupError):
+        raise ValueError(f"{where}, column {column}: expected {expected}, got {text!r}") from None
+
+
+def read_dataset(path: str | Path) -> Dataset:
+    """Read a dataset CSV, with a load and a label on every row. A cell that
+    does not parse, or a row of the wrong width, is named by its file, line
+    and column; a value that breaks a column rule, by the Dataset's row and
+    column."""
+    rows = [(parsed(where, "material_index", cells[0], int, "an integer"),
+             [parsed(where, name, text, float, "a number")
+              for name, text in zip(FEATURE_COLUMNS, cells[1:-2])],
+             parsed(where, "load", cells[-2], float, "a number"),
+             parsed(where, "label", cells[-1].strip().lower(), LABEL_NAMES.index,
+                    "one of " + ", ".join(LABEL_NAMES)))
+            for where, cells in csv_rows(path, CSV_HEADER)]
     index, features, loads, labels = zip(*rows) if rows else ((),) * 4
     return Dataset(index, np.reshape(features, (-1, N_FEATURES)), loads, labels)
-
-
-def _parse_row(rownum: int, cells: list[str]) -> tuple:
-    """(material_index, features, load, label code) of a row's cells."""
-    if len(cells) != len(CSV_HEADER):
-        raise ValueError(f"row {rownum}: expected {len(CSV_HEADER)} cells, got {len(cells)}")
-    row = f"row {rownum}"
-    return (
-        _cell(row, "material_index", cells[0], int, "an integer >= 0", lambda v: v >= 0),
-        [_cell(row, name, text, float, "a finite number", math.isfinite)
-         for name, text in zip(FEATURE_COLUMNS, cells[1:-2])],
-        _cell(row, "load", cells[-2], float, "a finite number >= 0",
-              lambda v: math.isfinite(v) and v >= 0.0),
-        _cell(row, "label", cells[-1].strip().lower(), LABEL_NAMES.index,
-              "one of " + ", ".join(LABEL_NAMES)),
-    )
-
-
-def _cell(where: str, column: str, text: str, parse, expected: str,
-          valid=lambda v: True):
-    """parse(text), or a ValueError naming the place (e.g. "row 3") and the
-    column when parse fails (ValueError or LookupError) or its value is not
-    valid."""
-    try:
-        value = parse(text)
-    except (ValueError, LookupError):
-        value = None
-    if value is None or not valid(value):
-        raise ValueError(
-            f"{where}, column {column}: expected {expected}, got {text!r}"
-        )
-    return value

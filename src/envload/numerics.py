@@ -28,6 +28,7 @@ import numpy as np
 
 
 _EPS = float(np.finfo(np.float64).eps)
+_ASYM_TOL = 1e-8  # symmetric's bound on relative asymmetry
 
 
 def libm(x: np.ndarray, *functions: Callable[[float], float]) -> tuple[np.ndarray, ...]:
@@ -41,10 +42,10 @@ class ConvergenceError(RuntimeError):
     """Jacobi sweeps did not reduce the off-diagonal norm in time."""
 
 
-def symmetric(a: np.ndarray, asym_tol: float = 1e-8) -> np.ndarray:
+def symmetric(a: np.ndarray) -> np.ndarray:
     """A read-only copy of the square, finite matrix a, or of each matrix of
     a stack a[..., :, :], with its lower triangle replaced by the upper one.
-    Relative asymmetry above asym_tol in any matrix is an error."""
+    Relative asymmetry above _ASYM_TOL in any matrix is an error."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1] or a.size == 0:
         raise ValueError(f"need a non-empty square matrix, got shape {a.shape}")
@@ -52,7 +53,7 @@ def symmetric(a: np.ndarray, asym_tol: float = 1e-8) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     transposed = np.swapaxes(a, -1, -2)
     asym = np.abs(a - transposed).max(axis=(-2, -1))
-    limit = asym_tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    limit = _ASYM_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     if (asym > limit).any():
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym.max():g})")
     full = np.where(np.tri(a.shape[-1], k=-1, dtype=bool), transposed, a)

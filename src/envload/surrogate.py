@@ -25,7 +25,6 @@ is then >= 0 by construction. The defaults equal bench/surrogate.json; the
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, fields
@@ -34,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import POSITIVE_FEATURES, Dataset, _cell, check_cells, check_features, feature_matrix
+from .dataset import (POSITIVE_FEATURES, Dataset, check_cells, check_features, csv_rows,
+                      feature_matrix, parsed)
 from .numerics import libm
 
 _BLOCK_ROWS = 1 << 14  # thermal_loads' rows per block: about 1 MiB of temporaries
@@ -111,30 +111,21 @@ def simulate_dataset(dataset: Dataset, cfg: SurrogateConfig) -> Dataset:
 def ingest_external_loads(dataset: Dataset, path: str | Path) -> Dataset:
     """Attach externally computed loads from a (row_index, load) CSV.
 
-    The file must cover every dataset row exactly once. Errors name the
-    file, the physical line (the header is line 1) and the column.
+    The file must cover every dataset row exactly once. A cell that does not
+    parse, an index out of range or repeated, or a row of the wrong width is
+    named by the file, the physical line (the header is line 1) and the
+    column; a load that breaks the Dataset's rule, by its row index.
     """
     n = len(dataset)
     loads, seen = np.empty(n), np.zeros(n, dtype=bool)
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["row_index", "load"]:
-            raise ValueError(f"{path}, line 1: expected header 'row_index,load'")
-        for cells in reader:
-            if not cells:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if len(cells) != 2:
-                raise ValueError(f"{where}: expected 2 cells, got {len(cells)}")
-            idx = _cell(where, "row_index", cells[0], int, "an integer")
-            if not 0 <= idx < n:
-                raise ValueError(f"{where}, column row_index: {idx} out of range 0..{n - 1}")
-            if seen[idx]:
-                raise ValueError(f"{where}, column row_index: duplicate row index {idx}")
-            seen[idx] = True
-            loads[idx] = _cell(where, "load", cells[1], float, "a finite number >= 0",
-                               lambda v: math.isfinite(v) and v >= 0.0)
+    for where, (index, load) in csv_rows(path, ("row_index", "load")):
+        idx = parsed(where, "row_index", index, int, "an integer")
+        if not 0 <= idx < n:
+            raise ValueError(f"{where}, column row_index: {idx} out of range 0..{n - 1}")
+        if seen[idx]:
+            raise ValueError(f"{where}, column row_index: duplicate row index {idx}")
+        seen[idx] = True
+        loads[idx] = parsed(where, "load", load, float, "a number")
     if not seen.all():
         raise ValueError(f"{path}: row {seen.argmin()} missing")
     loads.setflags(write=False)  # the Dataset keeps this column, not a copy

@@ -474,6 +474,20 @@ class TestIngestPath:
         assert ds.loads[1] == 82.5
         assert ClassLabel(ds.labels[0]) is ClassLabel.LOW
 
+    def test_a_default_runs_own_loads_ingested_write_the_pins(self, tmp_path, default_run):
+        # only config.json and summary.json echo the config, which names the loads file
+        loads = tmp_path / "loads.csv"
+        loads.write_text("row_index,load\n" + "".join(
+            f"{i},{q!r}\n" for i, q in enumerate(read_dataset(default_run / "dataset.csv")
+                                                 .loads.tolist())))
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--ingest-loads", str(loads)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests.keys() == PINNED_DIGESTS.keys()
+        echo = {"config.json", "summary.json"}
+        assert ({name: d for name, d in digests.items() if name not in echo}
+                == {name: d for name, d in PINNED_DIGESTS.items() if name not in echo})
+
 
 class TestErrorHandling:
     def test_pipeline_error_exit_2_names_stage_and_cleans_up(

@@ -1,10 +1,12 @@
-"""The README's library example runs against the package as it is, and every
-name that the package exports resolves."""
+"""The README's library example runs against the package as it is, its
+quoted ingest error is what the CLI prints, and every name that the package
+exports resolves."""
 
 import re
 from pathlib import Path
 
 import envload
+from envload.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +27,12 @@ def test_library_example_runs(capsys):
 def test_every_exported_name_resolves():
     assert len(set(envload.__all__)) == len(envload.__all__)
     assert [name for name in envload.__all__ if not hasattr(envload, name)] == []
+
+
+def test_quoted_ingest_error_is_printed(tmp_path, monkeypatch, capsys):
+    # the README's file: a load that is not a number, "abc", on line 3
+    [quoted] = re.findall(r"`(error in stage ingest: [^`]*)`", README.read_text())
+    monkeypatch.chdir(tmp_path)
+    Path("loads.csv").write_text("row_index,load\n0,80.0\n1,abc\n")
+    assert main(["run", "--out", "out", "--ingest-loads", "loads.csv"]) == 2
+    assert " ".join(quoted.split()) in capsys.readouterr().err.splitlines()

@@ -246,19 +246,20 @@ class TestIngest:
         path = tmp_path / "loads.csv"
         path.write_text("row_index,load\n" + second_line + "1,abc\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}, line 3, column load: expected a finite number >= 0, got 'abc'")):
+                f"{path}, line 3, column load: expected a number, got 'abc'")):
             ingest_external_loads(default_dataset, path)
 
     @pytest.mark.parametrize("row, message", [
-        ("0,80.0,junk", ": expected 2 cells, got 3"),
-        ("0", ": expected 2 cells, got 1"),
-        ("x,80.0", ", column row_index: expected an integer, got 'x'"),
-        ("0,nan", ", column load: expected a finite number >= 0, got 'nan'"),
+        ("0,80.0,junk", "{path}, line 2: expected 2 cells, got 3"),
+        ("0", "{path}, line 2: expected 2 cells, got 1"),
+        ("x,80.0", "{path}, line 2, column row_index: expected an integer, got 'x'"),
+        # a load that parses is checked by the Dataset's rule, named by its row index
+        ("0,nan", "row 0, column load: must be finite and >= 0, got nan"),
     ], ids=["three-cells", "one-cell", "bad-index", "nan-load"])
     def test_bad_row_names_file_line_and_column(self, tmp_path, default_dataset, row, message):
-        path = tmp_path / "loads.csv"
-        path.write_text(f"row_index,load\n{row}\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 2{message}')}$"):
+        path = tmp_path / "loads.csv"  # row is line 2; the lines after it cover every other row
+        path.write_text(f"row_index,load\n{row}\n" + "".join(f"{i},80.0\n" for i in range(1, 600)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
             ingest_external_loads(default_dataset, path)
 
     def test_bad_header_rejected(self, tmp_path, default_dataset):
